@@ -197,10 +197,10 @@ def cmd_plan(args) -> str:
 def _add_global_args(parser: argparse.ArgumentParser, top_level: bool) -> None:
     # registered on the main parser and again on every subparser (with
     # SUPPRESS defaults so they don't clobber), letting --digits/--out
-    # appear on either side of the subcommand
+    # appear on either side of the subcommand; an unset --digits falls back
+    # to the environment in main (see _digits)
     if top_level:
-        digits_default = int(os.environ.get(ENV_DIGITS, DEFAULT_DIGITS))
-        out_default = None
+        digits_default = out_default = None
     else:
         digits_default = out_default = argparse.SUPPRESS
     parser.add_argument(
@@ -268,10 +268,24 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _digits(args) -> int:
+    """--digits, else $COMPULSE_DIGITS, else the default."""
+    if args.digits is not None:
+        return args.digits
+    raw = os.environ.get(ENV_DIGITS)
+    if raw is None:
+        return DEFAULT_DIGITS
+    try:
+        return int(raw)
+    except ValueError:
+        raise PrecisionError(f"{ENV_DIGITS}={raw!r} is not an integer number of digits") from None
+
+
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
+        args.digits = _digits(args)
         set_digits(args.digits)
         text = args.func(args)
         _write(args, text)

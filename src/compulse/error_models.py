@@ -2,8 +2,9 @@
 
 Every family is invertible in the systematic sense: attempting the inverse
 pulse applies the exact dagger of the corrupted forward pulse.  The base
-class routes dagger-role pulses through their forward partner, so
-subclasses only describe the forward corruption.
+class realizes a dagger-role pulse as the dagger of its forward partner
+(same axis, negated generator angle), so subclasses only describe the
+forward corruption.
 
 Over-rotation amounts are functions of the unsigned rotation angle
 ``theta = 2*|alpha|`` (polynomials here, degree-bounded for
@@ -33,7 +34,7 @@ from mpmath import fabs, mp, mpf, nstr
 
 from . import su2
 from .precision import unit_tolerance
-from .su2 import BranchError, Unitary
+from .su2 import GEOMETRY_TOL, BranchError, Unitary, Vec3
 
 if TYPE_CHECKING:
     from .sequences import Pulse
@@ -48,9 +49,6 @@ NAMED_AXES = {
     "-y": (0, -1, 0),
     "-z": (0, 0, -1),
 }
-
-_AXIS_MATCH_TOL = mpf("1e-9")
-
 
 class ModelConfigError(ValueError):
     """Malformed or out-of-range error-model configuration."""
@@ -88,20 +86,22 @@ class ErrorModel:
         ``scale`` multiplies every model coefficient, so scans can sweep a
         base error magnitude with the model shape fixed.
         """
+        axis, alpha = pulse.unit_axis(), pulse.alpha()
         if pulse.role.is_dagger:
-            return su2.dagger(self._forward(pulse.forward(), mpf(scale)))
-        return self._forward(pulse, mpf(scale))
+            return su2.dagger(self._forward(pulse, axis, -alpha, mpf(scale)))
+        return self._forward(pulse, axis, alpha, mpf(scale))
 
-    def _forward(self, pulse: "Pulse", scale: mpf) -> Unitary:
+    def _forward(self, pulse: "Pulse", axis: Vec3, alpha: mpf, scale: mpf) -> Unitary:
+        """Corrupted forward pulse: ``axis`` is the unit lab axis and
+        ``alpha`` the forward generator angle (negated for dagger roles)."""
         raise NotImplementedError
 
 
-def _over_rotated(pulse: "Pulse", offset: mpf) -> Unitary:
-    """exp(i*(|alpha| + offset)*sign(alpha)*(n.sigma)) about the pulse's lab axis."""
-    alpha = pulse.alpha()
+def _over_rotated(axis: Vec3, alpha: mpf, offset: mpf) -> Unitary:
+    """exp(i*(|alpha| + offset)*sign(alpha)*(axis.sigma))."""
     mag = fabs(alpha) + offset
     g = mag if alpha >= 0 else -mag
-    return su2.from_generator(pulse.lab_axis(), g)
+    return su2.rotation(axis, g)
 
 
 @dataclass(frozen=True)
@@ -113,8 +113,8 @@ class LinearOverRotation(ErrorModel):
     def __post_init__(self):
         object.__setattr__(self, "eps", mpf(self.eps))
 
-    def _forward(self, pulse, scale):
-        return _over_rotated(pulse, self.eps * scale * fabs(pulse.alpha()))
+    def _forward(self, pulse, axis, alpha, scale):
+        return _over_rotated(axis, alpha, self.eps * scale * fabs(alpha))
 
 
 @dataclass(frozen=True)
@@ -126,9 +126,9 @@ class PolyOverRotation(ErrorModel):
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _as_coeffs(self.coeffs))
 
-    def _forward(self, pulse, scale):
-        theta = 2 * fabs(pulse.alpha())
-        return _over_rotated(pulse, scale * _poly_eval(self.coeffs, theta) / 2)
+    def _forward(self, pulse, axis, alpha, scale):
+        theta = 2 * fabs(alpha)
+        return _over_rotated(axis, alpha, scale * _poly_eval(self.coeffs, theta) / 2)
 
 
 @dataclass(frozen=True)
@@ -151,19 +151,19 @@ class AxisOverRotation(ErrorModel):
             fixed[key] = _as_coeffs(coeffs)
         object.__setattr__(self, "per_axis", fixed)
 
-    def _coeffs_for(self, pulse) -> Coeffs:
-        axis = pulse.lab_axis()
-        if pulse.alpha() < 0:
+    def _coeffs_for(self, axis: Vec3, alpha: mpf) -> Coeffs:
+        if alpha < 0:
             axis = tuple(-c for c in axis)
         for key, coeffs in self.per_axis.items():
             ref = NAMED_AXES[key]
-            if all(fabs(a - b) <= _AXIS_MATCH_TOL for a, b in zip(axis, ref)):
+            if all(fabs(a - b) <= GEOMETRY_TOL for a, b in zip(axis, ref)):
                 return coeffs
         return self.base
 
-    def _forward(self, pulse, scale):
-        theta = 2 * fabs(pulse.alpha())
-        return _over_rotated(pulse, scale * _poly_eval(self._coeffs_for(pulse), theta) / 2)
+    def _forward(self, pulse, axis, alpha, scale):
+        theta = 2 * fabs(alpha)
+        coeffs = self._coeffs_for(axis, alpha)
+        return _over_rotated(axis, alpha, scale * _poly_eval(coeffs, theta) / 2)
 
 
 @dataclass(frozen=True)
@@ -189,8 +189,8 @@ class CovariantVector(ErrorModel):
         v = su2.as_vec3(vec)
         return CovariantVector((v[0],), (v[1],), (v[2],))
 
-    def _forward(self, pulse, scale):
-        theta = 2 * fabs(pulse.alpha())
+    def _forward(self, pulse, axis, alpha, scale):
+        theta = 2 * fabs(alpha)
         delta = (
             scale * _poly_eval(self.dx, theta),
             scale * _poly_eval(self.dy, theta),
@@ -198,7 +198,7 @@ class CovariantVector(ErrorModel):
         )
         lab = pulse.frame.map(delta)
         _check_branch(su2.vec_norm(lab))
-        return su2.multiply(pulse.ideal_unitary(), su2.exp_pauli(lab))
+        return su2.multiply(su2.rotation(axis, alpha), su2.exp_pauli(lab))
 
 
 @dataclass(frozen=True)
@@ -217,11 +217,11 @@ class AxisDependentPi3(ErrorModel):
         object.__setattr__(self, "delta", mpf(self.delta))
         object.__setattr__(self, "delta_hat", mpf(self.delta_hat))
 
-    def _forward(self, pulse, scale):
+    def _forward(self, pulse, axis, alpha, scale):
         if pulse.channel != "pi3":
-            return pulse.ideal_unitary()
+            return su2.rotation(axis, alpha)
         d = self.delta if pulse.frame.is_identity() else self.delta_hat
-        return _over_rotated(pulse, scale * d)
+        return _over_rotated(axis, alpha, scale * d)
 
 
 @dataclass(frozen=True)

@@ -52,9 +52,15 @@ def working_digits(digits: int):
         mp.dps = saved
 
 
+_UNIT_TOLERANCE = {}  # mp.prec -> 10**(3 - digits) rounded at that precision
+
+
 def unit_tolerance() -> mpf:
     """Tolerance 10**(3 - digits) for norm and soundness checks."""
-    return mpf(10) ** (3 - mp.dps)
+    tol = _UNIT_TOLERANCE.get(mp.prec)
+    if tol is None:
+        tol = _UNIT_TOLERANCE[mp.prec] = mpf(10) ** (3 - mp.dps)
+    return tol
 
 
 def fit_floor() -> mpf:

@@ -22,14 +22,14 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Optional
 
 from mpmath import acos, cos, fabs, mp, mpf, nstr, sin
 
 from . import su2
-from .su2 import Unitary, Vec3
+from .su2 import GEOMETRY_TOL, Unitary, Vec3
 
 CHANNELS = ("target", "pi3", "perfect")
 
@@ -78,9 +78,6 @@ _ROLE_PARTNER = {
     Role.CORRECTION_DAGGER: Role.CORRECTION,
 }
 
-_FRAME_TOL = mpf("1e-9")
-
-
 @dataclass(frozen=True)
 class FrameTriad:
     """Right-handed orthonormal triad: the pulse's local axes in lab coordinates."""
@@ -98,16 +95,15 @@ class FrameTriad:
             for j in range(i, 3):
                 dot = sum(vs[i][k] * vs[j][k] for k in range(3))
                 want = 1 if i == j else 0
-                if fabs(dot - want) > _FRAME_TOL:
+                if fabs(dot - want) > GEOMETRY_TOL:
                     raise SequenceError(f"frame vectors not orthonormal: e{i}.e{j} = {dot}")
         det = _det3(*vs)
-        if fabs(det - 1) > _FRAME_TOL:
+        if fabs(det - 1) > GEOMETRY_TOL:
             raise SequenceError(f"frame is not right-handed (det = {det})")
 
     @staticmethod
     def identity() -> "FrameTriad":
-        one, zero = mpf(1), mpf(0)
-        return FrameTriad((one, zero, zero), (zero, one, zero), (zero, zero, one))
+        return _IDENTITY_FRAME
 
     @staticmethod
     def from_unitary(g: Unitary) -> "FrameTriad":
@@ -130,7 +126,9 @@ class FrameTriad:
             self.ex == (1, 0, 0) and self.ey == (0, 1, 0) and self.ez == (0, 0, 1)
         )
 
-    def is_identity(self, tol=_FRAME_TOL) -> bool:
+    def is_identity(self, tol=GEOMETRY_TOL) -> bool:
+        if self is _IDENTITY_FRAME:
+            return True
         ident = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
         for v, w in zip((self.ex, self.ey, self.ez), ident):
             for a, b in zip(v, w):
@@ -147,6 +145,9 @@ def _det3(a: Vec3, b: Vec3, c: Vec3):
     )
 
 
+_IDENTITY_FRAME = FrameTriad(X_AXIS, Y_AXIS, Z_AXIS)
+
+
 def _frac_to_radians(f: Fraction) -> mpf:
     return mp.pi * f.numerator / f.denominator
 
@@ -159,6 +160,9 @@ class Pulse:
     the applied rotation angle is ``2*alpha_pi*pi``.  Dagger roles carry
     the negated generator of their forward partner.  ``channel`` names the
     error-model channel ("target", "pi3", or "perfect").
+
+    The unit lab axis and the angle in radians are derived on first use
+    and kept until the working precision changes.
     """
 
     frame: FrameTriad
@@ -166,6 +170,7 @@ class Pulse:
     alpha_pi: Fraction
     role: Role
     channel: str
+    _geometry: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "axis_in_frame", su2.tighten_axis(self.axis_in_frame))
@@ -176,22 +181,34 @@ class Pulse:
     def lab_axis(self) -> Vec3:
         return su2.tighten_axis(self.frame.map(self.axis_in_frame))
 
+    def _compiled(self) -> tuple:
+        """(mp.prec, unit lab axis, generator radians) at the current precision."""
+        geometry = self._geometry
+        if geometry is None or geometry[0] != mp.prec:
+            axis = su2.normalized_axis(self.lab_axis())
+            geometry = (mp.prec, axis, _frac_to_radians(self.alpha_pi))
+            object.__setattr__(self, "_geometry", geometry)
+        return geometry
+
+    def unit_axis(self) -> Vec3:
+        """Lab rotation axis, normalized at the current precision."""
+        return self._compiled()[1]
+
     def alpha(self) -> mpf:
         """Generator angle in radians at the current precision."""
-        return _frac_to_radians(self.alpha_pi)
+        return self._compiled()[2]
 
     def rotation_angle_pi(self) -> Fraction:
         """Unsigned rotation angle in units of pi."""
         return abs(2 * self.alpha_pi)
 
     def ideal_unitary(self) -> Unitary:
-        return su2.from_generator(self.lab_axis(), self.alpha())
+        _, axis, alpha = self._compiled()
+        return su2.rotation(axis, alpha)
 
     def forward(self) -> "Pulse":
         """The non-dagger partner (self if already a forward pulse)."""
-        if not self.role.is_dagger:
-            return self
-        return replace(self, alpha_pi=-self.alpha_pi, role=self.role.partner)
+        return self.daggered() if self.role.is_dagger else self
 
     def daggered(self) -> "Pulse":
         return replace(self, alpha_pi=-self.alpha_pi, role=self.role.partner)
@@ -422,7 +439,7 @@ def symmetrize(seq: PulseSequence) -> PulseSequence:
         and head.channel == "target"
         and head.frame.is_exact_identity()
         and head.alpha_pi == seq.target.alpha_pi
-        and all(fabs(a - b) <= _FRAME_TOL for a, b in zip(head.axis_in_frame, seq.target.axis))
+        and all(fabs(a - b) <= GEOMETRY_TOL for a, b in zip(head.axis_in_frame, seq.target.axis))
     )
     if not target_like or not all(p.role == Role.CORRECTION for p in rest):
         raise SequenceError("symmetrize expects a target pulse followed by a correction block")
@@ -452,7 +469,7 @@ BUILTIN_NAMES = (
 
 def _axis_label(axis: Vec3) -> str:
     for label, vec in _AXES.items():
-        if all(fabs(a - b) <= _FRAME_TOL for a, b in zip(axis, vec)):
+        if all(fabs(a - b) <= GEOMETRY_TOL for a, b in zip(axis, vec)):
             return label
     return "(" + ",".join(nstr(a, 6) for a in axis) + ")"
 
@@ -485,7 +502,7 @@ def parse_target(spec: str) -> Gate:
 
 
 def _require_x_target(gate: Gate, builder: str) -> None:
-    if any(fabs(a - b) > _FRAME_TOL for a, b in zip(gate.axis, su2.as_vec3(X_AXIS))):
+    if any(fabs(a - b) > GEOMETRY_TOL for a, b in zip(gate.axis, su2.as_vec3(X_AXIS))):
         raise SequenceError(f"{builder} corrects rotations about x; got axis {gate.axis}")
 
 
@@ -536,14 +553,16 @@ def build_builtin(name: str, target: Optional[Gate] = None) -> PulseSequence:
 # ---------------------------------------------------------------------------
 # Text format
 #
+#   # sequence: <name>
 #   # comment
 #   target <nx> <ny> <nz> <p>/<q>
 #   pulse <nx> <ny> <nz> <p>/<q> <role> <channel> [frame <9 numbers>]
 #
 # Angles are generator angles in units of pi, kept as exact rationals.
-# The frame block is omitted for the exact identity triad.  Scalars are
-# written with enough digits to round-trip bit-exactly at the current
-# precision.
+# The frame block is omitted for the exact identity triad.  A
+# "# sequence:" comment before the target line names the sequence.
+# Scalars are written with enough digits to round-trip bit-exactly at the
+# current precision.
 
 
 def _repr_digits() -> int:
@@ -616,12 +635,23 @@ def _parse_fraction(tok: str, lineno: int, col: int) -> Fraction:
         raise DslError(f"bad rational angle {tok!r} (zero denominator)", lineno, col) from None
 
 
+_NAME_PREFIX = "# sequence:"
+
+
 def parse(text: str) -> PulseSequence:
-    """Parse the line-oriented sequence format; errors carry line and column."""
+    """Parse the line-oriented sequence format; errors carry line and column.
+
+    Pulses whose frame blocks have the same nine tokens share one
+    :class:`FrameTriad`.
+    """
     target = None
     pulses = []
     name = ""
+    frames = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        if target is None and not name and raw.lstrip().startswith(_NAME_PREFIX):
+            name = raw.lstrip()[len(_NAME_PREFIX):].strip()
+            continue
         line = raw.split("#", 1)[0]
         toks = _tokenize(line)
         if not toks:
@@ -660,11 +690,15 @@ def parse(text: str) -> PulseSequence:
                 kw, kw_col = toks[7]
                 if kw != "frame":
                     raise DslError(f"expected 'frame', got {kw!r}", lineno, kw_col)
-                nums = [_parse_scalar(t, lineno, c) for t, c in toks[8:17]]
-                try:
-                    frame = FrameTriad(tuple(nums[0:3]), tuple(nums[3:6]), tuple(nums[6:9]))
-                except SequenceError as exc:
-                    raise DslError(str(exc), lineno, kw_col) from None
+                key = tuple(t for t, _ in toks[8:17])
+                frame = frames.get(key)
+                if frame is None:
+                    nums = [_parse_scalar(t, lineno, c) for t, c in toks[8:17]]
+                    try:
+                        frame = FrameTriad(tuple(nums[0:3]), tuple(nums[3:6]), tuple(nums[6:9]))
+                    except SequenceError as exc:
+                        raise DslError(str(exc), lineno, kw_col) from None
+                    frames[key] = frame
             try:
                 pulses.append(Pulse(frame, axis, alpha, role, channel_tok))
             except (su2.InvalidAxisError, SequenceError) as exc:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from mpmath import atan2, cos, fabs, mp, mpf, sin, sqrt
+from mpmath import atan2, fabs, mp, mpf, sqrt
 
 from .precision import unit_tolerance
 
@@ -91,6 +91,8 @@ def normalized_axis(axis: Iterable) -> Vec3:
     return (v[0] / n, v[1] / n, v[2] / n)
 
 
+# Tolerance of stored geometry (pulse axes, frame triads, named-axis
+# matches), independent of the working precision.
 GEOMETRY_TOL = mpf("1e-9")
 
 
@@ -116,12 +118,17 @@ def identity() -> Unitary:
     return Unitary(mpf(1), mpf(0), mpf(0), mpf(0))
 
 
+def rotation(unit_axis: Vec3, alpha: mpf) -> Unitary:
+    """exp(i*alpha*(unit_axis . sigma)) for an axis already normalized at
+    the working precision (as returned by :func:`normalized_axis`)."""
+    nx, ny, nz = unit_axis
+    c, s = mp.cos_sin(alpha)
+    return Unitary(c, s * nx, s * ny, s * nz)
+
+
 def from_generator(axis: Iterable, alpha) -> Unitary:
     """exp(i*alpha*(axis . sigma)) for a unit axis."""
-    nx, ny, nz = normalized_axis(axis)
-    a = mpf(alpha)
-    c, s = cos(a), sin(a)
-    return Unitary(c, s * nx, s * ny, s * nz)
+    return rotation(normalized_axis(axis), mpf(alpha))
 
 
 def exp_pauli(vec: Iterable) -> Unitary:
@@ -130,7 +137,7 @@ def exp_pauli(vec: Iterable) -> Unitary:
     m = vec_norm(v)
     if m == 0:
         return identity()
-    c, s = cos(m), sin(m)
+    c, s = mp.cos_sin(m)
     return Unitary(c, s * v[0] / m, s * v[1] / m, s * v[2] / m)
 
 
@@ -254,33 +261,11 @@ def state_fidelity_error(ideal: Unitary, actual: Unitary) -> mpf:
 def phase_opt_trace_distance(ideal: Unitary, actual: Unitary) -> mpf:
     """min over global phase of the trace norm of (ideal - e^{i phi} actual).
 
-    For the error quaternion with generator magnitude m, the two singular
-    values of I - e^{i phi} V are 2|sin((phi +/- m)/2)|, so the per-phase
-    trace norm is exact and cancellation-free and the optimization is a
-    one-dimensional unimodal search on [0, pi] (golden section).  The test
-    suite checks the result against a dense singular-value phase sweep.
+    For the error quaternion V with generator magnitude m, the two singular
+    values of I - e^{i phi} V are 2|sin((phi +/- m)/2)|.  Their sum is
+    smallest at the kink phi = m, where it equals 2*sin(m) = 2*|vec(V)|,
+    so the minimum is closed-form and cancellation-free.  The test suite
+    checks it against a dense singular-value phase sweep.
     """
     v = error_unitary(ideal, actual)
-    r = vec_norm((v.x, v.y, v.z))
-    m = atan2(r, v.w)
-
-    def tn(phi):
-        return 2 * fabs(sin((phi + m) / 2)) + 2 * fabs(sin((phi - m) / 2))
-
-    lo, hi = mpf(0), mp.pi
-    gr = (sqrt(mpf(5)) - 1) / 2
-    c = hi - gr * (hi - lo)
-    d = lo + gr * (hi - lo)
-    fc, fd = tn(c), tn(d)
-    # ~5 iterations per decimal digit of bracket width; the minimum sits at
-    # a V-shaped kink, which golden section localizes to full precision
-    for _ in range(5 * mp.dps + 15):
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - gr * (hi - lo)
-            fc = tn(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + gr * (hi - lo)
-            fd = tn(d)
-    return tn((lo + hi) / 2)
+    return 2 * vec_norm((v.x, v.y, v.z))

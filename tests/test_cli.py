@@ -186,6 +186,21 @@ class TestPrecisionFlag:
         code, _, err = run(capsys, "--digits", "8", "plan", "--start", "1,1,1", "--depth", "1")
         assert code == 2
 
+    def test_non_integer_env_digits_is_config_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("COMPULSE_DIGITS", "abc")
+        code, out, err = run(capsys, "plan", "--start", "1,1,1", "--depth", "2")
+        assert code == 2
+        assert out == ""
+        assert "COMPULSE_DIGITS" in err and "'abc'" in err
+        # an explicit --digits wins over the environment
+        code, _, _ = run(capsys, "--digits", "30", "plan", "--start", "1,1,1", "--depth", "2")
+        assert code == 0
+
+    def test_env_digits_sets_precision(self, capsys, monkeypatch):
+        monkeypatch.setenv("COMPULSE_DIGITS", "50")
+        code, _, _ = run(capsys, "table")
+        assert code == 0
+
 
 class TestOutput:
     def test_out_flag_writes_file(self, capsys, tmp_path):

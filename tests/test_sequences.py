@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from mpmath import fabs, mp, mpf, pi
 
 from compulse import su2
-from compulse.error_models import CovariantVector, LinearOverRotation, PerChannel
+from compulse.error_models import AxisDependentPi3, CovariantVector, LinearOverRotation, PerChannel
 from compulse.precision import unit_tolerance, working_digits
 from compulse.sequences import (
     BUILTIN_NAMES,
@@ -247,6 +247,45 @@ class TestEvaluate:
         assert float(abs(vals[16] - vals[60])) < 1e-12
         assert fabs(vals[16] - vals[60]) < vals[60] * mpf("1e-4")
 
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact-text", "builtin"])
+    def test_cached_geometry_follows_precision(self, exact):
+        # One sequence object evaluated at 16, 60, then 16 digits must match,
+        # bit for bit, a fresh object never evaluated before.  Exact text
+        # parses to the same values at any precision, so its fresh copy is
+        # parsed at the evaluation precision; builtin geometry depends on the
+        # build precision, so its fresh copy is built at 16 digits too.
+        def make():
+            return parse(_EXACT_TEXT) if exact else build_builtin("pi3Y∘b4sym")
+
+        models = (
+            LinearOverRotation(1),
+            PerChannel(
+                {
+                    "target": CovariantVector.constant((mpf("0.3"), mpf("-0.2"), mpf("0.1"))),
+                    "pi3": AxisDependentPi3(mpf("0.5"), mpf("0.7")),
+                }
+            ),
+        )
+        with working_digits(16):
+            seq = make()
+        for digits in (16, 60, 16):
+            with working_digits(digits if exact else 16):
+                fresh = make()
+            with working_digits(digits):
+                for model in models:
+                    assert evaluate(seq, model, mpf("0.01")) == evaluate(fresh, model, mpf("0.01"))
+
+
+_EXACT_TEXT = """\
+target 1 0 0 1/2
+pulse 0 1 0 -1/6 correction_dagger pi3
+pulse 1 0 0 1/2 target target
+pulse 0 1 0 1/6 correction pi3 frame 1 0 0 0 -1 0 0 0 -1
+pulse 1 0 0 -1/2 target_dagger target
+pulse 0 0 1 1/3 correction target frame 0 1 0 -1 0 0 0 0 1
+pulse 0 1 0 -1/6 correction_dagger pi3 frame 1 0 0 0 -1 0 0 0 -1
+"""
+
 
 class TestRegistry:
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -310,6 +349,27 @@ class TestDsl:
             seq = build_builtin("pi3:Z", Gate(su2.unit_vector((2, 1, 2)), Fraction(1, 3)))
             back = parse(serialize(seq))
             assert all(_pulses_identical(p, q) for p, q in zip(seq.pulses, back.pulses))
+
+    @pytest.mark.parametrize("name", ["pi3Y∘b4sym", "concat:XZ", "pi5"])
+    def test_round_trip_keeps_name_target_and_pulses(self, name):
+        seq = build_builtin(name)
+        back = parse(serialize(seq))
+        assert back.name == seq.name != ""
+        assert back.target == seq.target
+        assert back.pulses == seq.pulses
+
+    def test_name_is_read_only_from_the_header(self):
+        text = "# sequence: first\ntarget 1 0 0 1/2\n# sequence: second\n"
+        assert parse(text).name == "first"
+        assert parse("target 1 0 0 1/2\n# sequence: late\n").name == ""
+
+    def test_parse_shares_frames_and_matches_built_pulses(self):
+        seq = build_builtin("concat:XYZ")
+        back = parse(serialize(seq))
+        assert back.pulses == seq.pulses
+        distinct = {(p.frame.ex, p.frame.ey, p.frame.ez) for p in seq.pulses}
+        assert len({id(p.frame) for p in back.pulses}) == len(distinct) > 1
+        assert all(p.frame is FrameTriad.identity() for p in back.pulses if p.frame.is_exact_identity())
 
     def test_comments_and_blank_lines_ignored(self):
         text = "# a comment\n\ntarget 1.0 0.0 0.0 1/2\npulse 1.0 0.0 0.0 1/2 target target # trailing\n"

@@ -12,12 +12,11 @@ Usage: order_scaling.py [outdir] [--digits N] [--grid lo:hi:per_decade]
 import argparse
 import pathlib
 
-from compulse.analysis import component_scan, default_scales, fit_order, to_csv
+from compulse.analysis import TABLE_SEQUENCES, component_scan, default_scales, fit_order, to_csv
 from compulse.error_models import LinearOverRotation
 from compulse.precision import set_digits
 from compulse.sequences import build_builtin
 
-SEQUENCES = ("naive", "b2", "b4", "pi3:Y", "pi3Y∘b2sym", "pi3Y∘b4sym")
 SAFE_NAMES = {"pi3:Y": "pi3Y", "pi3Y∘b2sym": "pi3Y-b2sym", "pi3Y∘b4sym": "pi3Y-b4sym"}
 
 
@@ -35,7 +34,7 @@ def main() -> None:
     outdir.mkdir(parents=True, exist_ok=True)
 
     model = LinearOverRotation(1)
-    for name in SEQUENCES:
+    for name in TABLE_SEQUENCES:
         scan = component_scan(build_builtin(name), model, grid)
         path = outdir / (SAFE_NAMES.get(name, name) + ".csv")
         path.write_text(to_csv(scan), encoding="utf-8")

@@ -41,14 +41,8 @@ if TYPE_CHECKING:
 
 Coeffs = Tuple[mpf, ...]
 
-NAMED_AXES = {
-    "x": (1, 0, 0),
-    "y": (0, 1, 0),
-    "z": (0, 0, 1),
-    "-x": (-1, 0, 0),
-    "-y": (0, -1, 0),
-    "-z": (0, 0, -1),
-}
+NAMED_AXES = {k.lower(): v for k, v in su2.LAB_AXES.items()}
+NAMED_AXES.update({"-" + k: tuple(-c for c in v) for k, v in NAMED_AXES.items()})
 
 class ModelConfigError(ValueError):
     """Malformed or out-of-range error-model configuration."""
@@ -235,9 +229,6 @@ class PerChannel(ErrorModel):
         if model is None:
             return pulse.ideal_unitary()
         return model.realize(pulse, scale)
-
-
-PERFECT = LinearOverRotation(0)
 
 
 def invert_model_consistency(model: ErrorModel, pulse: "Pulse", scale=1, tol=None) -> bool:

@@ -23,9 +23,11 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
+from .su2 import LAB_AXES
+
 INFINITY = math.inf
 
-AXES = ("X", "Y", "Z")
+AXES = tuple(LAB_AXES)
 
 
 class PlanningError(ValueError):

@@ -29,13 +29,11 @@ from typing import Iterable, Optional
 from mpmath import acos, cos, fabs, mp, mpf, nstr, sin
 
 from . import su2
-from .su2 import GEOMETRY_TOL, Unitary, Vec3
+from .su2 import GEOMETRY_TOL, LAB_AXES, Unitary, Vec3
 
 CHANNELS = ("target", "pi3", "perfect")
 
-X_AXIS = (1, 0, 0)
-Y_AXIS = (0, 1, 0)
-Z_AXIS = (0, 0, 1)
+X_AXIS, Y_AXIS, Z_AXIS = LAB_AXES.values()
 
 
 class SequenceError(ValueError):
@@ -450,8 +448,6 @@ def symmetrize(seq: PulseSequence) -> PulseSequence:
 # ---------------------------------------------------------------------------
 # Builtin registry
 
-_AXES = {"X": X_AXIS, "Y": Y_AXIS, "Z": Z_AXIS}
-
 BUILTIN_NAMES = (
     "naive",
     "pi3:X",
@@ -468,7 +464,7 @@ BUILTIN_NAMES = (
 
 
 def _axis_label(axis: Vec3) -> str:
-    for label, vec in _AXES.items():
+    for label, vec in LAB_AXES.items():
         if all(fabs(a - b) <= GEOMETRY_TOL for a, b in zip(axis, vec)):
             return label
     return "(" + ",".join(nstr(a, 6) for a in axis) + ")"
@@ -483,7 +479,7 @@ def parse_target(spec: str) -> Gate:
         axis_part, angle_part = spec.split("-", 1)
     except ValueError:
         raise SequenceError(f"bad target {spec!r}: expected <axis>-<angle>") from None
-    axis = _AXES.get(axis_part.strip().upper())
+    axis = LAB_AXES.get(axis_part.strip().upper())
     if axis is None:
         raise SequenceError(f"bad target axis {axis_part!r}: expected x, y or z")
     angle_part = angle_part.strip().lower()
@@ -518,7 +514,7 @@ def build_builtin(name: str, target: Optional[Gate] = None) -> PulseSequence:
     if name == "naive":
         return naive(target)
     if name.startswith("pi3:"):
-        axis = _AXES.get(name[4:].upper())
+        axis = LAB_AXES.get(name[4:].upper())
         if axis is None:
             raise SequenceError(f"unknown correction axis in {name!r}")
         return pi3_correct(naive(target), axis, name=name)
@@ -542,7 +538,7 @@ def build_builtin(name: str, target: Optional[Gate] = None) -> PulseSequence:
             raise SequenceError("nested concat specs are not supported")
         seq = build_builtin(base_name, target)
         for letter in axes:
-            axis = _AXES.get(letter.upper())
+            axis = LAB_AXES.get(letter.upper())
             if axis is None:
                 raise SequenceError(f"unknown correction axis {letter!r} in {name!r}")
             seq = pi3_correct(seq, axis)

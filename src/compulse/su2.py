@@ -11,6 +11,12 @@ SU(2), so products stay unit-norm up to rounding and extended-precision
 multiplication is cheap.  A dense 2x2 complex-matrix oracle lives in the
 test suite only.
 
+The per-pulse kernels (:func:`rotation`, :func:`dagger`, :func:`exp_pauli`,
+:func:`multiply`) work on mpmath's raw ``(sign, mantissa, exponent,
+bitcount)`` tuples.  Each component of a product is one exact integer dot
+product, rounded once to nearest at the working precision, so products
+are correctly rounded per component.
+
 All values are immutable and all operations are pure functions.
 """
 
@@ -19,6 +25,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from mpmath import atan2, fabs, mp, mpf, sqrt
+from mpmath.libmp import from_man_exp, mpf_cos_sin, mpf_div, mpf_mul, mpf_neg, round_nearest
 
 from .precision import unit_tolerance
 
@@ -95,6 +102,9 @@ def normalized_axis(axis: Iterable) -> Vec3:
 # matches), independent of the working precision.
 GEOMETRY_TOL = mpf("1e-9")
 
+# The named lab axes, as exact unit vectors.
+LAB_AXES = {"X": (1, 0, 0), "Y": (0, 1, 0), "Z": (0, 0, 1)}
+
 
 def tighten_axis(axis: Iterable, tol=GEOMETRY_TOL) -> Vec3:
     """Accept a stored unit axis and renormalize it only when needed.
@@ -118,12 +128,21 @@ def identity() -> Unitary:
     return Unitary(mpf(1), mpf(0), mpf(0), mpf(0))
 
 
+_make = mp.make_mpf
+
+
 def rotation(unit_axis: Vec3, alpha: mpf) -> Unitary:
     """exp(i*alpha*(unit_axis . sigma)) for an axis already normalized at
     the working precision (as returned by :func:`normalized_axis`)."""
     nx, ny, nz = unit_axis
-    c, s = mp.cos_sin(alpha)
-    return Unitary(c, s * nx, s * ny, s * nz)
+    prec = mp.prec
+    c, s = mpf_cos_sin(alpha._mpf_, prec, round_nearest)
+    return Unitary(
+        _make(c),
+        _make(mpf_mul(s, nx._mpf_, prec, round_nearest)),
+        _make(mpf_mul(s, ny._mpf_, prec, round_nearest)),
+        _make(mpf_mul(s, nz._mpf_, prec, round_nearest)),
+    )
 
 
 def from_generator(axis: Iterable, alpha) -> Unitary:
@@ -137,32 +156,54 @@ def exp_pauli(vec: Iterable) -> Unitary:
     m = vec_norm(v)
     if m == 0:
         return identity()
-    c, s = mp.cos_sin(m)
-    return Unitary(c, s * v[0] / m, s * v[1] / m, s * v[2] / m)
+    prec, raw_m = mp.prec, m._mpf_
+    c, s = mpf_cos_sin(raw_m, prec, round_nearest)
+    return Unitary(
+        _make(c),
+        *(_make(mpf_div(mpf_mul(s, a._mpf_, prec, round_nearest), raw_m, prec, round_nearest)) for a in v),
+    )
+
+
+def _fixed_point(u: Unitary) -> tuple:
+    """(w, x, y, z, e): signed integer mantissas of u's components, all
+    scaled to the smallest exponent e of a nonzero component."""
+    parts = (u[0]._mpf_, u[1]._mpf_, u[2]._mpf_, u[3]._mpf_)
+    low = None
+    for _, man, exp, bc in parts:
+        if man:
+            if low is None or exp < low:
+                low = exp
+        elif bc:  # mpmath stores inf and nan with a zero mantissa
+            raise ValueError(f"non-finite quaternion component in {u}")
+    if low is None:
+        return 0, 0, 0, 0, 0
+    w, x, y, z = [((-man if sign else man) << (exp - low)) if man else 0 for sign, man, exp, _ in parts]
+    return w, x, y, z, low
 
 
 def multiply(a: Unitary, b: Unitary) -> Unitary:
     # From (w1 + i u1.s)(w2 + i u2.s) = (w1 w2 - u1.u2) + i(w1 u2 + w2 u1 - u1 x u2).s
-    w1, x1, y1, z1 = a
-    w2, x2, y2, z2 = b
+    # Each component is an exact integer dot product, rounded once.
+    w1, x1, y1, z1, ea = _fixed_point(a)
+    w2, x2, y2, z2, eb = _fixed_point(b)
+    e, prec = ea + eb, mp.prec
     return Unitary(
-        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-        w1 * x2 + w2 * x1 - (y1 * z2 - z1 * y2),
-        w1 * y2 + w2 * y1 - (z1 * x2 - x1 * z2),
-        w1 * z2 + w2 * z1 - (x1 * y2 - y1 * x2),
+        _make(from_man_exp(w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2, e, prec, round_nearest)),
+        _make(from_man_exp(w1 * x2 + w2 * x1 - y1 * z2 + z1 * y2, e, prec, round_nearest)),
+        _make(from_man_exp(w1 * y2 + w2 * y1 - z1 * x2 + x1 * z2, e, prec, round_nearest)),
+        _make(from_man_exp(w1 * z2 + w2 * z1 - x1 * y2 + y1 * x2, e, prec, round_nearest)),
     )
 
 
-def multiply_all(factors: Iterable[Unitary]) -> Unitary:
-    """Product of operators listed left to right (leftmost applied last)."""
-    out = identity()
-    for f in factors:
-        out = multiply(out, f)
-    return out
-
-
 def dagger(u: Unitary) -> Unitary:
-    return Unitary(u.w, -u.x, -u.y, -u.z)
+    prec = mp.prec
+    w, x, y, z = u
+    return Unitary(
+        w,
+        _make(mpf_neg(x._mpf_, prec, round_nearest)),
+        _make(mpf_neg(y._mpf_, prec, round_nearest)),
+        _make(mpf_neg(z._mpf_, prec, round_nearest)),
+    )
 
 
 def conjugate_frame(u: Unitary, g: Unitary) -> Unitary:
@@ -189,11 +230,6 @@ def rotate_vector(g: Unitary, v: Iterable) -> Vec3:
 
 def norm(u: Unitary) -> mpf:
     return sqrt(u.w**2 + u.x**2 + u.y**2 + u.z**2)
-
-
-def normalize(u: Unitary) -> Unitary:
-    n = norm(u)
-    return Unitary(u.w / n, u.x / n, u.y / n, u.z / n)
 
 
 def error_unitary(ideal: Unitary, actual: Unitary) -> Unitary:

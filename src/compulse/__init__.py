@@ -6,7 +6,7 @@ with the min-plus calculus, and verify orders numerically with scans,
 slope fits, and finite-difference series coefficients.
 """
 
-from .precision import get_digits, set_digits, working_digits
+from .precision import set_digits, working_digits
 from .su2 import (
     AxisAngle,
     BranchError,

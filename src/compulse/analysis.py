@@ -21,10 +21,8 @@ from mpmath import fabs, floor, log10, mp, mpf, nstr, sqrt
 from . import error_models, su2
 from .error_models import AxisDependentPi3, CovariantVector, ErrorModel, LinearOverRotation, PerChannel
 from .precision import fit_floor, require_digits
-from .sequences import Gate, PulseSequence, build_builtin, evaluate
+from .sequences import PulseSequence, build_builtin, evaluate
 from .su2 import BranchError
-
-X_PI_TARGET = Gate((1, 0, 0), Fraction(1, 2))
 
 
 class FitError(ValueError):
@@ -68,8 +66,8 @@ class ScanResult:
 def default_scales(lo="1e-4", hi="1e-1", per_decade: int = 9) -> tuple:
     """Logarithmic grid from hi down to lo, ``per_decade`` points per decade."""
     lo, hi = mpf(lo), mpf(hi)
-    if not (0 < lo < hi):
-        raise ValueError("need 0 < lo < hi")
+    if not (0 < lo < hi) or per_decade < 1:
+        raise ValueError("need 0 < lo < hi and at least one point per decade")
     top = log10(hi)
     decades = log10(hi / lo)
     n = int(floor(decades * per_decade + mpf("0.5")))
@@ -152,10 +150,9 @@ class OrderFit:
     eps_used: tuple
 
 
-def fit_points(scales: Sequence, values: Sequence, floor_value=None) -> OrderFit:
+def fit_points(scales: Sequence, values: Sequence) -> OrderFit:
     """Fit a power law through (eps, value) pairs, skipping sub-floor points."""
-    if floor_value is None:
-        floor_value = fit_floor()
+    floor_value = fit_floor()
     xs, ys, used = [], [], []
     for e, v in zip(scales, values):
         if v is None or v <= floor_value:
@@ -190,17 +187,16 @@ class ModelFamily:
 
     names: tuple
     build: Callable
-    perfect_pi3: bool = False
 
 
 def target_vector_family() -> ModelFamily:
     """Constant vector error exp(i eps.sigma) on the target pulses only;
-    correction pulses held perfect."""
+    the unlisted correction channels stay ideal."""
 
     def build(values):
         return PerChannel({"target": CovariantVector.constant(values[0:3])})
 
-    return ModelFamily(("ex", "ey", "ez"), build, perfect_pi3=True)
+    return ModelFamily(("ex", "ey", "ez"), build)
 
 
 def covariant_family() -> ModelFamily:
@@ -241,26 +237,20 @@ FAMILIES = {
 
 _STENCIL_OFFSETS = (-2, -1, 0, 1, 2)
 
+# Five-point central-difference weights, by derivative order k.
+_STENCILS = {
+    1: tuple(map(Fraction, ("1/12", "-2/3", "0", "2/3", "-1/12"))),
+    2: tuple(map(Fraction, ("-1/12", "4/3", "-5/2", "4/3", "-1/12"))),
+    3: tuple(map(Fraction, ("-1/2", "1", "0", "-1", "1/2"))),
+    4: tuple(map(Fraction, ("1", "-4", "6", "-4", "1"))),
+}
+
 
 def _stencil_weights(k: int) -> tuple:
     """Exact weights w with sum_j w_j f(o_j h) = h**k f^(k)(0) + O(h**(5-k))."""
-    n = len(_STENCIL_OFFSETS)
-    if not 0 < k < n:
-        raise ValueError(f"derivative order {k} outside 1..{n - 1}")
-    rows = [[Fraction(o) ** m for o in _STENCIL_OFFSETS] for m in range(n)]
-    rhs = [Fraction(factorial(k)) if m == k else Fraction(0) for m in range(n)]
-    # Gaussian elimination, exact
-    aug = [row + [r] for row, r in zip(rows, rhs)]
-    for col in range(n):
-        pivot = next(i for i in range(col, n) if aug[i][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                factor = aug[i][col]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[col])]
-    return tuple(row[n] for row in aug)
+    if k not in _STENCILS:
+        raise error_models.ModelConfigError(f"derivative order {k} outside 1..{len(_STENCILS)}")
+    return _STENCILS[k]
 
 
 _COMPONENT_INDEX = {"x": 0, "y": 1, "z": 2}
@@ -283,14 +273,14 @@ def series_coefficient(
     require_digits(50, "series extraction")
     unknown = set(orders) - set(family.names)
     if unknown:
-        raise ValueError(f"unknown parameters {sorted(unknown)}; family has {family.names}")
+        raise error_models.ModelConfigError(f"unknown parameters {sorted(unknown)}; family has {family.names}")
     idx = _COMPONENT_INDEX.get(component)
     if idx is None:
         raise ValueError(f"component must be x, y or z, got {component!r}")
     ks = [int(orders.get(name, 0)) for name in family.names]
     total = sum(ks)
     if total == 0:
-        raise ValueError("at least one parameter must have positive order")
+        raise error_models.ModelConfigError("at least one parameter must have positive order")
     h = mpf(step) if step is not None else mpf(10) ** (-mpf(mp.dps) / 4)
 
     ideal = seq.ideal_unitary()
@@ -310,7 +300,7 @@ def series_coefficient(
         if weight == 0:
             continue
         model = family.build(values)
-        actual = evaluate(seq, model, 1, family.perfect_pi3)
+        actual = evaluate(seq, model, 1)
         comp = su2.trace_components(ideal, actual)[idx]
         acc += mpf(weight.numerator) / weight.denominator * comp
     deriv = acc / h**total
@@ -354,11 +344,7 @@ TABLE_EPS = ("0.3", "0.1", "0.03", "0.01", "0.003", "0.001")
 TABLE_SEQUENCES = ("naive", "b2", "b4", "pi3:Y", "pi3Y∘b2sym", "pi3Y∘b4sym")
 
 
-def infidelity_table(
-    eps_values: Sequence = TABLE_EPS,
-    names: Sequence = TABLE_SEQUENCES,
-    target: Gate = X_PI_TARGET,
-) -> dict:
+def infidelity_table(eps_values: Sequence = TABLE_EPS, names: Sequence = TABLE_SEQUENCES) -> dict:
     """Infidelities of the reference sequences under linear over-rotation.
 
     Returns {(eps_string, name): infidelity}.  Needs >= 50 digits: the
@@ -368,7 +354,7 @@ def infidelity_table(
     model = LinearOverRotation(1)
     out = {}
     for name in names:
-        seq = build_builtin(name, target)
+        seq = build_builtin(name)
         ideal = seq.ideal_unitary()
         for eps in eps_values:
             actual = evaluate(seq, model, mpf(eps))

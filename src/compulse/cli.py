@@ -17,8 +17,6 @@ import argparse
 import os
 import sys
 
-from mpmath import mpf
-
 from . import analysis, error_models, orders, sequences, su2
 from .analysis import (
     DegenerateDirectionError,
@@ -41,7 +39,6 @@ CONFIG_ERRORS = (
     error_models.ModelConfigError,
     PrecisionError,
     InvalidAxisError,
-    ValueError,
 )
 DOMAIN_ERRORS = (BranchError, DegenerateDirectionError, FitError, orders.PlanningError)
 
@@ -59,8 +56,13 @@ def _load_sequence(args) -> sequences.PulseSequence:
     if bool(args.seq) == bool(args.file):
         raise SequenceError("give exactly one of --seq or --file")
     if args.file:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            return parse(fh.read())
+        with open(args.file, "rb") as fh:
+            raw = fh.read()
+        try:
+            return parse(raw.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            line, column = raw.count(b"\n", 0, exc.start) + 1, exc.start - raw.rfind(b"\n", 0, exc.start)
+            raise DslError(f"not valid UTF-8 ({exc.reason})", line, column) from None
     return build_builtin(args.seq, parse_target(args.target))
 
 
@@ -76,9 +78,12 @@ def _parse_orders_spec(spec: str) -> dict:
     out = {}
     for piece in spec.split(","):
         key, _, val = piece.partition("=")
-        if not key or not val:
-            raise SequenceError(f"bad orders spec {spec!r}: expected name=power[,name=power...]")
-        out[key.strip()] = int(val)
+        try:
+            if not key:
+                raise ValueError
+            out[key.strip()] = int(val)
+        except ValueError:
+            raise SequenceError(f"bad orders spec {spec!r}: expected name=power[,name=power...]") from None
     return out
 
 
@@ -86,7 +91,10 @@ def _parse_triple(spec: str) -> orders.OrderTriple:
     parts = spec.split(",")
     if len(parts) != 3:
         raise SequenceError(f"bad order triple {spec!r}: expected a,b,c with inf allowed")
-    return orders.OrderTriple(*(orders.parse_order(p) for p in parts))
+    try:
+        return orders.OrderTriple(*(orders.parse_order(p) for p in parts))
+    except ValueError as exc:
+        raise SequenceError(f"bad order triple {spec!r}: {exc}") from None
 
 
 def _write(args, text: str) -> None:
@@ -118,10 +126,11 @@ def cmd_build(args) -> str:
 
 
 def cmd_simulate(args) -> str:
+    eps = error_models._parse_number(args.eps, "--eps")
     seq = _load_sequence(args)
     model = error_models.parse_model(args.model) if args.model else None
     ideal = seq.ideal_unitary()
-    actual = evaluate(seq, model, mpf(args.eps), args.perfect_pi3)
+    actual = evaluate(seq, model, eps, args.perfect_pi3)
     cx, cy, cz = su2.trace_components(ideal, actual)
     infid = su2.infidelity(ideal, actual)
     sig = max(8, min(args.digits, 17))

@@ -159,12 +159,10 @@ def apply_regime(t: OrderTriple, axis: str, regime: str, deltas: Optional[DeltaO
     raise ValueError(f"unknown regime {regime!r} (expected one of {REGIMES})")
 
 
-def pulse_count(levels: int, base_pulses: int = 1) -> int:
-    """Length after ``levels`` concatenations: n -> 3n + 4."""
-    n = base_pulses
-    for _ in range(levels):
-        n = 3 * n + 4
-    return n
+def pulse_count(levels: int) -> int:
+    """Length after ``levels`` concatenations onto one pulse: n -> 3n + 4
+    from n = 1, in closed form."""
+    return 3 ** (levels + 1) - 2
 
 
 @dataclass(frozen=True)

@@ -32,10 +32,6 @@ def set_digits(digits: int) -> None:
     mp.dps = int(digits)
 
 
-def get_digits() -> int:
-    return mp.dps
-
-
 def require_digits(digits: int, what: str) -> None:
     if mp.dps < digits:
         raise PrecisionError(f"{what} needs at least {digits} digits, running at {mp.dps}")

@@ -124,13 +124,13 @@ class FrameTriad:
             self.ex == (1, 0, 0) and self.ey == (0, 1, 0) and self.ez == (0, 0, 1)
         )
 
-    def is_identity(self, tol=GEOMETRY_TOL) -> bool:
+    def is_identity(self) -> bool:
         if self is _IDENTITY_FRAME:
             return True
         ident = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
         for v, w in zip((self.ex, self.ey, self.ez), ident):
             for a, b in zip(v, w):
-                if fabs(a - b) > tol:
+                if fabs(a - b) > GEOMETRY_TOL:
                     return False
         return True
 
@@ -229,9 +229,6 @@ class Gate:
     def unitary(self) -> Unitary:
         return su2.from_generator(self.axis, self.alpha())
 
-    def axis_angle(self) -> su2.AxisAngle:
-        return su2.AxisAngle(self.axis, self.alpha())
-
     def daggered(self) -> "Gate":
         return Gate(self.axis, -self.alpha_pi)
 
@@ -291,12 +288,12 @@ def evaluate(seq: PulseSequence, model, scale=1, perfect_pi3: bool = False) -> U
 # Builders
 
 
-def naive(gate: Gate, name: str = "naive") -> PulseSequence:
+def naive(gate: Gate) -> PulseSequence:
     pulse = Pulse(FrameTriad.identity(), gate.axis, gate.alpha_pi, Role.TARGET, "target")
-    return PulseSequence(gate, (pulse,), name=name)
+    return PulseSequence(gate, (pulse,), name="naive")
 
 
-def pi3_correct(inner: PulseSequence, axis: Iterable, name: Optional[str] = None) -> PulseSequence:
+def pi3_correct(inner: PulseSequence, axis: Iterable) -> PulseSequence:
     """Wrap a sequence in the seven-slot pi/3 correction about ``axis``.
 
     Time order: C0^ inner Ct inner^ C0 inner Ct^, where C0 is the pi/3
@@ -316,12 +313,10 @@ def pi3_correct(inner: PulseSequence, axis: Iterable, name: Optional[str] = None
     inner_dagger = inner.daggered().pulses
 
     pulses = (c0d, *inner.pulses, ct, *inner_dagger, c0, *inner.pulses, ctd)
-    if name is None:
-        name = f"pi3({_axis_label(axis)})∘{inner.name or 'seq'}"
-    return PulseSequence(inner.target, pulses, name=name)
+    return PulseSequence(inner.target, pulses, name=f"pi3({_axis_label(axis)})∘{inner.name or 'seq'}")
 
 
-def pi5_sequence(gate: Gate, perfect: bool = True, name: str = "pi5") -> PulseSequence:
+def pi5_sequence(gate: Gate, perfect: bool = True) -> PulseSequence:
     """Five-application correction with 3pi/5 and -pi/5 auxiliary rotations.
 
     The raw product leaves an exact residual rotation about the auxiliary
@@ -354,14 +349,14 @@ def pi5_sequence(gate: Gate, perfect: bool = True, name: str = "pi5") -> PulseSe
         aux(f_id, Fraction(3, 10)),
         t,
     )
-    return PulseSequence(gate, pulses, name=name)
+    return PulseSequence(gate, pulses, name="pi5")
 
 
 def _xy_axis(phi: mpf) -> Vec3:
     return (cos(phi), sin(phi), mpf(0))
 
 
-def b2(theta_pi: Fraction = Fraction(1), name: str = "b2") -> PulseSequence:
+def b2(theta_pi: Fraction = Fraction(1)) -> PulseSequence:
     """Second-order compensation of a ``theta`` rotation about x (BB1 family).
 
     Correction pulses rotate about xy-plane axes at phases phi and 3*phi
@@ -383,10 +378,10 @@ def b2(theta_pi: Fraction = Fraction(1), name: str = "b2") -> PulseSequence:
         corr(3 * phi, Fraction(1)),
         corr(phi, half),
     )
-    return PulseSequence(gate, pulses, name=name)
+    return PulseSequence(gate, pulses, name="b2")
 
 
-def b4(theta_pi: Fraction = Fraction(1), name: str = "b4") -> PulseSequence:
+def b4(theta_pi: Fraction = Fraction(1)) -> PulseSequence:
     """Fourth-order compensation of a ``theta`` rotation about x.
 
     27 correction pulses: two palindromic four-fold blocks around a
@@ -419,7 +414,7 @@ def b4(theta_pi: Fraction = Fraction(1), name: str = "b4") -> PulseSequence:
         *middle,
         *(triple * 4),
     )
-    return PulseSequence(gate, pulses, name=name)
+    return PulseSequence(gate, pulses, name="b4")
 
 
 def symmetrize(seq: PulseSequence) -> PulseSequence:
@@ -447,20 +442,6 @@ def symmetrize(seq: PulseSequence) -> PulseSequence:
 
 # ---------------------------------------------------------------------------
 # Builtin registry
-
-BUILTIN_NAMES = (
-    "naive",
-    "pi3:X",
-    "pi3:Y",
-    "pi3:Z",
-    "pi5",
-    "b2",
-    "b4",
-    "b2sym",
-    "b4sym",
-    "pi3Y∘b2sym",
-    "pi3Y∘b4sym",
-)
 
 
 def _axis_label(axis: Vec3) -> str:
@@ -497,13 +478,50 @@ def parse_target(spec: str) -> Gate:
     return Gate(axis, rotation / 2)
 
 
-def _require_x_target(gate: Gate, builder: str) -> None:
-    if any(fabs(a - b) > GEOMETRY_TOL for a, b in zip(gate.axis, su2.as_vec3(X_AXIS))):
-        raise SequenceError(f"{builder} corrects rotations about x; got axis {gate.axis}")
+def _about_x(builder, sym: bool = False):
+    """Table row for a b2/b4 compensator, which corrects rotations about x."""
+    label = builder.__name__ + "sym" * sym
+
+    def build(target: Gate) -> PulseSequence:
+        if any(fabs(a - b) > GEOMETRY_TOL for a, b in zip(target.axis, X_AXIS)):
+            raise SequenceError(f"{label} corrects rotations about x; got axis {target.axis}")
+        seq = builder(2 * target.alpha_pi)
+        return symmetrize(seq) if sym else seq
+
+    return build
+
+
+def _chain(axes: str, base: str = "naive"):
+    """Table row for pi/3 corrections about ``axes`` (leftmost innermost)
+    concatenated onto the builtin ``base``."""
+
+    def build(target: Gate) -> PulseSequence:
+        seq = build_builtin(base, target)
+        for letter in axes:
+            seq = pi3_correct(seq, LAB_AXES[letter.upper()])
+        return seq
+
+    return build
+
+
+# Every builtin in listing order: name -> builder taking the target gate.
+_BUILTINS = {
+    "naive": naive,
+    **{f"pi3:{a}": _chain(a) for a in LAB_AXES},
+    "pi5": pi5_sequence,
+    "b2": _about_x(b2),
+    "b4": _about_x(b4),
+    "b2sym": _about_x(b2, sym=True),
+    "b4sym": _about_x(b4, sym=True),
+    "pi3Y∘b2sym": _chain("Y", "b2sym"),
+    "pi3Y∘b4sym": _chain("Y", "b4sym"),
+}
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def build_builtin(name: str, target: Optional[Gate] = None) -> PulseSequence:
-    """Construct a registry sequence for a target gate (default: pi pulse about x).
+    """Construct the builtin ``name`` for a target gate (default: pi pulse
+    about x).  The result carries ``name``.
 
     ``concat:<AXES>[:<base>]`` chains pi/3 corrections (leftmost axis
     innermost) onto a base builtin, e.g. ``concat:XYY:naive`` or
@@ -511,39 +529,21 @@ def build_builtin(name: str, target: Optional[Gate] = None) -> PulseSequence:
     """
     if target is None:
         target = Gate(X_AXIS, Fraction(1, 2))
-    if name == "naive":
-        return naive(target)
-    if name.startswith("pi3:"):
-        axis = LAB_AXES.get(name[4:].upper())
-        if axis is None:
-            raise SequenceError(f"unknown correction axis in {name!r}")
-        return pi3_correct(naive(target), axis, name=name)
-    if name == "pi5":
-        return pi5_sequence(target)
-    if name in ("b2", "b4", "b2sym", "b4sym"):
-        _require_x_target(target, name)
-        base = b2(2 * target.alpha_pi) if name.startswith("b2") else b4(2 * target.alpha_pi)
-        return base if not name.endswith("sym") else symmetrize(base)
-    if name == "pi3Y∘b2sym":
-        return build_builtin("concat:Y:b2sym", target)
-    if name == "pi3Y∘b4sym":
-        return build_builtin("concat:Y:b4sym", target)
     if name.startswith("concat:"):
-        parts = name.split(":")
-        axes = parts[1]
-        base_name = parts[2] if len(parts) > 2 else "naive"
-        if len(parts) > 3 or not axes:
+        _, axes, *base = name.split(":", 2)
+        if not axes:
             raise SequenceError(f"bad concat spec {name!r}: expected concat:<AXES>[:<base>]")
-        if base_name.startswith("concat:"):
-            raise SequenceError("nested concat specs are not supported")
-        seq = build_builtin(base_name, target)
         for letter in axes:
-            axis = LAB_AXES.get(letter.upper())
-            if axis is None:
+            if letter.upper() not in LAB_AXES:
                 raise SequenceError(f"unknown correction axis {letter!r} in {name!r}")
-            seq = pi3_correct(seq, axis)
-        return replace(seq, name=name)
-    raise SequenceError(f"unknown sequence {name!r} (builtins: {', '.join(BUILTIN_NAMES)})")
+        if base and base[0].startswith("concat:"):
+            raise SequenceError("nested concat specs are not supported")
+        builder = _chain(axes, *base)
+    else:  # pi3:<A> takes its axis letter in either case
+        builder = _BUILTINS.get("pi3:" + name[4:].upper() if name.startswith("pi3:") else name)
+    if builder is None:
+        raise SequenceError(f"unknown sequence {name!r} (builtins: {', '.join(BUILTIN_NAMES)})")
+    return replace(builder(target), name=name)
 
 
 # ---------------------------------------------------------------------------

@@ -106,7 +106,7 @@ GEOMETRY_TOL = mpf("1e-9")
 LAB_AXES = {"X": (1, 0, 0), "Y": (0, 1, 0), "Z": (0, 0, 1)}
 
 
-def tighten_axis(axis: Iterable, tol=GEOMETRY_TOL) -> Vec3:
+def tighten_axis(axis: Iterable) -> Vec3:
     """Accept a stored unit axis and renormalize it only when needed.
 
     Stored geometry (pulse axes, frames) is valid to a fixed tolerance
@@ -117,7 +117,7 @@ def tighten_axis(axis: Iterable, tol=GEOMETRY_TOL) -> Vec3:
     v = as_vec3(axis)
     n = vec_norm(v)
     dev = fabs(n - 1)
-    if dev > tol:
+    if dev > GEOMETRY_TOL:
         raise InvalidAxisError(f"axis norm {n} deviates from 1 beyond tolerance")
     if dev > unit_tolerance():
         return (v[0] / n, v[1] / n, v[2] / n)

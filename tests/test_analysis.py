@@ -1,10 +1,12 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from mpmath import fabs, mp, mpf, sqrt
 
 from compulse import su2
 from compulse.analysis import (
+    _STENCIL_OFFSETS,
     DegenerateDirectionError,
     FitError,
     component_scan,
@@ -18,8 +20,9 @@ from compulse.analysis import (
     target_vector_family,
     to_csv,
     xy_error_axis,
+    _stencil_weights,
 )
-from compulse.error_models import CovariantVector, LinearOverRotation, PerChannel
+from compulse.error_models import CovariantVector, LinearOverRotation, ModelConfigError, PerChannel
 from compulse.precision import PrecisionError, working_digits
 from compulse.sequences import Gate, build_builtin, naive, pi3_correct
 
@@ -185,6 +188,22 @@ class TestXyErrorAxis:
             plain = pi3_correct(b2seq, (0, 1, 0))
             slope_plain = fit_order(component_scan(plain, model, grid)).slope
             assert abs(slope_plain - 6) < 0.1
+
+
+class TestStencilWeights:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_exact_moment_conditions(self, k):
+        # sum_j w_j o_j**m = k! [m == k] for m = 0..4: exact for polynomials
+        # of degree 4, so the stencil returns h**k f^(k)(0) + O(h**(5-k))
+        weights = _stencil_weights(k)
+        for m in range(5):
+            moment = sum(w * Fraction(o) ** m for w, o in zip(weights, _STENCIL_OFFSETS))
+            assert moment == (factorial(k) if m == k else 0)
+
+    @pytest.mark.parametrize("k", [-1, 0, 5])
+    def test_orders_outside_the_table_are_config_errors(self, k):
+        with pytest.raises(ModelConfigError):
+            _stencil_weights(k)
 
 
 class TestInfidelityTable:

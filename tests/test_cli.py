@@ -55,7 +55,19 @@ class TestBuildSimulate:
     def test_build_list(self, capsys):
         code, out, _ = run(capsys, "build", "--list")
         assert code == 0
-        assert "pi3Y∘b2sym" in out
+        assert out.splitlines() == [
+            "naive", "pi3:X", "pi3:Y", "pi3:Z", "pi5", "b2", "b4",
+            "b2sym", "b4sym", "pi3Y∘b2sym", "pi3Y∘b4sym",
+        ]
+
+    @pytest.mark.parametrize("eps", ["inf", "nan", "abc"])
+    def test_eps_must_be_a_finite_number(self, capsys, eps):
+        code, out, err = run(
+            capsys, "simulate", "--seq", "b2", "--model", "model=linear eps=0.1", "--eps", eps
+        )
+        assert code == 2
+        assert out == ""
+        assert "--eps" in err
 
     def test_unknown_sequence_is_config_error(self, capsys):
         code, _, err = run(capsys, "simulate", "--seq", "bogus", "--model", "model=linear eps=0.1")
@@ -166,6 +178,49 @@ class TestPlan:
         )
         assert code == 0
         assert "(4;4;4)" in out
+
+
+BAD_INPUTS = {
+    "eps": ("simulate", "--seq", "b2", "--model", "model=linear eps=0.1", "--eps", "abc"),
+    "start-letter": ("plan", "--start", "1,x,1", "--depth", "2"),
+    "start-zero": ("plan", "--start", "0,1,1", "--depth", "2"),
+    "deltas-letter": ("plan", "--regime", "covariant", "--start", "1,1,1", "--deltas", "1,x,1", "--depth", "2"),
+    "deltas-zero": ("plan", "--regime", "covariant", "--start", "1,1,1", "--deltas", "0,1,1", "--depth", "2"),
+    "orders-letter": ("expand", "--seq", "pi3:X", "--family", "covariant", "--orders", "ex=q", "--component", "y"),
+    "orders-unknown": ("expand", "--seq", "pi3:X", "--family", "covariant", "--orders", "zz=1", "--component", "y"),
+    "orders-zero": ("expand", "--seq", "pi3:X", "--family", "covariant", "--orders", "ex=0", "--component", "y"),
+    "orders-high": ("expand", "--seq", "pi3:X", "--family", "covariant", "--orders", "ex=5", "--component", "y"),
+    "grid-zero": ("scan", "--seq", "naive", "--model", "model=linear eps=0.1", "--grid", "1e-4:1e-1:0"),
+    "file-not-utf8": ("simulate", "--file", "{bad_utf8}", "--model", "model=linear eps=0.1"),
+}
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+    def test_is_a_one_line_config_error(self, capsys, tmp_path, argv):
+        bad_utf8 = tmp_path / "bad.txt"
+        bad_utf8.write_bytes(b"target 1 0 0 1/2\n\xff\n")
+        argv = [a.format(bad_utf8=bad_utf8) for a in argv]
+        code, out, err = run(capsys, "--digits", "50", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("compulse: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_non_utf8_file_reports_position(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"target 1 0 0 1/2\npulse 1 0 0 1/2 target \xfftarget\n")
+        code, _, err = run(capsys, "simulate", "--file", str(path), "--model", "model=linear eps=0.1")
+        assert code == 2
+        assert "line 2, column 24" in err and "UTF-8" in err
+
+    def test_internal_value_error_is_not_a_config_error(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr("compulse.cli.evaluate", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            main(["simulate", "--seq", "b2", "--model", "model=linear eps=0.1"])
 
 
 class TestFlagPlacement:

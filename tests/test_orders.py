@@ -156,6 +156,10 @@ class TestAxisDependentRule:
 class TestPulseCount:
     def test_recurrence(self):
         assert [pulse_count(k) for k in range(7)] == [1, 7, 25, 79, 241, 727, 2185]
+        n = 1
+        for k in range(65):
+            assert pulse_count(k) == n
+            n = 3 * n + 4
 
 
 class TestPlan:

@@ -309,6 +309,23 @@ class TestRegistry:
         with pytest.raises(SequenceError):
             build_builtin("concat:XQ")
 
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_every_builtin_carries_its_name(self, name):
+        seq = build_builtin(name)
+        assert seq.name == name
+        assert parse(serialize(seq)).name == name
+
+    def test_concat_base_may_be_any_builtin_but_a_concat_spec(self):
+        assert len(build_builtin("concat:X:pi3:Y").pulses) == 25
+        assert build_builtin("concat:Y:pi3Y∘b2sym").name == "concat:Y:pi3Y∘b2sym"
+        with pytest.raises(SequenceError, match="nested"):
+            build_builtin("concat:X:concat:Y")
+
+    def test_pi3_axis_letter_in_either_case(self):
+        seq = build_builtin("pi3:y")
+        assert seq.name == "pi3:y"
+        assert seq.pulses == build_builtin("pi3:Y").pulses
+
 
 # ---------------------------------------------------------------------------
 # Text format

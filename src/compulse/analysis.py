@@ -53,7 +53,6 @@ class ScanResult:
     sequence: str
     model: str
     digits: int
-    perfect_pi3: bool
 
     COLUMNS = ("cx", "cy", "cz", "infidelity")
 
@@ -74,12 +73,7 @@ def default_scales(lo="1e-4", hi="1e-1", per_decade: int = 9) -> tuple:
     return tuple(mpf(10) ** (top - mpf(k) / per_decade) for k in range(n + 1))
 
 
-def component_scan(
-    seq: PulseSequence,
-    model: ErrorModel,
-    scales: Sequence,
-    perfect_pi3: bool = False,
-) -> ScanResult:
+def component_scan(seq: PulseSequence, model: ErrorModel, scales: Sequence) -> ScanResult:
     """One row per scale: |trace components| and infidelity versus the ideal gate.
 
     Rows where the error model overflows the principal branch are flagged,
@@ -94,7 +88,7 @@ def component_scan(
     rows = []
     for s in scales:
         try:
-            actual = evaluate(seq, model, s, perfect_pi3)
+            actual = evaluate(seq, model, s)
         except BranchError as exc:
             rows.append(ScanRow(s, None, None, None, None, error=str(exc)))
             continue
@@ -105,7 +99,6 @@ def component_scan(
         sequence=seq.name or "custom",
         model=error_models.describe(model),
         digits=mp.dps,
-        perfect_pi3=perfect_pi3,
     )
 
 

@@ -97,6 +97,14 @@ def _parse_triple(spec: str) -> orders.OrderTriple:
         raise SequenceError(f"bad order triple {spec!r}: {exc}") from None
 
 
+def _ideal_pi3(args, model):
+    """``model`` with the pi/3 correction pulses held ideal under
+    --perfect-pi3: a model listing only the target channel."""
+    if args.ideal_pi3 and model is not None:
+        return error_models.PerChannel({"target": model})
+    return model
+
+
 def _write(args, text: str) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -130,7 +138,7 @@ def cmd_simulate(args) -> str:
     seq = _load_sequence(args)
     model = error_models.parse_model(args.model) if args.model else None
     ideal = seq.ideal_unitary()
-    actual = evaluate(seq, model, eps, args.perfect_pi3)
+    actual = evaluate(seq, _ideal_pi3(args, model), eps)
     cx, cy, cz = su2.trace_components(ideal, actual)
     infid = su2.infidelity(ideal, actual)
     sig = max(8, min(args.digits, 17))
@@ -148,16 +156,14 @@ def cmd_simulate(args) -> str:
 
 def cmd_scan(args) -> str:
     seq = _load_sequence(args)
-    model = error_models.parse_model(args.model)
-    scan = component_scan(seq, model, _parse_grid(args.grid), args.perfect_pi3)
-    return to_csv(scan)
+    model = _ideal_pi3(args, error_models.parse_model(args.model))
+    return to_csv(component_scan(seq, model, _parse_grid(args.grid)))
 
 
 def cmd_fit(args) -> str:
     seq = _load_sequence(args)
-    model = error_models.parse_model(args.model)
-    scan = component_scan(seq, model, _parse_grid(args.grid), args.perfect_pi3)
-    fit = fit_order(scan, args.column)
+    model = _ideal_pi3(args, error_models.parse_model(args.model))
+    fit = fit_order(component_scan(seq, model, _parse_grid(args.grid)), args.column)
     return (
         f"column        {args.column}\n"
         f"slope         {fit.slope:.6f}\n"
@@ -246,7 +252,9 @@ def make_parser() -> argparse.ArgumentParser:
     _add_sequence_args(p)
     p.add_argument("--model", help="error model config, e.g. 'model=linear eps=0.01'")
     p.add_argument("--eps", default="1", help="error scale multiplying the model coefficients")
-    p.add_argument("--perfect-pi3", action="store_true", help="hold pi/3 correction pulses ideal")
+    p.add_argument(
+        "--perfect-pi3", dest="ideal_pi3", action="store_true", help="hold pi/3 correction pulses ideal"
+    )
 
     for name, func, help_text in (
         ("scan", cmd_scan, "sweep the error scale over a log grid, CSV output"),
@@ -256,7 +264,7 @@ def make_parser() -> argparse.ArgumentParser:
         _add_sequence_args(p)
         p.add_argument("--model", required=True)
         p.add_argument("--grid", default="1e-4:1e-1:9", help="lo:hi:per_decade (default 1e-4:1e-1:9)")
-        p.add_argument("--perfect-pi3", action="store_true")
+        p.add_argument("--perfect-pi3", dest="ideal_pi3", action="store_true")
         if name == "fit":
             p.add_argument("--column", default="infidelity", choices=("cx", "cy", "cz", "infidelity"))
 
@@ -290,9 +298,19 @@ def _digits(args) -> int:
         raise PrecisionError(f"{ENV_DIGITS}={raw!r} is not an integer number of digits") from None
 
 
+def _bind_eps(argv) -> list:
+    """Rewrite ``--eps VALUE`` as ``--eps=VALUE``: argparse would take a
+    value such as -1e-3 or -inf for an option and refuse it."""
+    out, tokens = [], iter(argv)
+    for tok in tokens:
+        value = next(tokens, None) if tok == "--eps" else None
+        out.append(tok if value is None else f"--eps={value}")
+    return out
+
+
 def main(argv=None) -> int:
     parser = make_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_bind_eps(sys.argv[1:] if argv is None else argv))
     try:
         args.digits = _digits(args)
         set_digits(args.digits)

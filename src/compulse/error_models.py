@@ -34,7 +34,7 @@ from mpmath import fabs, mp, mpf, nstr
 
 from . import su2
 from .precision import unit_tolerance
-from .su2 import GEOMETRY_TOL, BranchError, Unitary, Vec3
+from .su2 import BranchError, Unitary, Vec3
 
 if TYPE_CHECKING:
     from .sequences import Pulse
@@ -149,8 +149,7 @@ class AxisOverRotation(ErrorModel):
         if alpha < 0:
             axis = tuple(-c for c in axis)
         for key, coeffs in self.per_axis.items():
-            ref = NAMED_AXES[key]
-            if all(fabs(a - b) <= GEOMETRY_TOL for a, b in zip(axis, ref)):
+            if su2.axes_match(axis, NAMED_AXES[key]):
                 return coeffs
         return self.base
 

@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
+from .sequences import SequenceError
 from .su2 import LAB_AXES
 
 INFINITY = math.inf
@@ -178,23 +179,30 @@ class Plan:
         return self.triples[-1]
 
 
+MAX_DEPTH = 64
+
+
 def plan(
     start: OrderTriple,
     regime: str = "perfect",
     deltas: Optional[DeltaOrders] = None,
     goal_min_order: Optional[int] = None,
     depth: Optional[int] = None,
-    max_depth: int = 64,
 ) -> Plan:
     """Greedy correction-axis schedule.
 
     Each step picks the axis maximizing the resulting minimum component
     order, tie-broken by the larger sum of orders, then by X < Y < Z.
-    Either ``depth`` (run exactly that many steps) or ``goal_min_order``
-    (run until min order reaches the goal) must be given.
+    Either ``depth`` (run exactly that many steps, 0..MAX_DEPTH) or
+    ``goal_min_order`` (run until min order reaches the goal, at most
+    MAX_DEPTH steps) must be given.
     """
     if (goal_min_order is None) == (depth is None):
         raise ValueError("give exactly one of goal_min_order or depth")
+    if depth is not None and not 0 <= depth <= MAX_DEPTH:
+        raise SequenceError(f"correction depth {depth} outside 0..{MAX_DEPTH}")
+    if goal_min_order is not None and goal_min_order < 1:
+        raise SequenceError(f"goal order {goal_min_order} below 1: orders are positive integers")
     t = OrderTriple(*start)
     schedule = []
     triples = [t]
@@ -205,9 +213,9 @@ def plan(
         return t.min_order() >= goal_min_order
 
     while not done():
-        if len(schedule) >= max_depth:
+        if len(schedule) >= MAX_DEPTH:
             raise PlanningError(
-                f"min order {format_order(t.min_order())} after {max_depth} corrections, "
+                f"min order {format_order(t.min_order())} after {MAX_DEPTH} corrections, "
                 f"goal {goal_min_order} unreachable"
             )
         best = None

@@ -127,12 +127,7 @@ class FrameTriad:
     def is_identity(self) -> bool:
         if self is _IDENTITY_FRAME:
             return True
-        ident = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-        for v, w in zip((self.ex, self.ey, self.ez), ident):
-            for a, b in zip(v, w):
-                if fabs(a - b) > GEOMETRY_TOL:
-                    return False
-        return True
+        return all(su2.axes_match(v, w) for v, w in zip((self.ex, self.ey, self.ez), LAB_AXES.values()))
 
 
 def _det3(a: Vec3, b: Vec3, c: Vec3):
@@ -265,20 +260,16 @@ def total_angle(seq: PulseSequence) -> Fraction:
     return sum((p.rotation_angle_pi() for p in seq.pulses), Fraction(0))
 
 
-def evaluate(seq: PulseSequence, model, scale=1, perfect_pi3: bool = False) -> Unitary:
+def evaluate(seq: PulseSequence, model, scale=1) -> Unitary:
     """Multiply out the realized pulses.
 
     ``model`` may be None for an all-ideal evaluation.  Pulses on channel
-    "perfect" always bypass the model; pulses on channel "pi3" bypass it
-    when ``perfect_pi3`` is set.
+    "perfect" always bypass the model.  To hold the pi/3 correction pulses
+    ideal, pass ``PerChannel({"target": model})``.
     """
     out = su2.identity()
     for p in seq.pulses:
-        bypass = (
-            model is None
-            or p.channel == "perfect"
-            or (perfect_pi3 and p.channel == "pi3")
-        )
+        bypass = model is None or p.channel == "perfect"
         u = p.ideal_unitary() if bypass else model.realize(p, scale)
         out = su2.multiply(u, out)
     return out
@@ -352,8 +343,31 @@ def pi5_sequence(gate: Gate, perfect: bool = True) -> PulseSequence:
     return PulseSequence(gate, pulses, name="pi5")
 
 
-def _xy_axis(phi: mpf) -> Vec3:
-    return (cos(phi), sin(phi), mpf(0))
+def _phase_blocks(name: str, theta_pi, span: int, layout: tuple) -> PulseSequence:
+    """A ``theta`` rotation about x followed in time by correction pulses
+    about xy-plane axes, with cos(phi) = -theta/(span*pi).
+
+    ``layout`` lists each correction pulse as (phase multiple k, generator
+    angle in units of pi); its axis sits at phase k*phi.  Repeated entries
+    share one :class:`Pulse`.
+    """
+    theta_pi = Fraction(theta_pi)
+    if abs(theta_pi) > span:
+        raise SequenceError(f"{name} needs |theta| <= {span}*pi for a real correction phase")
+    gate = Gate(X_AXIS, theta_pi / 2)
+    phi = acos(-mpf(theta_pi.numerator) / theta_pi.denominator / span)
+    made = {}
+    for k, alpha_pi in set(layout):
+        axis = (cos(k * phi), sin(k * phi), mpf(0))
+        made[k, alpha_pi] = Pulse(FrameTriad.identity(), axis, alpha_pi, Role.CORRECTION, "target")
+    pulses = naive(gate).pulses + tuple(made[entry] for entry in layout)
+    return PulseSequence(gate, pulses, name=name)
+
+
+# b2's correction block, (phi, pi) (3*phi, 2*pi) (phi, pi) as rotations;
+# b4 wraps four of them around each side of a negative-angle middle block.
+_B2_BLOCK = ((1, Fraction(1, 2)), (3, Fraction(1)), (1, Fraction(1, 2)))
+_B4_LAYOUT = _B2_BLOCK * 4 + ((1, Fraction(-1)), (-1, Fraction(-2)), (1, Fraction(-1))) + _B2_BLOCK * 4
 
 
 def b2(theta_pi: Fraction = Fraction(1)) -> PulseSequence:
@@ -362,23 +376,7 @@ def b2(theta_pi: Fraction = Fraction(1)) -> PulseSequence:
     Correction pulses rotate about xy-plane axes at phases phi and 3*phi
     with cos(phi) = -theta/(4*pi); the target pulse comes first in time.
     """
-    theta_pi = Fraction(theta_pi)
-    if abs(theta_pi) > 4:
-        raise SequenceError("b2 needs |theta| <= 4*pi for a real correction phase")
-    gate = Gate(X_AXIS, theta_pi / 2)
-    phi = acos(-mpf(theta_pi.numerator) / theta_pi.denominator / 4)
-    half = Fraction(1, 2)
-
-    def corr(axis_phi, alpha_pi):
-        return Pulse(FrameTriad.identity(), _xy_axis(axis_phi), alpha_pi, Role.CORRECTION, "target")
-
-    pulses = (
-        Pulse(FrameTriad.identity(), X_AXIS, gate.alpha_pi, Role.TARGET, "target"),
-        corr(phi, half),
-        corr(3 * phi, Fraction(1)),
-        corr(phi, half),
-    )
-    return PulseSequence(gate, pulses, name="b2")
+    return _phase_blocks("b2", theta_pi, 4, _B2_BLOCK)
 
 
 def b4(theta_pi: Fraction = Fraction(1)) -> PulseSequence:
@@ -387,34 +385,7 @@ def b4(theta_pi: Fraction = Fraction(1)) -> PulseSequence:
     27 correction pulses: two palindromic four-fold blocks around a
     negative-angle middle block, phases from cos(phi) = -theta/(24*pi).
     """
-    theta_pi = Fraction(theta_pi)
-    if abs(theta_pi) > 24:
-        raise SequenceError("b4 needs |theta| <= 24*pi for a real correction phase")
-    gate = Gate(X_AXIS, theta_pi / 2)
-    phi = acos(-mpf(theta_pi.numerator) / theta_pi.denominator / 24)
-
-    def corr(axis_phi, alpha_pi):
-        return Pulse(
-            FrameTriad.identity(), _xy_axis(axis_phi), Fraction(alpha_pi), Role.CORRECTION, "target"
-        )
-
-    triple = (
-        corr(phi, Fraction(1, 2)),
-        corr(3 * phi, Fraction(1)),
-        corr(phi, Fraction(1, 2)),
-    )
-    middle = (
-        corr(phi, Fraction(-1)),
-        corr(-phi, Fraction(-2)),
-        corr(phi, Fraction(-1)),
-    )
-    pulses = (
-        Pulse(FrameTriad.identity(), X_AXIS, gate.alpha_pi, Role.TARGET, "target"),
-        *(triple * 4),
-        *middle,
-        *(triple * 4),
-    )
-    return PulseSequence(gate, pulses, name="b4")
+    return _phase_blocks("b4", theta_pi, 24, _B4_LAYOUT)
 
 
 def symmetrize(seq: PulseSequence) -> PulseSequence:
@@ -432,7 +403,7 @@ def symmetrize(seq: PulseSequence) -> PulseSequence:
         and head.channel == "target"
         and head.frame.is_exact_identity()
         and head.alpha_pi == seq.target.alpha_pi
-        and all(fabs(a - b) <= GEOMETRY_TOL for a, b in zip(head.axis_in_frame, seq.target.axis))
+        and su2.axes_match(head.axis_in_frame, seq.target.axis)
     )
     if not target_like or not all(p.role == Role.CORRECTION for p in rest):
         raise SequenceError("symmetrize expects a target pulse followed by a correction block")
@@ -446,7 +417,7 @@ def symmetrize(seq: PulseSequence) -> PulseSequence:
 
 def _axis_label(axis: Vec3) -> str:
     for label, vec in LAB_AXES.items():
-        if all(fabs(a - b) <= GEOMETRY_TOL for a, b in zip(axis, vec)):
+        if su2.axes_match(axis, vec):
             return label
     return "(" + ",".join(nstr(a, 6) for a in axis) + ")"
 
@@ -483,7 +454,7 @@ def _about_x(builder, sym: bool = False):
     label = builder.__name__ + "sym" * sym
 
     def build(target: Gate) -> PulseSequence:
-        if any(fabs(a - b) > GEOMETRY_TOL for a, b in zip(target.axis, X_AXIS)):
+        if not su2.axes_match(target.axis, X_AXIS):
             raise SequenceError(f"{label} corrects rotations about x; got axis {target.axis}")
         seq = builder(2 * target.alpha_pi)
         return symmetrize(seq) if sym else seq

@@ -106,6 +106,11 @@ GEOMETRY_TOL = mpf("1e-9")
 LAB_AXES = {"X": (1, 0, 0), "Y": (0, 1, 0), "Z": (0, 0, 1)}
 
 
+def axes_match(a: Iterable, b: Iterable) -> bool:
+    """Whether two stored vectors agree in every component within GEOMETRY_TOL."""
+    return all(fabs(p - q) <= GEOMETRY_TOL for p, q in zip(a, b))
+
+
 def tighten_axis(axis: Iterable) -> Vec3:
     """Accept a stored unit axis and renormalize it only when needed.
 

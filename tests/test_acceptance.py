@@ -210,7 +210,7 @@ def test_criterion_6_numerics_vs_calculus():
     grid = default_scales("1e-4", "1e-2", 9)
 
     level1 = pi3_correct(naive(Z_PI), (1, 0, 0))
-    scan1 = component_scan(level1, LinearOverRotation(1), grid, perfect_pi3=True)
+    scan1 = component_scan(level1, PerChannel({"target": LinearOverRotation(1)}), grid)
     sx = _slope_or_inf(scan1, "cx")
     sy = _slope_or_inf(scan1, "cy")
     sz = _slope_or_inf(scan1, "cz")

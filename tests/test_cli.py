@@ -1,7 +1,12 @@
 import pytest
 from mpmath import mpf
 
+from compulse import su2
+from compulse.analysis import component_scan, default_scales, format_sci, to_csv
 from compulse.cli import main
+from compulse.error_models import PerChannel, parse_model
+from compulse.precision import working_digits
+from compulse.sequences import build_builtin, evaluate
 
 
 def run(capsys, *argv):
@@ -68,6 +73,16 @@ class TestBuildSimulate:
         assert code == 2
         assert out == ""
         assert "--eps" in err
+
+    def test_negative_eps_in_exponent_form(self, capsys):
+        base = ("--digits", "30", "simulate", "--seq", "b2", "--model", "model=linear eps=0.1")
+        code, spaced, err = run(capsys, *base, "--eps", "-1e-3")
+        assert code == 0, err
+        _, joined, _ = run(capsys, *base, "--eps=-1e-3")
+        assert spaced == joined
+        code, _, err = run(capsys, *base, "--eps", "-inf")
+        assert code == 2
+        assert err == "compulse: non-finite value for --eps\n"
 
     def test_unknown_sequence_is_config_error(self, capsys):
         code, _, err = run(capsys, "simulate", "--seq", "bogus", "--model", "model=linear eps=0.1")
@@ -182,6 +197,10 @@ class TestPlan:
 
 BAD_INPUTS = {
     "eps": ("simulate", "--seq", "b2", "--model", "model=linear eps=0.1", "--eps", "abc"),
+    "eps-minus-inf": ("simulate", "--seq", "b2", "--model", "model=linear eps=0.1", "--eps", "-inf"),
+    "depth-high": ("plan", "--start", "1,1,1", "--depth", "70"),
+    "depth-negative": ("plan", "--start", "1,1,1", "--depth", "-3"),
+    "goal-zero": ("plan", "--start", "1,1,1", "--goal", "0"),
     "start-letter": ("plan", "--start", "1,x,1", "--depth", "2"),
     "start-zero": ("plan", "--start", "0,1,1", "--depth", "2"),
     "deltas-letter": ("plan", "--regime", "covariant", "--start", "1,1,1", "--deltas", "1,x,1", "--depth", "2"),
@@ -281,3 +300,41 @@ class TestOutput:
                 vals[digits] = mpf(out.splitlines()[-1].split()[-1])
             assert abs(vals["16"] - vals["60"]) < mpf(want) * mpf("0.005")
             assert abs(vals["60"] - mpf(want)) < mpf(want) * mpf("0.05")
+
+
+class TestPerfectPi3:
+    MODEL = "model=linear eps=0.1"
+
+    def test_simulate_equals_a_target_only_model(self, capsys):
+        base = ("--digits", "30", "simulate", "--seq", "pi3:Y", "--model", self.MODEL, "--eps", "0.01")
+        code, held, _ = run(capsys, *base, "--perfect-pi3")
+        assert code == 0
+        _, noisy, _ = run(capsys, *base)
+        assert held != noisy
+        lines = dict(line.split(None, 1) for line in held.splitlines())
+        assert lines["model"] == "linear eps=0.1"
+        with working_digits(30):
+            seq = build_builtin("pi3:Y")
+            actual = evaluate(seq, PerChannel({"target": parse_model(self.MODEL)}), mpf("0.01"))
+            ideal = seq.ideal_unitary()
+            want = [format_sci(v, 17) for v in (*su2.trace_components(ideal, actual), su2.infidelity(ideal, actual))]
+        assert [lines[k] for k in ("cx", "cy", "cz", "infidelity")] == want
+
+    def test_scan_equals_a_target_only_model(self, capsys):
+        base = ("--digits", "30", "scan", "--seq", "pi3:Y", "--model", self.MODEL, "--grid", "1e-3:1e-1:3")
+        code, held, _ = run(capsys, *base, "--perfect-pi3")
+        assert code == 0
+        _, noisy, _ = run(capsys, *base)
+        assert held != noisy
+        with working_digits(30):
+            model = PerChannel({"target": parse_model(self.MODEL)})
+            want = to_csv(component_scan(build_builtin("pi3:Y"), model, default_scales("1e-3", "1e-1", 3)))
+        assert held == want
+
+    def test_simulate_without_model_stays_ideal(self, capsys):
+        args = ("--digits", "30", "simulate", "--seq", "pi3:Y")
+        _, plain, _ = run(capsys, *args)
+        code, held, _ = run(capsys, *args, "--perfect-pi3")
+        assert code == 0
+        assert held == plain
+        assert "model       none\n" in held

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from compulse.orders import (
     AXES,
     INFINITY,
+    MAX_DEPTH,
     DeltaOrders,
     NO_DELTAS,
     OVERROTATION_DELTAS,
@@ -19,6 +20,7 @@ from compulse.orders import (
     plan,
     pulse_count,
 )
+from compulse.sequences import SequenceError
 
 INF = INFINITY
 
@@ -190,8 +192,17 @@ class TestPlan:
         assert min(p.triples[-2]) < 20
 
     def test_unreachable_goal_raises(self):
-        with pytest.raises(PlanningError):
-            plan(OrderTriple(1, 1, 1), "axisdep", goal_min_order=100, max_depth=10)
+        with pytest.raises(PlanningError, match="min order 33 after 64 corrections, goal 100 unreachable"):
+            plan(OrderTriple(1, 1, 1), "axisdep", goal_min_order=100)
+
+    def test_depth_may_reach_the_cap(self):
+        assert len(plan(OrderTriple(1, 1, 1), "perfect", depth=MAX_DEPTH).schedule) == MAX_DEPTH
+
+    @pytest.mark.parametrize("stop", [{"depth": -3}, {"depth": MAX_DEPTH + 1}, {"goal_min_order": 0}])
+    def test_stop_condition_out_of_range_is_rejected(self, stop):
+        with pytest.raises(SequenceError) as info:
+            plan(OrderTriple(1, 1, 1), "perfect", **stop)
+        assert "None" not in str(info.value)
 
     def test_requires_exactly_one_stop_condition(self):
         with pytest.raises(ValueError):

@@ -114,7 +114,7 @@ class TestPi3Correct:
             model = PerChannel({"target": CovariantVector.constant((0, 0, 1))})
             ideal = seq.ideal_unitary()
             eps = mpf("1e-5")
-            cx, cy, cz = su2.trace_components(ideal, evaluate(seq, model, eps, perfect_pi3=True))
+            cx, cy, cz = su2.trace_components(ideal, evaluate(seq, model, eps))
             sqrt3 = mp.sqrt(3)
             assert fabs(cx / eps**2 + sqrt3) < mpf("1e-3")
             assert fabs(cz / eps**3 - 2) < mpf("1e-3")
@@ -177,6 +177,45 @@ class TestB2B4:
         assert_sound(b2(Fraction(1, 2)))
         assert_sound(b4(Fraction(3, 2)))
 
+    @pytest.mark.parametrize("theta", [Fraction(1), Fraction(3, 2), Fraction(-7, 3)])
+    def test_correction_layouts(self, theta):
+        block = [(1, Fraction(1, 2)), (3, Fraction(1)), (1, Fraction(1, 2))]
+        middle = [(1, Fraction(-1)), (-1, Fraction(-2)), (1, Fraction(-1))]
+        assert correction_layout(b2(theta), 4) == block
+        assert correction_layout(b4(theta), 24) == block * 4 + middle + block * 4
+
+    def test_repeated_layout_entries_share_a_pulse(self):
+        assert len({id(p) for p in b2().pulses}) == 3
+        assert len({id(p) for p in b4().pulses}) == 5
+
+    def test_phase_bounds(self):
+        assert_sound(b2(4))
+        assert_sound(b4(24))
+        with pytest.raises(SequenceError, match="b2 needs"):
+            b2(5)
+        with pytest.raises(SequenceError, match="b4 needs"):
+            b4(25)
+
+
+def correction_layout(seq, span):
+    """(phase multiple k, alpha_pi) of each correction pulse after the target
+    pulse, where the pulse axis lies at phase k*phi in the xy plane and
+    cos(phi) = -theta/(span*pi)."""
+    theta = 2 * seq.target.alpha_pi
+    phi = mp.acos(-mpf(theta.numerator) / theta.denominator / span)
+    head, *rest = seq.pulses
+    assert head.role == Role.TARGET and head.alpha_pi == seq.target.alpha_pi
+    out = []
+    for p in rest:
+        assert p.role == Role.CORRECTION and p.channel == "target" and p.frame.is_exact_identity()
+        ks = [
+            k for k in (1, 3, -1)
+            if all(fabs(a - b) < mpf("1e-12") for a, b in zip(p.axis_in_frame, (mp.cos(k * phi), mp.sin(k * phi), 0)))
+        ]
+        assert len(ks) == 1
+        out.append((ks[0], p.alpha_pi))
+    return out
+
 
 class TestSymmetrize:
     def test_zero_error_preserved(self):
@@ -228,7 +267,7 @@ class TestEvaluate:
         seq = build_builtin("pi3:Y")
         model = LinearOverRotation(1)
         noisy = evaluate(seq, model, mpf("0.01"))
-        bypassed = evaluate(seq, model, mpf("0.01"), perfect_pi3=True)
+        bypassed = evaluate(seq, PerChannel({"target": model}), mpf("0.01"))
         assert noisy != bypassed
 
     def test_naive_pi_pulse_table_value(self):

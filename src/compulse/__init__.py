@@ -8,7 +8,6 @@ slope fits, and finite-difference series coefficients.
 
 from .precision import set_digits, working_digits
 from .su2 import (
-    AxisAngle,
     BranchError,
     ErrorVector,
     InvalidAxisError,
@@ -53,7 +52,6 @@ from .error_models import (
     LinearOverRotation,
     ModelConfigError,
     PerChannel,
-    PolyOverRotation,
     invert_model_consistency,
     parse_model,
 )

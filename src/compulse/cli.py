@@ -78,10 +78,13 @@ def _parse_orders_spec(spec: str) -> dict:
     out = {}
     for piece in spec.split(","):
         key, _, val = piece.partition("=")
+        key = key.strip()
+        if key in out:
+            raise SequenceError(f"bad orders spec {spec!r}: {key} given twice")
         try:
             if not key:
                 raise ValueError
-            out[key.strip()] = int(val)
+            out[key] = int(val)
         except ValueError:
             raise SequenceError(f"bad orders spec {spec!r}: expected name=power[,name=power...]") from None
     return out

@@ -16,18 +16,22 @@ a conjugated pulse carry the conjugated error automatically.
 Config strings (see :func:`parse_model`)::
 
     model=linear eps=0.01
-    model=poly coeffs=0,0.01,0.003
+    model=poly coeffs=0,0.01,0.003 y=0,0.02 -x=0.001
     model=vector dx=0.01;dy=0;dz=0
     model=axisdep delta=0.01 deltahat=0.02
 
-Unknown keys are errors.  All coefficients must stay below 0.5 at parse
-time; programmatic construction is unrestricted so scans can use unit
-coefficients with a separate scale.
+``poly`` takes optional per-axis polynomials under the named-axis keys
+``x= -x= y= -y= z= -z=``; pulses about other axes use ``coeffs``.  The
+``vector`` keys default to 0.  Unknown or repeated keys are errors.  All
+coefficients must stay below 0.5 at parse time; programmatic construction
+is unrestricted so scans can use unit coefficients with a separate scale.
+:func:`describe` prints this text without the ``model=`` prefix, each
+number exact at the working precision, so it parses back to an equal model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Optional, Tuple
 
 from mpmath import fabs, mp, mpf, nstr
@@ -112,32 +116,18 @@ class LinearOverRotation(ErrorModel):
 
 
 @dataclass(frozen=True)
-class PolyOverRotation(ErrorModel):
-    """eps(theta) = sum_k coeffs[k] * theta**k, angle-dependent, axis-independent."""
+class AxisOverRotation(ErrorModel):
+    """eps(theta) = sum_k coeffs[k] * theta**k, optionally per named axis.
+
+    ``per_axis`` maps axis names ("x", "-y", ...) to coefficient tuples;
+    pulses about other axes use ``coeffs``.
+    """
 
     coeffs: Coeffs
+    per_axis: Mapping[str, Coeffs] = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _as_coeffs(self.coeffs))
-
-    def _forward(self, pulse, axis, alpha, scale):
-        theta = 2 * fabs(alpha)
-        return _over_rotated(axis, alpha, scale * _poly_eval(self.coeffs, theta) / 2)
-
-
-@dataclass(frozen=True)
-class AxisOverRotation(ErrorModel):
-    """Over-rotation depending on both angle and (named) rotation axis.
-
-    ``per_axis`` maps axis names ("x", "-y", ...) to coefficient tuples;
-    pulses about unnamed axes fall back to ``base``.
-    """
-
-    base: Coeffs
-    per_axis: Mapping[str, Coeffs]
-
-    def __post_init__(self):
-        object.__setattr__(self, "base", _as_coeffs(self.base))
         fixed = {}
         for key, coeffs in self.per_axis.items():
             if key not in NAMED_AXES:
@@ -151,7 +141,7 @@ class AxisOverRotation(ErrorModel):
         for key, coeffs in self.per_axis.items():
             if su2.axes_match(axis, NAMED_AXES[key]):
                 return coeffs
-        return self.base
+        return self.coeffs
 
     def _forward(self, pulse, axis, alpha, scale):
         theta = 2 * fabs(alpha)
@@ -239,38 +229,56 @@ def invert_model_consistency(model: ErrorModel, pulse: "Pulse") -> bool:
     return all(fabs(a - b) <= tol for a, b in zip(inv, dag))
 
 
+# ---------------------------------------------------------------------------
+# Config text: describe and parse_model both read _KINDS
+
+_COEFF_BOUND = mpf("0.5")
+
+# kind -> (class, separator between keys, keys).  A key is (config key,
+# field, comma list?, default text or None when required); each named-axis
+# key of "poly" is one optional entry of ``per_axis``.
+_KINDS = {
+    "linear": (LinearOverRotation, " ", [("eps", "eps", False, None)]),
+    "poly": (AxisOverRotation, " ", [("coeffs", "coeffs", True, None)]
+             + [(k, "per_axis", True, None) for k in NAMED_AXES]),
+    "vector": (CovariantVector, ";", [(k, k, True, "0") for k in ("dx", "dy", "dz")]),
+    "axisdep": (AxisDependentPi3, " ", [("delta", "delta", False, None), ("deltahat", "delta_hat", False, None)]),
+}
+_KIND_OF = {cls: kind for kind, (cls, _, _) in _KINDS.items()}
+
+
+def _num(x: mpf) -> str:
+    """``x`` in the fewest of dps or dps + 4 digits that read back exactly."""
+    for digits in (mp.dps, mp.dps + 4):
+        text = nstr(x, digits, strip_zeros=True, min_fixed=-5, max_fixed=8)
+        if mpf(text) == x:
+            break
+    return text
+
+
 def describe(model: Optional[ErrorModel]) -> str:
-    """Short deterministic label used in scan metadata."""
-
-    def num(x):
-        return nstr(mpf(x), 8, strip_zeros=True)
-
-    def poly(coeffs):
-        return ",".join(num(c) for c in coeffs)
-
+    """Config text of ``model`` without the ``model=`` prefix, every number
+    exact at the working precision, so ``parse_model`` reads it back to an
+    equal model.  ``None`` prints as ``none`` and :class:`PerChannel` as
+    ``channels[...]``, which do not parse."""
     if model is None:
         return "none"
-    if isinstance(model, LinearOverRotation):
-        return f"linear eps={num(model.eps)}"
-    if isinstance(model, PolyOverRotation):
-        return f"poly coeffs={poly(model.coeffs)}"
-    if isinstance(model, AxisOverRotation):
-        named = " ".join(f"{k}={poly(v)}" for k, v in sorted(model.per_axis.items()))
-        return f"axispoly base={poly(model.base)} {named}".strip()
-    if isinstance(model, CovariantVector):
-        return f"vector dx={poly(model.dx)};dy={poly(model.dy)};dz={poly(model.dz)}"
-    if isinstance(model, AxisDependentPi3):
-        return f"axisdep delta={num(model.delta)} deltahat={num(model.delta_hat)}"
     if isinstance(model, PerChannel):
         inner = " | ".join(f"{ch}: {describe(m)}" for ch, m in sorted(model.models.items()))
         return f"channels[{inner}]"
-    return type(model).__name__
-
-
-# ---------------------------------------------------------------------------
-# Config parsing
-
-_COEFF_BOUND = mpf("0.5")
+    kind = _KIND_OF.get(type(model))
+    if kind is None:
+        return type(model).__name__
+    _, sep, keys = _KINDS[kind]
+    parts = []
+    for key, name, is_list, _ in keys:
+        value = getattr(model, name)
+        if name == "per_axis":
+            if key not in value:
+                continue
+            value = value[key]
+        parts.append(f"{key}={','.join(map(_num, value)) if is_list else _num(value)}")
+    return f"{kind} {sep.join(parts)}"
 
 
 def _parse_number(text: str, key: str) -> mpf:
@@ -312,42 +320,29 @@ def parse_model(text: str) -> ErrorModel:
         if key in kv:
             raise ModelConfigError(f"duplicate key {key!r}")
         kv[key] = value
-
-    def take(key, default=None):
-        if key in kv:
-            return kv.pop(key)
-        if default is None:
-            raise ModelConfigError(f"model={kind} requires {key}=")
-        return default
-
-    if kind == "linear":
-        eps = _parse_number(take("eps"), "eps")
-        _check_bound((eps,), "eps")
-        model = LinearOverRotation(eps)
-    elif kind == "poly":
-        coeffs = _parse_coeff_list(take("coeffs"), "coeffs")
-        _check_bound(coeffs, "coeffs")
-        model = PolyOverRotation(coeffs)
-    elif kind == "vector":
-        parts = {}
-        for key in ("dx", "dy", "dz"):
-            parts[key] = _parse_coeff_list(take(key, "0"), key)
-            _check_bound(parts[key], key)
-        model = CovariantVector(parts["dx"], parts["dy"], parts["dz"])
-    elif kind == "axisdep":
-        delta = _parse_number(take("delta"), "delta")
-        delta_hat = _parse_number(take("deltahat"), "deltahat")
-        _check_bound((delta, delta_hat), "delta/deltahat")
-        if delta != 0 and delta_hat != 0:
-            ratio = fabs(delta_hat / delta)
-            if not (mpf("0.1") <= ratio <= 10):
-                raise ModelConfigError(
-                    f"deltahat/delta ratio {ratio} outside [0.1, 10]: the two over-rotations "
-                    "must be of the same order"
-                )
-        model = AxisDependentPi3(delta, delta_hat)
-    else:
+    if kind not in _KINDS:
         raise ModelConfigError(f"unknown model kind {kind!r}")
+    cls, _, keys = _KINDS[kind]
+    args = {}
+    for key, name, is_list, default in keys:
+        value = kv.pop(key, default)
+        if value is None:
+            if name == "per_axis":
+                continue
+            raise ModelConfigError(f"model={kind} requires {key}=")
+        value = _parse_coeff_list(value, key) if is_list else _parse_number(value, key)
+        _check_bound(value if is_list else (value,), key)
+        if name == "per_axis":
+            args.setdefault(name, {})[key] = value
+        else:
+            args[name] = value
     if kv:
         raise ModelConfigError(f"unknown keys for model={kind}: {', '.join(sorted(kv))}")
-    return model
+    # axisdep: two nonzero over-rotations must be of the same order
+    delta, delta_hat = args.get("delta"), args.get("delta_hat")
+    if delta and delta_hat and not mpf("0.1") <= fabs(delta_hat / delta) <= 10:
+        raise ModelConfigError(
+            f"deltahat/delta ratio {fabs(delta_hat / delta)} outside [0.1, 10]: the two "
+            "over-rotations must be of the same order"
+        )
+    return cls(**args)

@@ -50,13 +50,6 @@ class Unitary(NamedTuple):
     z: mpf
 
 
-class AxisAngle(NamedTuple):
-    """Rotation as unit axis plus generator angle (radians)."""
-
-    axis: Vec3
-    alpha: mpf
-
-
 class ErrorVector(NamedTuple):
     """Generator vector eps of an error unitary exp(i*(eps . sigma))."""
 
@@ -240,14 +233,6 @@ def norm(u: Unitary) -> mpf:
 def error_unitary(ideal: Unitary, actual: Unitary) -> Unitary:
     """V = ideal^dagger * actual, the residual error of an imperfect gate."""
     return multiply(dagger(ideal), actual)
-
-
-def to_axis_angle(u: Unitary) -> AxisAngle:
-    v = (u.x, u.y, u.z)
-    m = vec_norm(v)
-    if m == 0:
-        return AxisAngle((mpf(1), mpf(0), mpf(0)), mpf(0))
-    return AxisAngle((v[0] / m, v[1] / m, v[2] / m), atan2(m, u.w))
 
 
 def log_pauli(v: Unitary) -> ErrorVector:

@@ -22,7 +22,7 @@ from compulse.analysis import (
     series_coefficient,
     target_vector_family,
 )
-from compulse.error_models import CovariantVector, LinearOverRotation, PerChannel, PolyOverRotation
+from compulse.error_models import AxisOverRotation, CovariantVector, LinearOverRotation, PerChannel
 from compulse.orders import (
     INFINITY,
     DeltaOrders,
@@ -264,7 +264,7 @@ def test_criterion_8_symmetrized_error_leaves_y():
 def test_criterion_9_nonlinear_overrotation():
     grid = default_scales("1e-4", "1e-2", 9)
     # eps(theta) = 0.01 * (theta/pi)^2, a genuinely angle-dependent error
-    quad = PolyOverRotation((0, 0, mpf("0.01") / pi**2))
+    quad = AxisOverRotation((0, 0, mpf("0.01") / pi**2))
     slope_naive = fit_order(component_scan(build_builtin("naive"), quad, grid)).slope
     slope_corr = fit_order(component_scan(build_builtin("pi3:Y"), quad, grid)).slope
     ok = slope_corr >= 3.9 and abs(slope_naive - 2) <= 0.1

@@ -1,3 +1,7 @@
+import re
+import shlex
+from pathlib import Path
+
 import pytest
 from mpmath import mpf
 
@@ -209,6 +213,10 @@ BAD_INPUTS = {
     "orders-unknown": ("expand", "--seq", "pi3:X", "--family", "covariant", "--orders", "zz=1", "--component", "y"),
     "orders-zero": ("expand", "--seq", "pi3:X", "--family", "covariant", "--orders", "ex=0", "--component", "y"),
     "orders-high": ("expand", "--seq", "pi3:X", "--family", "covariant", "--orders", "ex=5", "--component", "y"),
+    "orders-repeated": (
+        "expand", "--seq", "concat:X", "--target", "z-pi", "--family", "target-vector",
+        "--orders", "ex=1,ex=2", "--component", "x",
+    ),
     "grid-zero": ("scan", "--seq", "naive", "--model", "model=linear eps=0.1", "--grid", "1e-4:1e-1:0"),
     "file-not-utf8": ("simulate", "--file", "{bad_utf8}", "--model", "model=linear eps=0.1"),
 }
@@ -338,3 +346,24 @@ class TestPerfectPi3:
         assert code == 0
         assert held == plain
         assert "model       none\n" in held
+
+
+def readme_commands():
+    """Every ``compulse ...`` line of README's code blocks, continuations joined."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```\n(.*?)^```", readme, re.S | re.M)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [line for line in lines if line.startswith("compulse ")]
+
+
+class TestReadmeExamples:
+    def test_every_cli_example_runs(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        commands = readme_commands()
+        assert len(commands) >= 8
+        for line in commands:
+            argv = shlex.split(line)[1:]
+            if len(argv) > 2 and argv[-2] == ">":
+                argv[-2] = "--out"
+            code, _, err = run(capsys, *argv)
+            assert code == 0, (line, err)

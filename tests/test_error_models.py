@@ -14,7 +14,6 @@ from compulse.error_models import (
     LinearOverRotation,
     ModelConfigError,
     PerChannel,
-    PolyOverRotation,
     describe,
     invert_model_consistency,
     parse_model,
@@ -70,11 +69,11 @@ class TestLinearOverRotation:
         assert fabs(ratios[0] / ratios[1] - 1) < mpf("0.01")
 
 
-class TestPolyOverRotation:
+class TestAxisOverRotation:
     def test_quadratic_angle_dependence(self):
         # eps(theta) = c*theta^2: a pi pulse gains generator offset c*pi^2/2
         c = mpf("0.01")
-        model = PolyOverRotation((0, 0, c))
+        model = AxisOverRotation((0, 0, c))
         p = make_pulse()
         got = model.realize(p)
         want = su2.from_generator(X, pi / 2 + c * pi**2 / 2)
@@ -82,26 +81,24 @@ class TestPolyOverRotation:
 
     def test_depends_on_unsigned_angle(self):
         c = mpf("0.02")
-        model = PolyOverRotation((0, 0, c))
+        model = AxisOverRotation((0, 0, c))
         fwd = make_pulse(alpha_pi=Fraction(1, 3), role=Role.CORRECTION, channel="pi3")
         assert invert_model_consistency(model, fwd)
 
     def test_constant_term_offsets_all_pulses(self):
-        model = PolyOverRotation((mpf("0.05"),))
+        model = AxisOverRotation((mpf("0.05"),))
         p = make_pulse(alpha_pi=Fraction(1, 6))
         got = model.realize(p)
         assert q_close(got, su2.from_generator(X, pi / 6 + mpf("0.025")))
 
-
-class TestAxisOverRotation:
     def test_named_axis_uses_its_polynomial(self):
-        model = AxisOverRotation(base=(0,), per_axis={"y": (0, mpf("0.1"))})
+        model = AxisOverRotation(coeffs=(0,), per_axis={"y": (0, mpf("0.1"))})
         p = make_pulse(axis=Y)
         got = model.realize(p)
         assert q_close(got, su2.from_generator(Y, pi / 2 * mpf("1.1")))
 
     def test_unknown_axis_falls_back_to_base(self):
-        model = AxisOverRotation(base=(0, mpf("0.2")), per_axis={"y": (0,)})
+        model = AxisOverRotation(coeffs=(0, mpf("0.2")), per_axis={"y": (0,)})
         diag = su2.unit_vector((1, 1, 0))
         p = make_pulse(axis=diag)
         got = model.realize(p)
@@ -109,14 +106,14 @@ class TestAxisOverRotation:
 
     def test_negative_rotation_matches_negated_axis_name(self):
         # a negative-angle pulse about y is a positive rotation about -y
-        model = AxisOverRotation(base=(0,), per_axis={"-y": (0, mpf("0.1"))})
+        model = AxisOverRotation(coeffs=(0,), per_axis={"-y": (0, mpf("0.1"))})
         p = make_pulse(axis=Y, alpha_pi=Fraction(-1, 2), role=Role.TARGET)
         got = model.realize(p)
         assert q_close(got, su2.from_generator(Y, -pi / 2 * mpf("1.1")))
 
     def test_rejects_unknown_axis_name(self):
         with pytest.raises(ModelConfigError):
-            AxisOverRotation(base=(0,), per_axis={"w": (0,)})
+            AxisOverRotation(coeffs=(0,), per_axis={"w": (0,)})
 
 
 class TestCovariantVector:
@@ -237,7 +234,7 @@ class TestInvertModelConsistency:
         "model",
         [
             LinearOverRotation(mpf("0.07")),
-            PolyOverRotation((0, mpf("0.01"), mpf("0.003"))),
+            AxisOverRotation((0, mpf("0.01"), mpf("0.003"))),
             CovariantVector.constant((mpf("0.01"), mpf("0.02"), mpf("-0.01"))),
             AxisDependentPi3(mpf("0.01"), mpf("0.02")),
         ],
@@ -262,9 +259,45 @@ class TestInvertModelConsistency:
 
     @given(st.fractions(min_value=Fraction(1, 12), max_value=Fraction(2, 1)))
     def test_poly_invertible_for_random_angles(self, alpha_pi):
-        model = PolyOverRotation((mpf("0.01"), mpf("0.005"), mpf("0.002")))
+        model = AxisOverRotation((mpf("0.01"), mpf("0.005"), mpf("0.002")))
         p = make_pulse(alpha_pi=alpha_pi)
         assert invert_model_consistency(model, p)
+
+
+# Coefficients as decimal text of up to 73 significant digits, magnitude in
+# [1e-40, 0.49) or zero; models are built from them at the working precision.
+NUMBER = st.one_of(
+    st.just("0"),
+    st.builds(
+        "{}0.{}{}e{}".format,
+        st.sampled_from(["", "-"]),
+        st.integers(10, 48),
+        st.integers(0, 10**70),
+        st.integers(-39, 0),
+    ),
+)
+COEFFS = st.lists(NUMBER, min_size=1, max_size=4)
+ANY_MODEL = st.one_of(
+    st.builds(lambda eps: lambda: LinearOverRotation(eps), NUMBER),
+    st.builds(
+        lambda c, per_axis: lambda: AxisOverRotation(c, per_axis),
+        COEFFS,
+        st.dictionaries(st.sampled_from(["x", "-x", "y", "-y", "z", "-z"]), COEFFS),
+    ),
+    st.builds(lambda dx, dy, dz: lambda: CovariantVector(dx, dy, dz), COEFFS, COEFFS, COEFFS),
+    st.builds(
+        lambda d, r, swap: lambda: _axisdep(d, r, swap),
+        NUMBER,
+        st.sampled_from(["0.2", "-0.5", "0.7312", "-1"]),
+        st.booleans(),
+    ),
+)
+
+
+def _axisdep(delta, ratio, swap):
+    # |deltahat/delta| is ratio or its inverse, inside the axisdep ratio rule
+    pair = (mpf(delta), mpf(delta) * mpf(ratio))
+    return AxisDependentPi3(*(pair[::-1] if swap else pair))
 
 
 class TestParseModel:
@@ -275,8 +308,13 @@ class TestParseModel:
 
     def test_poly(self):
         model = parse_model("model=poly coeffs=0,0.01,0.003")
-        assert isinstance(model, PolyOverRotation)
-        assert model.coeffs == (mpf(0), mpf("0.01"), mpf("0.003"))
+        assert model == AxisOverRotation((0, mpf("0.01"), mpf("0.003")))
+        assert model.per_axis == {}
+
+    def test_poly_per_axis_keys(self):
+        model = parse_model("model=poly coeffs=0,0.01 y=0,0.02 -x=0.001")
+        assert model.coeffs == (mpf(0), mpf("0.01"))
+        assert model.per_axis == {"y": (mpf(0), mpf("0.02")), "-x": (mpf("0.001"),)}
 
     def test_vector_with_semicolons(self):
         model = parse_model("model=vector dx=0.01;dy=0;dz=0.002")
@@ -304,6 +342,12 @@ class TestParseModel:
             "model=linear eps=0.6",
             "model=axisdep delta=0.4 deltahat=0.6",
             "model=linear eps=0.1 eps=0.2",
+            "model=linear eps=0.1,0.2",
+            "model=poly y=0.1",
+            "model=poly coeffs=0 w=0.1",
+            "model=poly coeffs=0 -y=0,0.6",
+            "model=poly coeffs=0 y=0.1 y=0.2",
+            "model=vector dx=0.1;dy=nan",
         ],
     )
     def test_rejects_malformed_configs(self, text):
@@ -321,9 +365,32 @@ class TestParseModel:
         for text in (
             "model=linear eps=0.01",
             "model=poly coeffs=0,0.01",
+            "model=poly coeffs=0,0.01 y=0,0.02 -z=0.003",
             "model=vector dx=0.01;dy=0;dz=0.002",
             "model=axisdep delta=0.01 deltahat=0.02",
         ):
             model = parse_model(text)
             again = parse_model("model=" + describe(model))
             assert again == model
+
+    def test_describe_prints_the_config_text(self):
+        mp.dps = 60
+        for text in (
+            "linear eps=0.01",
+            "linear eps=0.123456789",
+            "poly coeffs=0.0,0.01,0.003",
+            "poly coeffs=-1.0e-40 x=0.25 -y=0.0,0.02",
+            "vector dx=0.01;dy=0.0;dz=-0.002",
+            "axisdep delta=0.01 deltahat=0.02",
+        ):
+            assert describe(parse_model("model=" + text)) == text
+        model = PerChannel({"target": LinearOverRotation(mpf("0.1")), "pi3": None})
+        assert describe(model) == "channels[pi3: none | target: linear eps=0.1]"
+
+    @pytest.mark.parametrize("digits", [16, 60])
+    @given(ANY_MODEL)
+    def test_describe_is_exact_inverse_of_parse(self, digits, build):
+        mp.dps = digits
+        model = build()
+        assert parse_model("model=" + describe(model)) == model
+

@@ -62,14 +62,21 @@ class ScanResult:
         return tuple(getattr(r, name) for r in self.rows)
 
 
+# Most points a grid may hold; every scan evaluates the sequence once per point.
+MAX_SCALES = 10_000
+
+
 def default_scales(lo="1e-4", hi="1e-1", per_decade: int = 9) -> tuple:
-    """Logarithmic grid from hi down to lo, ``per_decade`` points per decade."""
+    """Logarithmic grid from hi down to lo, ``per_decade`` points per decade,
+    at most ``MAX_SCALES`` points."""
     lo, hi = mpf(lo), mpf(hi)
     if not (0 < lo < hi) or per_decade < 1:
         raise ValueError("need 0 < lo < hi and at least one point per decade")
     top = log10(hi)
     decades = log10(hi / lo)
     n = int(floor(decades * per_decade + mpf("0.5")))
+    if n + 1 > MAX_SCALES:
+        raise ValueError(f"grid of {n + 1} points exceeds the limit of {MAX_SCALES}")
     return tuple(mpf(10) ** (top - mpf(k) / per_decade) for k in range(n + 1))
 
 

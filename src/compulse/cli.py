@@ -6,9 +6,11 @@ reports a log-log slope, ``expand`` extracts a series coefficient,
 ``plan`` runs the correction-axis planner, and ``table`` prints the
 reference infidelity table.
 
-Exit codes: 0 success, 2 configuration or parse errors, 3 numeric-domain
-errors (principal-branch overflow, degenerate directions, unreachable
-goals, too few fit points).
+Exit codes: 0 success, 2 configuration or parse errors (a ``concat:``
+chain over ``sequences.MAX_PULSES`` and a ``--grid`` over
+``analysis.MAX_SCALES`` included), 3 numeric-domain errors
+(principal-branch overflow, degenerate directions, unreachable goals, too
+few fit points).
 """
 
 from __future__ import annotations
@@ -69,9 +71,13 @@ def _load_sequence(args) -> sequences.PulseSequence:
 def _parse_grid(spec: str):
     try:
         lo, hi, per = spec.split(":")
-        return default_scales(lo, hi, int(per))
+        per = int(per)
     except ValueError as exc:
         raise SequenceError(f"bad grid {spec!r}: expected lo:hi:per_decade") from exc
+    try:
+        return default_scales(lo, hi, per)
+    except ValueError as exc:
+        raise SequenceError(f"bad grid {spec!r}: {exc}") from exc
 
 
 def _parse_orders_spec(spec: str) -> dict:

@@ -155,7 +155,10 @@ class Pulse:
     error-model channel ("target", "pi3", or "perfect").
 
     The unit lab axis and the angle in radians are derived on first use
-    and kept until the working precision changes.
+    and kept until the working precision changes.  The dagger partner is
+    kept the same way: at a fixed precision ``p.daggered().daggered() is
+    p``.  With :func:`parse` loading identical pulse lines as one shared
+    pulse, a deep chain holds a few dozen distinct pulse objects.
     """
 
     frame: FrameTriad
@@ -164,6 +167,7 @@ class Pulse:
     role: Role
     channel: str
     _geometry: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _dagger: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "axis_in_frame", su2.tighten_axis(self.axis_in_frame))
@@ -204,7 +208,16 @@ class Pulse:
         return self.daggered() if self.role.is_dagger else self
 
     def daggered(self) -> "Pulse":
-        return replace(self, alpha_pi=-self.alpha_pi, role=self.role.partner)
+        cached = self._dagger
+        if cached is not None and cached[0] == mp.prec:
+            return cached[1]
+        partner = replace(self, alpha_pi=-self.alpha_pi, role=self.role.partner)
+        object.__setattr__(self, "_dagger", (mp.prec, partner))
+        # A pulse stored at lower precision gets a re-tightened axis in its
+        # partner; that partner's own dagger must keep the tightened axis.
+        if partner.axis_in_frame == self.axis_in_frame:
+            object.__setattr__(partner, "_dagger", (mp.prec, self))
+        return partner
 
 
 @dataclass(frozen=True)
@@ -298,12 +311,10 @@ def pi3_correct(inner: PulseSequence, axis: Iterable) -> PulseSequence:
     sixth = Fraction(1, 6)
 
     c0 = Pulse(f_id, axis, sixth, Role.CORRECTION, "pi3")
-    c0d = Pulse(f_id, axis, -sixth, Role.CORRECTION_DAGGER, "pi3")
     ct = Pulse(f_u, axis, sixth, Role.CORRECTION, "pi3")
-    ctd = Pulse(f_u, axis, -sixth, Role.CORRECTION_DAGGER, "pi3")
     inner_dagger = inner.daggered().pulses
 
-    pulses = (c0d, *inner.pulses, ct, *inner_dagger, c0, *inner.pulses, ctd)
+    pulses = (c0.daggered(), *inner.pulses, ct, *inner_dagger, c0, *inner.pulses, ct.daggered())
     return PulseSequence(inner.target, pulses, name=f"pi3({_axis_label(axis)})∘{inner.name or 'seq'}")
 
 
@@ -462,12 +473,23 @@ def _about_x(builder, sym: bool = False):
     return build
 
 
+# Most pulses a built chain may hold: 12 pi/3 levels on one pulse,
+# orders.pulse_count(12).  Checked in closed form before building, so a
+# deep concat: spec fails at once instead of exhausting memory.
+MAX_PULSES = 3**13 - 2
+
+
 def _chain(axes: str, base: str = "naive"):
     """Table row for pi/3 corrections about ``axes`` (leftmost innermost)
     concatenated onto the builtin ``base``."""
 
     def build(target: Gate) -> PulseSequence:
         seq = build_builtin(base, target)
+        flat = 3 ** len(axes) * (len(seq.pulses) + 2) - 2
+        if flat > MAX_PULSES:
+            raise SequenceError(
+                f"{len(axes)} pi/3 levels on {base} make {flat} pulses; the limit is {MAX_PULSES}"
+            )
         for letter in axes:
             seq = pi3_correct(seq, LAB_AXES[letter.upper()])
         return seq
@@ -555,18 +577,26 @@ def serialize(seq: PulseSequence) -> str:
         + " "
         + _format_fraction(t.alpha_pi)
     )
+    formatted = {}  # id(pulse) -> its line; seq.pulses keeps every id alive
     for p in seq.pulses:
-        parts = (
-            ["pulse"]
-            + [format_scalar(c) for c in p.axis_in_frame]
-            + [_format_fraction(p.alpha_pi), p.role.value, p.channel]
-        )
-        if not p.frame.is_exact_identity():
-            parts.append("frame")
-            for v in (p.frame.ex, p.frame.ey, p.frame.ez):
-                parts.extend(format_scalar(c) for c in v)
-        lines.append(" ".join(parts))
+        line = formatted.get(id(p))
+        if line is None:
+            line = formatted[id(p)] = _format_pulse(p)
+        lines.append(line)
     return "\n".join(lines) + "\n"
+
+
+def _format_pulse(p: Pulse) -> str:
+    parts = (
+        ["pulse"]
+        + [format_scalar(c) for c in p.axis_in_frame]
+        + [_format_fraction(p.alpha_pi), p.role.value, p.channel]
+    )
+    if not p.frame.is_exact_identity():
+        parts.append("frame")
+        for v in (p.frame.ex, p.frame.ey, p.frame.ez):
+            parts.extend(format_scalar(c) for c in v)
+    return " ".join(parts)
 
 
 def _tokenize(line: str):
@@ -608,12 +638,14 @@ _NAME_PREFIX = "# sequence:"
 def parse(text: str) -> PulseSequence:
     """Parse the line-oriented sequence format; errors carry line and column.
 
-    Pulses whose frame blocks have the same nine tokens share one
-    :class:`FrameTriad`.
+    Pulse lines with the same tokens (whatever their spacing or trailing
+    comment) load as one shared :class:`Pulse`, and pulses whose frame
+    blocks have the same nine tokens share one :class:`FrameTriad`.
     """
     target = None
     pulses = []
     name = ""
+    made = {}  # tokens after "pulse" -> the Pulse they built
     frames = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if target is None and not name and raw.lstrip().startswith(_NAME_PREFIX):
@@ -638,6 +670,10 @@ def parse(text: str) -> PulseSequence:
         elif head == "pulse":
             if target is None:
                 raise DslError("pulse before target line", lineno, head_col)
+            line_key = tuple(t for t, _ in toks[1:])
+            if line_key in made:
+                pulses.append(made[line_key])
+                continue
             if len(toks) not in (7, 17):
                 raise DslError(
                     "pulse needs axis, angle, role, channel and optionally 'frame' + 9 numbers",
@@ -667,10 +703,11 @@ def parse(text: str) -> PulseSequence:
                         raise DslError(str(exc), lineno, kw_col) from None
                     frames[key] = frame
             try:
-                pulses.append(Pulse(frame, axis, alpha, role, channel_tok))
+                made[line_key] = Pulse(frame, axis, alpha, role, channel_tok)
             except (su2.InvalidAxisError, SequenceError) as exc:
                 col = channel_col if "channel" in str(exc) else toks[1][1]
                 raise DslError(str(exc), lineno, col) from None
+            pulses.append(made[line_key])
         else:
             raise DslError(f"unknown directive {head!r}", lineno, head_col)
     if target is None:

@@ -7,6 +7,7 @@ from mpmath import fabs, mp, mpf, sqrt
 from compulse import su2
 from compulse.analysis import (
     _STENCIL_OFFSETS,
+    MAX_SCALES,
     DegenerateDirectionError,
     FitError,
     component_scan,
@@ -44,6 +45,11 @@ class TestDefaultScales:
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
             default_scales("1e-1", "1e-4")
+
+    def test_point_limit(self):
+        assert len(default_scales("1e-4", "1e-1", 3333)) == MAX_SCALES
+        with pytest.raises(ValueError, match="limit"):
+            default_scales("1e-4", "1e-1", 3334)
 
 
 class TestComponentScan:

@@ -1,5 +1,6 @@
 import re
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -218,6 +219,10 @@ BAD_INPUTS = {
         "--orders", "ex=1,ex=2", "--component", "x",
     ),
     "grid-zero": ("scan", "--seq", "naive", "--model", "model=linear eps=0.1", "--grid", "1e-4:1e-1:0"),
+    "grid-too-many-points": (
+        "scan", "--seq", "b2", "--model", "model=linear eps=0.01", "--grid", "1e-4:2e-4:1000000000",
+    ),
+    "concat-too-deep": ("build", "--seq", "concat:XYZXYZXYZXYZX"),
     "file-not-utf8": ("simulate", "--file", "{bad_utf8}", "--model", "model=linear eps=0.1"),
 }
 
@@ -233,6 +238,13 @@ class TestBadInput:
         assert out == ""
         assert err.startswith("compulse: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key", ["grid-too-many-points", "concat-too-deep"])
+    def test_oversized_input_fails_at_once(self, capsys, key):
+        start = time.perf_counter()
+        code, _, err = run(capsys, *BAD_INPUTS[key])
+        assert code == 2 and "limit" in err
+        assert time.perf_counter() - start < 1
 
     def test_non_utf8_file_reports_position(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"

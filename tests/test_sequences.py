@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from compulse.error_models import AxisDependentPi3, CovariantVector, LinearOverR
 from compulse.precision import unit_tolerance, working_digits
 from compulse.sequences import (
     BUILTIN_NAMES,
+    MAX_PULSES,
     DslError,
     FrameTriad,
     Gate,
@@ -44,6 +46,32 @@ def assert_sound(seq, tol=None):
     tol = tol if tol is not None else unit_tolerance()
     got = evaluate(seq, None)
     assert su2.infidelity(seq.ideal_unitary(), got) <= tol
+
+
+def _tilted_correction() -> Pulse:
+    return Pulse(FrameTriad.identity(), su2.unit_vector((1, 2, 3)), Fraction(1, 6), Role.CORRECTION, "pi3")
+
+
+class TestPulseDagger:
+    def test_partner_is_kept_at_a_fixed_precision(self):
+        p = _tilted_correction()
+        q = p.daggered()
+        assert q is p.daggered()
+        assert q.daggered() is p
+        assert (q.alpha_pi, q.role) == (-p.alpha_pi, Role.CORRECTION_DAGGER)
+
+    def test_partner_at_higher_precision_matches_a_fresh_replace(self):
+        with working_digits(16):
+            p = _tilted_correction()
+        with working_digits(60):
+            q = p.daggered()
+            fresh = replace(p, alpha_pi=-p.alpha_pi, role=p.role.partner)
+            assert q == fresh
+            assert [c._mpf_ for c in q.axis_in_frame] == [c._mpf_ for c in fresh.axis_in_frame]
+            assert q.axis_in_frame != p.axis_in_frame  # re-tightened at 60 digits
+            back = q.daggered()
+            assert back is not p
+            assert [c._mpf_ for c in back.axis_in_frame] == [c._mpf_ for c in q.axis_in_frame]
 
 
 class TestGateAndTarget:
@@ -101,6 +129,18 @@ class TestPi3Correct:
         for p in conjugated:
             for got_v, want_v in zip((p.frame.ex, p.frame.ey, p.frame.ez), (f_u.ex, f_u.ey, f_u.ez)):
                 assert all(fabs(a - b) <= mpf("1e-15") for a, b in zip(got_v, want_v))
+
+    def test_deep_chain_shares_pulse_objects(self):
+        seq = build_builtin("concat:XYZXYZXYZX")
+        assert len(seq.pulses) == 177145
+        assert len({id(p) for p in seq.pulses}) <= 100
+
+    @pytest.mark.parametrize(
+        "spec", ["concat:XYZXYZXYZXYZX", "concat:XYZXYZXYZX:b4sym", "concat:" + "X" * 20]
+    )
+    def test_chain_beyond_pulse_limit_is_refused_before_building(self, spec):
+        with pytest.raises(SequenceError, match=f"the limit is {MAX_PULSES}"):
+            build_builtin(spec)
 
     def test_deep_concatenation_sound(self):
         seq = build_builtin("concat:XYZ", Z_PI)
@@ -426,6 +466,29 @@ class TestDsl:
         distinct = {(p.frame.ex, p.frame.ey, p.frame.ez) for p in seq.pulses}
         assert len({id(p.frame) for p in back.pulses}) == len(distinct) > 1
         assert all(p.frame is FrameTriad.identity() for p in back.pulses if p.frame.is_exact_identity())
+
+    def test_identical_pulse_lines_load_as_one_pulse(self):
+        text = serialize(build_builtin("concat:XZXYXY", parse_target("y-pi/2")))
+        pulse_lines = [line for line in text.splitlines() if line.startswith("pulse")]
+        seq = parse(text)
+        assert len(seq.pulses) == len(pulse_lines) == 2185
+        assert len({id(p) for p in seq.pulses}) == len(set(pulse_lines)) == 14
+
+    def test_spacing_and_trailing_comments_do_not_split_a_shared_pulse(self):
+        text = (
+            "target 1 0 0 1/2\n"
+            "pulse 1 0 0 1/2 target target\n"
+            "pulse  1 0  0 1/2 target\ttarget   # again\n"
+            "pulse 1 0 0 1/2 target target#again\n"
+        )
+        a, b, c = parse(text).pulses
+        assert a is b is c
+
+    def test_repeated_bad_line_fails_at_its_first_occurrence(self):
+        bad = "pulse 1 0 0 1/2 target radio\n"
+        with pytest.raises(DslError) as err:
+            parse("target 1 0 0 1/2\npulse 1 0 0 1/2 target target\n" + bad + bad)
+        assert (err.value.line, err.value.column) == (3, 24)
 
     def test_comments_and_blank_lines_ignored(self):
         text = "# a comment\n\ntarget 1.0 0.0 0.0 1/2\npulse 1.0 0.0 0.0 1/2 target target # trailing\n"

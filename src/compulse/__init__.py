@@ -52,7 +52,6 @@ from .error_models import (
     LinearOverRotation,
     ModelConfigError,
     PerChannel,
-    invert_model_consistency,
     parse_model,
 )
 from .orders import (

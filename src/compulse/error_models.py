@@ -32,12 +32,13 @@ number exact at the working precision, so it parses back to an equal model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Optional, Tuple
 
 from mpmath import fabs, mp, mpf, nstr
 
 from . import su2
-from .precision import unit_tolerance
+from .precision import unit_tolerance  # noqa: F401 -- benchmarks/test_tracer.py checks this alias
 from .su2 import BranchError, Unitary, Vec3
 
 if TYPE_CHECKING:
@@ -83,11 +84,22 @@ class ErrorModel:
 
         ``scale`` multiplies every model coefficient, so scans can sweep a
         base error magnitude with the model shape fixed.
+
+        The pulse keeps its last realization: a repeat call with this same
+        model object, this same ``scale`` object and the same ``mp.prec``
+        returns the stored unitary.  Models are immutable values, so the
+        identity of the two objects fixes the result.
         """
+        memo = pulse._realized
+        if memo is not None and memo[0] is self and memo[1] is scale and memo[2] == mp.prec:
+            return memo[3]
         axis, alpha = pulse.unit_axis(), pulse.alpha()
         if pulse.role.is_dagger:
-            return su2.dagger(self._forward(pulse, axis, -alpha, mpf(scale)))
-        return self._forward(pulse, axis, alpha, mpf(scale))
+            u = su2.dagger(self._forward(pulse, axis, -alpha, mpf(scale)))
+        else:
+            u = self._forward(pulse, axis, alpha, mpf(scale))
+        object.__setattr__(pulse, "_realized", (self, scale, mp.prec, u))
+        return u
 
     def _forward(self, pulse: "Pulse", axis: Vec3, alpha: mpf, scale: mpf) -> Unitary:
         """Corrupted forward pulse: ``axis`` is the unit lab axis and
@@ -96,8 +108,14 @@ class ErrorModel:
 
 
 def _over_rotated(axis: Vec3, alpha: mpf, offset: mpf) -> Unitary:
-    """exp(i*(|alpha| + offset)*sign(alpha)*(axis.sigma))."""
+    """exp(i*(|alpha| + offset)*sign(alpha)*(axis.sigma)).
+
+    An angle of 2**mp.prec radians or more has no bit of its phase mod 2*pi
+    left, so it raises :class:`BranchError` instead of reducing it.
+    """
     mag = fabs(alpha) + offset
+    if fabs(mag) >= mp.ldexp(1, mp.prec):
+        raise BranchError(f"over-rotated angle {nstr(mag, 5)} reaches 2**{mp.prec} radians: no phase bit left")
     g = mag if alpha >= 0 else -mag
     return su2.rotation(axis, g)
 
@@ -120,7 +138,8 @@ class AxisOverRotation(ErrorModel):
     """eps(theta) = sum_k coeffs[k] * theta**k, optionally per named axis.
 
     ``per_axis`` maps axis names ("x", "-y", ...) to coefficient tuples;
-    pulses about other axes use ``coeffs``.
+    pulses about other axes use ``coeffs``.  It is stored read-only, so the
+    model stays the immutable value that :meth:`ErrorModel.realize` assumes.
     """
 
     coeffs: Coeffs
@@ -133,7 +152,7 @@ class AxisOverRotation(ErrorModel):
             if key not in NAMED_AXES:
                 raise ModelConfigError(f"unknown axis name {key!r}")
             fixed[key] = _as_coeffs(coeffs)
-        object.__setattr__(self, "per_axis", fixed)
+        object.__setattr__(self, "per_axis", MappingProxyType(fixed))
 
     def _coeffs_for(self, axis: Vec3, alpha: mpf) -> Coeffs:
         if alpha < 0:
@@ -218,15 +237,6 @@ class PerChannel(ErrorModel):
         if model is None:
             return pulse.ideal_unitary()
         return model.realize(pulse, scale)
-
-
-def invert_model_consistency(model: ErrorModel, pulse: "Pulse") -> bool:
-    """Check realize(inverse pulse) == dagger(realize(pulse)) within the
-    working-precision tolerance."""
-    inv = model.realize(pulse.daggered())
-    dag = su2.dagger(model.realize(pulse))
-    tol = unit_tolerance()
-    return all(fabs(a - b) <= tol for a, b in zip(inv, dag))
 
 
 # ---------------------------------------------------------------------------

@@ -158,7 +158,10 @@ class Pulse:
     and kept until the working precision changes.  The dagger partner is
     kept the same way: at a fixed precision ``p.daggered().daggered() is
     p``.  With :func:`parse` loading identical pulse lines as one shared
-    pulse, a deep chain holds a few dozen distinct pulse objects.
+    pulse, a deep chain holds a few dozen distinct pulse objects.  Each
+    keeps its last realization per (model, scale, precision), so
+    :func:`evaluate` corrupts a repeated pulse once (see
+    :meth:`ErrorModel.realize`).
     """
 
     frame: FrameTriad
@@ -168,6 +171,7 @@ class Pulse:
     channel: str
     _geometry: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
     _dagger: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _realized: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "axis_in_frame", su2.tighten_axis(self.axis_in_frame))

@@ -1,10 +1,15 @@
-"""Independent dense-matrix oracles for the quaternion kernels.
+"""Independent oracles for the quaternion kernels and the error models.
 
-Everything here goes through numpy 2x2 complex matrices at double
+The matrix oracles go through numpy 2x2 complex matrices at double
 precision, deliberately sharing no code with the library under test.
+:func:`invert_model_consistency` checks a model at the working precision
+through nothing but its ``realize``.
 """
 
 import numpy as np
+from mpmath import fabs
+
+from compulse.precision import unit_tolerance
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -59,3 +64,12 @@ def trace_distance_phase_swept(ideal, actual, n_phases=1001, stages=5) -> float:
         center, best = sweep(center, halfwidth)
         halfwidth *= 4.0 / n_phases
     return float(best)
+
+
+def invert_model_consistency(model, pulse) -> bool:
+    """Check realize(inverse pulse) == dagger(realize(pulse)) within the
+    working-precision tolerance; the dagger of w + i(x, y, z) is w - i(x, y, z)."""
+    inv = model.realize(pulse.daggered())
+    w, x, y, z = model.realize(pulse)
+    tol = unit_tolerance()
+    return all(fabs(a - b) <= tol for a, b in zip(inv, (w, -x, -y, -z)))

@@ -246,6 +246,15 @@ class TestBadInput:
         assert code == 2 and "limit" in err
         assert time.perf_counter() - start < 1
 
+    def test_over_rotation_beyond_the_precision_is_a_domain_error_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "simulate", "--seq", "naive", "--model", "model=linear eps=0.1", "--eps", "1e999999999999"
+        )
+        assert code == 3 and out == ""
+        assert err.startswith("compulse: ") and err.count("\n") == 1
+        assert time.perf_counter() - start < 1
+
     def test_non_utf8_file_reports_position(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_bytes(b"target 1 0 0 1/2\npulse 1 0 0 1/2 target \xfftarget\n")

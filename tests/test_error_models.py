@@ -1,3 +1,5 @@
+import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,13 +17,14 @@ from compulse.error_models import (
     ModelConfigError,
     PerChannel,
     describe,
-    invert_model_consistency,
     parse_model,
 )
-from compulse.precision import unit_tolerance
-from compulse.sequences import FrameTriad, Gate, Pulse, Role
+from compulse.analysis import component_scan
+from compulse.precision import unit_tolerance, working_digits
+from compulse.sequences import FrameTriad, Gate, Pulse, Role, naive
 
 import oracles
+from oracles import invert_model_consistency
 
 X = (1, 0, 0)
 Y = (0, 1, 0)
@@ -69,6 +72,30 @@ class TestLinearOverRotation:
         assert fabs(ratios[0] / ratios[1] - 1) < mpf("0.01")
 
 
+class TestOverRotationBound:
+    @pytest.mark.parametrize("digits", [16, 60])
+    def test_angle_beyond_the_precision_raises_at_once(self, digits):
+        with working_digits(digits):
+            p = make_pulse()  # pi pulse: the angle is (1 + scale) * pi/2
+            model = LinearOverRotation(1)
+            start = time.perf_counter()
+            for scale in (mpf("1e999999999999"), mpf(2) ** mp.prec, -mpf(2) ** (mp.prec + 1)):
+                with pytest.raises(su2.BranchError, match="no phase bit left"):
+                    model.realize(p, scale)
+            assert time.perf_counter() - start < 1
+            below = mpf(2) ** (mp.prec - 2)
+            assert q_close(model.realize(p, below), su2.from_generator(X, (1 + below) * pi / 2))
+
+    @pytest.mark.parametrize("digits", [16, 60])
+    def test_scan_flags_the_row(self, digits):
+        with working_digits(digits):
+            seq = naive(Gate(X, Fraction(1, 2)))
+            rows = component_scan(seq, LinearOverRotation(1), ["1e-3", "1e999999999999"]).rows
+        # rows run from the largest scale down
+        assert rows[0].error and rows[0].infidelity is None
+        assert rows[1].error is None and rows[1].infidelity > 0
+
+
 class TestAxisOverRotation:
     def test_quadratic_angle_dependence(self):
         # eps(theta) = c*theta^2: a pi pulse gains generator offset c*pi^2/2
@@ -114,6 +141,14 @@ class TestAxisOverRotation:
     def test_rejects_unknown_axis_name(self):
         with pytest.raises(ModelConfigError):
             AxisOverRotation(coeffs=(0,), per_axis={"w": (0,)})
+
+    def test_per_axis_is_read_only(self):
+        model = parse_model("model=poly coeffs=0,0.01 y=0,0.02 -z=0.003")
+        with pytest.raises(TypeError):
+            model.per_axis["x"] = (mpf("0.1"),)
+        with pytest.raises(TypeError):
+            del model.per_axis["y"]
+        assert parse_model("model=" + describe(model)) == model
 
 
 class TestCovariantVector:
@@ -164,6 +199,38 @@ class TestCovariantVector:
         model = CovariantVector.constant((2, 0, 0))
         with pytest.raises(su2.BranchError):
             model.realize(make_pulse())
+
+
+class TestRealizeMemo:
+    def test_alternating_models_scales_and_precisions_match_fresh_pulses(self):
+        with working_digits(16):
+            frame = FrameTriad.from_unitary(su2.from_generator(Z, mpf("0.8")))
+            p = Pulse(frame, su2.unit_vector((1, 2, 3)), Fraction(1, 6), Role.CORRECTION, "pi3")
+            models = (LinearOverRotation(mpf("0.1")), CovariantVector.constant((mpf("0.01"), 0, mpf("-0.02"))))
+            scales = (mpf("0.5"), mpf("1e-4"))
+            # every step changes one of digits, model and scale; each is taken twice
+            walk = [(m, s) for i, m in enumerate(models) for s in (scales if i % 2 == 0 else scales[::-1])]
+            cases = [
+                (d, m, s) for i, d in enumerate((16, 60, 16)) for m, s in (walk if i % 2 == 0 else walk[::-1])
+                for _ in range(2)
+            ]
+            fresh = [replace(p) for _ in cases]
+        for (digits, model, scale), q in zip(cases, fresh):
+            with working_digits(digits):
+                for pulse, copy in ((p, q), (p.daggered(), q.daggered())):
+                    assert model.realize(pulse, scale) == model.realize(copy, scale)
+
+    def test_branch_error_is_raised_on_every_call(self):
+        model = CovariantVector.constant((1, 0, 0))
+        p = make_pulse()
+        good, bad = mpf("0.01"), mpf(2)
+        first = model.realize(p, good)
+        for _ in range(3):
+            with pytest.raises(su2.BranchError):
+                model.realize(p, bad)
+        assert model.realize(p, good) is first
+        other = mpf("0.02")
+        assert model.realize(p, other) == model.realize(replace(p), other)
 
 
 class TestAxisDependentPi3:

@@ -2,12 +2,19 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import fabs, mp, mpf, pi
 
 from compulse import su2
-from compulse.error_models import AxisDependentPi3, CovariantVector, LinearOverRotation, PerChannel
+from compulse.error_models import (
+    AxisDependentPi3,
+    AxisOverRotation,
+    CovariantVector,
+    ErrorModel,
+    LinearOverRotation,
+    PerChannel,
+)
 from compulse.precision import unit_tolerance, working_digits
 from compulse.sequences import (
     BUILTIN_NAMES,
@@ -364,6 +371,78 @@ pulse 1 0 0 -1/2 target_dagger target
 pulse 0 0 1 1/3 correction target frame 0 1 0 -1 0 0 0 0 1
 pulse 0 1 0 -1/6 correction_dagger pi3 frame 1 0 0 0 -1 0 0 0 -1
 """
+
+
+# One model of each kind with base coefficient c, built at the working precision.
+_MODEL_KINDS = {
+    "linear": lambda c: LinearOverRotation(c),
+    "poly": lambda c: AxisOverRotation((c, c / 3), {"y": (0, 2 * c), "-x": (c / 5,)}),
+    "vector": lambda c: CovariantVector((c,), (-c / 2, c / 4), (c / 7,)),
+    "axisdep": lambda c: AxisDependentPi3(c, 2 * c),
+    "perchannel": lambda c: PerChannel(
+        {"target": CovariantVector.constant((c, -c, c / 3)), "pi3": AxisDependentPi3(c, c / 2)}
+    ),
+}
+
+
+def _fresh_copies(seq: PulseSequence) -> PulseSequence:
+    """``seq`` rebuilt from one never-realized pulse object per position."""
+    return PulseSequence(seq.target, tuple(replace(p) for p in seq.pulses), seq.name)
+
+
+def _count_calls(monkeypatch, cls, name) -> list:
+    calls = []
+    original = getattr(cls, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+class TestRealizeMemo:
+    @pytest.mark.parametrize("digits", [16, 60])
+    @settings(max_examples=8)
+    @given(
+        axes=st.text(alphabet="XYZ", min_size=1, max_size=4),
+        base_target=st.sampled_from([("naive", "x-pi"), ("naive", "z-pi"), ("naive", "y-pi/2"), ("b2", "x-pi")]),
+        kinds=st.lists(st.sampled_from(sorted(_MODEL_KINDS)), min_size=1, max_size=2, unique=True),
+        coeff=st.sampled_from(["0.02", "-0.013", "0.0007"]),
+        scales=st.lists(st.sampled_from(["1", "0.3", "1e-3", "1e-9"]), min_size=1, max_size=2, unique=True),
+    )
+    def test_evaluate_matches_fresh_pulse_objects(self, digits, axes, base_target, kinds, coeff, scales):
+        base, target = base_target
+        with working_digits(digits):
+            seq = build_builtin(f"concat:{axes}:{base}", parse_target(target))
+            models = [_MODEL_KINDS[k](mpf(coeff)) for k in kinds]
+            objects = [mpf(s) for s in scales]
+            # every step changes the model or the scale, never both; each is taken twice
+            walk = [(m, s) for i, m in enumerate(models) for s in (objects if i % 2 == 0 else objects[::-1])]
+            want = {(id(m), id(s)): evaluate(_fresh_copies(seq), m, s) for m, s in walk}
+            for model, scale in [step for step in walk + walk[::-1] for _ in range(2)]:
+                assert evaluate(seq, model, scale) == want[id(model), id(scale)]
+
+    def test_one_forward_corruption_per_distinct_pulse(self, monkeypatch):
+        seq = build_builtin("concat:XYYXY")
+        distinct = len({id(p) for p in seq.pulses})
+        assert (len(seq.pulses), distinct) == (727, 22)
+        realized = _count_calls(monkeypatch, ErrorModel, "realize")
+        forward = _count_calls(monkeypatch, LinearOverRotation, "_forward")
+        evaluate(seq, LinearOverRotation(1), mpf("1e-3"))
+        assert (len(realized), len(forward)) == (727, 22)
+
+    def test_per_channel_mix_corrupts_each_distinct_pulse_once(self, monkeypatch):
+        seq = build_builtin("concat:XYYXY", Z_PI)
+        model = _MODEL_KINDS["perchannel"](mpf("0.01"))
+        realized = _count_calls(monkeypatch, ErrorModel, "realize")
+        vector = _count_calls(monkeypatch, CovariantVector, "_forward")
+        axisdep = _count_calls(monkeypatch, AxisDependentPi3, "_forward")
+        evaluate(seq, model, mpf("1e-3"))
+        assert len(realized) == len(seq.pulses)
+        assert len(vector) + len(axisdep) == len({id(p) for p in seq.pulses})
+        assert vector and axisdep
 
 
 class TestRegistry:

@@ -12,14 +12,12 @@ from .su2 import (
     ErrorVector,
     InvalidAxisError,
     Unitary,
-    conjugate_frame,
     dagger,
     error_unitary,
     from_generator,
     infidelity,
     log_pauli,
     multiply,
-    phase_opt_trace_distance,
     state_fidelity_error,
     trace_components,
 )
@@ -67,7 +65,6 @@ from .orders import (
     plan,
 )
 from .analysis import (
-    DegenerateDirectionError,
     FitError,
     ModelFamily,
     OrderFit,
@@ -80,7 +77,6 @@ from .analysis import (
     infidelity_table,
     series_coefficient,
     to_csv,
-    xy_error_axis,
 )
 
 __version__ = "0.1.0"

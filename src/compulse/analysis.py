@@ -1,5 +1,5 @@
-"""Numerical verification: error scans, log-log order fits, series
-coefficients by finite differences, and the in-plane correction-axis search.
+"""Numerical verification: error scans, log-log order fits and series
+coefficients by finite differences.
 
 Scans sweep a base error magnitude over a logarithmic grid and record the
 magnitudes of the three directional trace components plus the infidelity.
@@ -16,7 +16,7 @@ from itertools import product
 from math import factorial
 from typing import Callable, Mapping, Optional, Sequence
 
-from mpmath import fabs, floor, log10, mp, mpf, nstr, sqrt
+from mpmath import fabs, floor, log10, mp, mpf, nstr
 
 from . import error_models, su2
 from .error_models import AxisDependentPi3, CovariantVector, ErrorModel, LinearOverRotation, PerChannel
@@ -27,10 +27,6 @@ from .su2 import BranchError
 
 class FitError(ValueError):
     """Not enough usable points above the precision floor."""
-
-
-class DegenerateDirectionError(ValueError):
-    """The xy projection of the error is too small to define a direction."""
 
 
 @dataclass(frozen=True)
@@ -308,33 +304,6 @@ def series_coefficient(
     for k in ks:
         denom *= factorial(k)
     return deriv / denom
-
-
-# ---------------------------------------------------------------------------
-# Error-direction search
-
-
-def xy_error_axis(seq: PulseSequence, model: ErrorModel, probe_scale) -> tuple:
-    """Unit axis in the xy plane orthogonal to the xy projection of the
-    residual error at ``probe_scale``.
-
-    Correcting about this axis is what raises the order of a compensation
-    sequence whose residual error lies mostly in the xy plane.  An exactly
-    vanishing projection returns the x axis by convention; a projection
-    lost in numerical noise (below ten times the precision floor) raises
-    :class:`DegenerateDirectionError`.
-    """
-    actual = evaluate(seq, model, mpf(probe_scale))
-    vec = su2.log_pauli(su2.error_unitary(seq.ideal_unitary(), actual))
-    px, py = vec.ex, vec.ey
-    if px == 0 and py == 0:
-        return (mpf(1), mpf(0), mpf(0))
-    n = sqrt(px * px + py * py)
-    if n < 10 * fit_floor():
-        raise DegenerateDirectionError(
-            f"xy error projection {n} is below the trustworthy floor"
-        )
-    return (-py / n, px / n, mpf(0))
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,7 @@ reference infidelity table.
 Exit codes: 0 success, 2 configuration or parse errors (a ``concat:``
 chain over ``sequences.MAX_PULSES`` and a ``--grid`` over
 ``analysis.MAX_SCALES`` included), 3 numeric-domain errors
-(principal-branch overflow, degenerate directions, unreachable goals, too
-few fit points).
+(principal-branch overflow, unreachable goals, too few fit points).
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import sys
 
 from . import analysis, error_models, orders, sequences, su2
 from .analysis import (
-    DegenerateDirectionError,
     FitError,
     component_scan,
     default_scales,
@@ -42,7 +40,7 @@ CONFIG_ERRORS = (
     PrecisionError,
     InvalidAxisError,
 )
-DOMAIN_ERRORS = (BranchError, DegenerateDirectionError, FitError, orders.PlanningError)
+DOMAIN_ERRORS = (BranchError, FitError, orders.PlanningError)
 
 EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
@@ -106,14 +104,6 @@ def _parse_triple(spec: str) -> orders.OrderTriple:
         raise SequenceError(f"bad order triple {spec!r}: {exc}") from None
 
 
-def _ideal_pi3(args, model):
-    """``model`` with the pi/3 correction pulses held ideal under
-    --perfect-pi3: a model listing only the target channel."""
-    if args.ideal_pi3 and model is not None:
-        return error_models.PerChannel({"target": model})
-    return model
-
-
 def _write(args, text: str) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -147,7 +137,7 @@ def cmd_simulate(args) -> str:
     seq = _load_sequence(args)
     model = error_models.parse_model(args.model) if args.model else None
     ideal = seq.ideal_unitary()
-    actual = evaluate(seq, _ideal_pi3(args, model), eps)
+    actual = evaluate(seq, model, eps)
     cx, cy, cz = su2.trace_components(ideal, actual)
     infid = su2.infidelity(ideal, actual)
     sig = max(8, min(args.digits, 17))
@@ -165,13 +155,13 @@ def cmd_simulate(args) -> str:
 
 def cmd_scan(args) -> str:
     seq = _load_sequence(args)
-    model = _ideal_pi3(args, error_models.parse_model(args.model))
+    model = error_models.parse_model(args.model)
     return to_csv(component_scan(seq, model, _parse_grid(args.grid)))
 
 
 def cmd_fit(args) -> str:
     seq = _load_sequence(args)
-    model = _ideal_pi3(args, error_models.parse_model(args.model))
+    model = error_models.parse_model(args.model)
     fit = fit_order(component_scan(seq, model, _parse_grid(args.grid)), args.column)
     return (
         f"column        {args.column}\n"
@@ -261,9 +251,6 @@ def make_parser() -> argparse.ArgumentParser:
     _add_sequence_args(p)
     p.add_argument("--model", help="error model config, e.g. 'model=linear eps=0.01'")
     p.add_argument("--eps", default="1", help="error scale multiplying the model coefficients")
-    p.add_argument(
-        "--perfect-pi3", dest="ideal_pi3", action="store_true", help="hold pi/3 correction pulses ideal"
-    )
 
     for name, func, help_text in (
         ("scan", cmd_scan, "sweep the error scale over a log grid, CSV output"),
@@ -273,7 +260,6 @@ def make_parser() -> argparse.ArgumentParser:
         _add_sequence_args(p)
         p.add_argument("--model", required=True)
         p.add_argument("--grid", default="1e-4:1e-1:9", help="lo:hi:per_decade (default 1e-4:1e-1:9)")
-        p.add_argument("--perfect-pi3", dest="ideal_pi3", action="store_true")
         if name == "fit":
             p.add_argument("--column", default="infidelity", choices=("cx", "cy", "cz", "infidelity"))
 

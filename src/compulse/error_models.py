@@ -19,18 +19,26 @@ Config strings (see :func:`parse_model`)::
     model=poly coeffs=0,0.01,0.003 y=0,0.02 -x=0.001
     model=vector dx=0.01;dy=0;dz=0
     model=axisdep delta=0.01 deltahat=0.02
+    model=channels target{linear eps=0.1} pi3{axisdep delta=0.01 deltahat=0.02}
 
 ``poly`` takes optional per-axis polynomials under the named-axis keys
 ``x= -x= y= -y= z= -z=``; pulses about other axes use ``coeffs``.  The
 ``vector`` keys default to 0.  Unknown or repeated keys are errors.  All
 coefficients must stay below 0.5 at parse time; programmatic construction
 is unrestricted so scans can use unit coefficients with a separate scale.
+
+``channels`` is a :class:`PerChannel`: a ``target`` and a ``pi3`` block,
+each optional, hold another kind's text without ``model=``.  Unlisted
+channels stay ideal.  Blocks do not nest, and no text may stand outside.
+
 :func:`describe` prints this text without the ``model=`` prefix, each
-number exact at the working precision, so it parses back to an equal model.
+number exact at the working precision and channel blocks in sorted
+order, so it parses back to an equal model.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Optional, Tuple
@@ -228,9 +236,18 @@ class AxisDependentPi3(ErrorModel):
 
 @dataclass(frozen=True)
 class PerChannel(ErrorModel):
-    """Compose different models per channel; unlisted channels stay ideal."""
+    """Models of the other kinds for the "target" and "pi3" channels,
+    stored read-only; unlisted channels stay ideal."""
 
     models: Mapping[str, ErrorModel]
+
+    def __post_init__(self):
+        for channel, model in self.models.items():
+            if channel not in ("target", "pi3"):
+                raise ModelConfigError(f"no model applies to channel {channel!r}, only to target and pi3")
+            if not isinstance(model, ErrorModel) or isinstance(model, PerChannel):
+                raise ModelConfigError(f"channel {channel!r} needs a model of another kind, not {model!r}")
+        object.__setattr__(self, "models", MappingProxyType(dict(self.models)))
 
     def realize(self, pulse, scale=1):
         model = self.models.get(pulse.channel)
@@ -269,13 +286,11 @@ def _num(x: mpf) -> str:
 def describe(model: Optional[ErrorModel]) -> str:
     """Config text of ``model`` without the ``model=`` prefix, every number
     exact at the working precision, so ``parse_model`` reads it back to an
-    equal model.  ``None`` prints as ``none`` and :class:`PerChannel` as
-    ``channels[...]``, which do not parse."""
+    equal model.  ``None`` (no model at all) prints as ``none``."""
     if model is None:
         return "none"
     if isinstance(model, PerChannel):
-        inner = " | ".join(f"{ch}: {describe(m)}" for ch, m in sorted(model.models.items()))
-        return f"channels[{inner}]"
+        return " ".join(["channels"] + [f"{ch}{{{describe(m)}}}" for ch, m in sorted(model.models.items())])
     kind = _KIND_OF.get(type(model))
     if kind is None:
         return type(model).__name__
@@ -311,8 +326,29 @@ def _check_bound(values, key: str) -> None:
             raise ModelConfigError(f"coefficient {v} for {key} not small (|.| < 0.5 required)")
 
 
+_BLOCK = re.compile(r"\s*(\w+)\{([^{}]*)\}")
+
+
+def _parse_channels(text: str) -> PerChannel:
+    """The ``<channel>{<kind text>}`` blocks after ``model=channels``."""
+    models, pos = {}, 0
+    while text[pos:].strip():
+        block = _BLOCK.match(text, pos)
+        if block is None:
+            raise ModelConfigError(f"expected <channel>{{<model>}} blocks, got {text[pos:].strip()!r}")
+        channel, body = block.groups()
+        if channel in models:
+            raise ModelConfigError(f"channel {channel!r} given twice")
+        models[channel] = parse_model("model=" + body)
+        pos = block.end()
+    return PerChannel(models)
+
+
 def parse_model(text: str) -> ErrorModel:
     """Parse a model config string (grammar in the module docstring)."""
+    channels = re.match(r"\s*model=channels(\s|$)", text)
+    if channels:
+        return _parse_channels(text[channels.end():])
     pairs = []
     for token in text.split():
         for piece in token.split(";"):

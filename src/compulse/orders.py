@@ -195,7 +195,8 @@ def plan(
     order, tie-broken by the larger sum of orders, then by X < Y < Z.
     Either ``depth`` (run exactly that many steps, 0..MAX_DEPTH) or
     ``goal_min_order`` (run until min order reaches the goal, at most
-    MAX_DEPTH steps) must be given.
+    MAX_DEPTH steps) must be given.  ``deltas`` is for the covariant
+    regime only.
     """
     if (goal_min_order is None) == (depth is None):
         raise ValueError("give exactly one of goal_min_order or depth")
@@ -203,6 +204,8 @@ def plan(
         raise SequenceError(f"correction depth {depth} outside 0..{MAX_DEPTH}")
     if goal_min_order is not None and goal_min_order < 1:
         raise SequenceError(f"goal order {goal_min_order} below 1: orders are positive integers")
+    if deltas is not None and regime != "covariant":
+        raise SequenceError(f"delta orders apply to the covariant regime only, not {regime!r}")
     t = OrderTriple(*start)
     schedule = []
     triples = [t]

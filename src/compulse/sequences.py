@@ -154,14 +154,14 @@ class Pulse:
     the negated generator of their forward partner.  ``channel`` names the
     error-model channel ("target", "pi3", or "perfect").
 
-    The unit lab axis and the angle in radians are derived on first use
-    and kept until the working precision changes.  The dagger partner is
-    kept the same way: at a fixed precision ``p.daggered().daggered() is
-    p``.  With :func:`parse` loading identical pulse lines as one shared
-    pulse, a deep chain holds a few dozen distinct pulse objects.  Each
-    keeps its last realization per (model, scale, precision), so
-    :func:`evaluate` corrupts a repeated pulse once (see
-    :meth:`ErrorModel.realize`).
+    The unit lab axis, the angle in radians and the ideal unitary are
+    derived on first use and kept until the working precision changes.
+    The dagger partner is kept the same way: at a fixed precision
+    ``p.daggered().daggered() is p``.  With :func:`parse` loading identical
+    pulse lines as one shared pulse, a deep chain holds a few dozen
+    distinct pulse objects.  Each keeps its last realization per (model,
+    scale, precision), so :func:`evaluate` corrupts a repeated pulse once
+    (see :meth:`ErrorModel.realize`).
     """
 
     frame: FrameTriad
@@ -183,7 +183,8 @@ class Pulse:
         return su2.tighten_axis(self.frame.map(self.axis_in_frame))
 
     def _compiled(self) -> tuple:
-        """(mp.prec, unit lab axis, generator radians) at the current precision."""
+        """(mp.prec, unit lab axis, generator radians) at the current
+        precision, then the ideal unitary once :meth:`ideal_unitary` ran."""
         geometry = self._geometry
         if geometry is None or geometry[0] != mp.prec:
             axis = su2.normalized_axis(self.lab_axis())
@@ -204,8 +205,11 @@ class Pulse:
         return abs(2 * self.alpha_pi)
 
     def ideal_unitary(self) -> Unitary:
-        _, axis, alpha = self._compiled()
-        return su2.rotation(axis, alpha)
+        geometry = self._compiled()
+        if len(geometry) == 3:
+            geometry += (su2.rotation(geometry[1], geometry[2]),)
+            object.__setattr__(self, "_geometry", geometry)
+        return geometry[3]
 
     def forward(self) -> "Pulse":
         """The non-dagger partner (self if already a forward pulse)."""
@@ -241,9 +245,6 @@ class Gate:
     def unitary(self) -> Unitary:
         return su2.from_generator(self.axis, self.alpha())
 
-    def daggered(self) -> "Gate":
-        return Gate(self.axis, -self.alpha_pi)
-
 
 @dataclass(frozen=True)
 class PulseSequence:
@@ -258,13 +259,6 @@ class PulseSequence:
 
     def ideal_unitary(self) -> Unitary:
         return self.target.unitary()
-
-    def daggered(self) -> "PulseSequence":
-        return PulseSequence(
-            self.target.daggered(),
-            tuple(p.daggered() for p in reversed(self.pulses)),
-            name=self.name + "^",
-        )
 
     def pulse_counts(self) -> tuple:
         """(# target-role pulses, # correction-role pulses)."""
@@ -316,7 +310,7 @@ def pi3_correct(inner: PulseSequence, axis: Iterable) -> PulseSequence:
 
     c0 = Pulse(f_id, axis, sixth, Role.CORRECTION, "pi3")
     ct = Pulse(f_u, axis, sixth, Role.CORRECTION, "pi3")
-    inner_dagger = inner.daggered().pulses
+    inner_dagger = tuple(p.daggered() for p in reversed(inner.pulses))
 
     pulses = (c0.daggered(), *inner.pulses, ct, *inner_dagger, c0, *inner.pulses, ct.daggered())
     return PulseSequence(inner.target, pulses, name=f"pi3({_axis_label(axis)})∘{inner.name or 'seq'}")

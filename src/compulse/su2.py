@@ -73,15 +73,6 @@ def vec_norm(v: Vec3) -> mpf:
     return sqrt(x * x + y * y + z * z)
 
 
-def unit_vector(v: Iterable) -> Vec3:
-    """Scale an arbitrary nonzero vector to unit length."""
-    v = as_vec3(v)
-    n = vec_norm(v)
-    if n == 0:
-        raise InvalidAxisError("zero vector has no direction")
-    return (v[0] / n, v[1] / n, v[2] / n)
-
-
 def normalized_axis(axis: Iterable) -> Vec3:
     """Validate a unit axis (within tolerance) and tighten its norm."""
     v = as_vec3(axis)
@@ -204,11 +195,6 @@ def dagger(u: Unitary) -> Unitary:
     )
 
 
-def conjugate_frame(u: Unitary, g: Unitary) -> Unitary:
-    """g * u * g^dagger: same generator angle, axis rotated by g."""
-    return multiply(multiply(g, u), dagger(g))
-
-
 def rotate_vector(g: Unitary, v: Iterable) -> Vec3:
     """The SO(3) action of g: g (v.sigma) g^dagger = (rotate_vector(g,v)).sigma."""
     w = g.w
@@ -282,16 +268,3 @@ def state_fidelity_error(ideal: Unitary, actual: Unitary) -> mpf:
     """
     v = error_unitary(ideal, actual)
     return v.y**2 + v.z**2
-
-
-def phase_opt_trace_distance(ideal: Unitary, actual: Unitary) -> mpf:
-    """min over global phase of the trace norm of (ideal - e^{i phi} actual).
-
-    For the error quaternion V with generator magnitude m, the two singular
-    values of I - e^{i phi} V are 2|sin((phi +/- m)/2)|.  Their sum is
-    smallest at the kink phi = m, where it equals 2*sin(m) = 2*|vec(V)|,
-    so the minimum is closed-form and cancellation-free.  The test suite
-    checks it against a dense singular-value phase sweep.
-    """
-    v = error_unitary(ideal, actual)
-    return 2 * vec_norm((v.x, v.y, v.z))

@@ -1,15 +1,21 @@
-"""Independent oracles for the quaternion kernels and the error models.
+"""Independent oracles for the quaternion kernels and the error models,
+and the helpers that only the tests use.
 
 The matrix oracles go through numpy 2x2 complex matrices at double
 precision, deliberately sharing no code with the library under test.
 :func:`invert_model_consistency` checks a model at the working precision
-through nothing but its ``realize``.
+through nothing but its ``realize``.  The quaternion helpers at the end
+(:func:`unit_vector`, :func:`conjugate_frame`,
+:func:`phase_opt_trace_distance`, :func:`xy_error_axis`) are built on the
+library's kernels; no library code needs them.
 """
 
 import numpy as np
-from mpmath import fabs
+from mpmath import fabs, mpf, sqrt
 
-from compulse.precision import unit_tolerance
+from compulse import su2
+from compulse.precision import fit_floor, unit_tolerance
+from compulse.sequences import evaluate
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -73,3 +79,57 @@ def invert_model_consistency(model, pulse) -> bool:
     w, x, y, z = model.realize(pulse)
     tol = unit_tolerance()
     return all(fabs(a - b) <= tol for a, b in zip(inv, (w, -x, -y, -z)))
+
+
+def unit_vector(v) -> tuple:
+    """Scale an arbitrary nonzero vector to unit length."""
+    v = su2.as_vec3(v)
+    n = su2.vec_norm(v)
+    if n == 0:
+        raise su2.InvalidAxisError("zero vector has no direction")
+    return (v[0] / n, v[1] / n, v[2] / n)
+
+
+def conjugate_frame(u, g):
+    """g * u * g^dagger: same generator angle, axis rotated by g."""
+    return su2.multiply(su2.multiply(g, u), su2.dagger(g))
+
+
+def phase_opt_trace_distance(ideal, actual) -> mpf:
+    """min over global phase of the trace norm of (ideal - e^{i phi} actual).
+
+    For the error quaternion V with generator magnitude m, the two singular
+    values of I - e^{i phi} V are 2|sin((phi +/- m)/2)|.  Their sum is
+    smallest at the kink phi = m, where it equals 2*sin(m) = 2*|vec(V)|,
+    so the minimum is closed-form and cancellation-free.  The test suite
+    checks it against :func:`trace_distance_phase_swept`.
+    """
+    v = su2.error_unitary(ideal, actual)
+    return 2 * su2.vec_norm((v.x, v.y, v.z))
+
+
+class DegenerateDirectionError(ValueError):
+    """The xy projection of the error is too small to define a direction."""
+
+
+def xy_error_axis(seq, model, probe_scale) -> tuple:
+    """Unit axis in the xy plane orthogonal to the xy projection of the
+    residual error at ``probe_scale``.
+
+    Correcting about this axis is what raises the order of a compensation
+    sequence whose residual error lies mostly in the xy plane.  An exactly
+    vanishing projection returns the x axis by convention; a projection
+    lost in numerical noise (below ten times the precision floor) raises
+    :class:`DegenerateDirectionError`.
+    """
+    actual = evaluate(seq, model, mpf(probe_scale))
+    vec = su2.log_pauli(su2.error_unitary(seq.ideal_unitary(), actual))
+    px, py = vec.ex, vec.ey
+    if px == 0 and py == 0:
+        return (mpf(1), mpf(0), mpf(0))
+    n = sqrt(px * px + py * py)
+    if n < 10 * fit_floor():
+        raise DegenerateDirectionError(
+            f"xy error projection {n} is below the trustworthy floor"
+        )
+    return (-py / n, px / n, mpf(0))

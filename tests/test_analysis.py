@@ -8,7 +8,6 @@ from compulse import su2
 from compulse.analysis import (
     _STENCIL_OFFSETS,
     MAX_SCALES,
-    DegenerateDirectionError,
     FitError,
     component_scan,
     covariant_family,
@@ -20,12 +19,13 @@ from compulse.analysis import (
     series_coefficient,
     target_vector_family,
     to_csv,
-    xy_error_axis,
     _stencil_weights,
 )
 from compulse.error_models import CovariantVector, LinearOverRotation, ModelConfigError, PerChannel
 from compulse.precision import PrecisionError, working_digits
 from compulse.sequences import Gate, build_builtin, naive, pi3_correct
+
+from oracles import DegenerateDirectionError, xy_error_axis
 
 X = (1, 0, 0)
 Z_PI = Gate((0, 0, 1), Fraction(1, 2))

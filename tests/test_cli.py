@@ -7,11 +7,11 @@ import pytest
 from mpmath import mpf
 
 from compulse import su2
-from compulse.analysis import component_scan, default_scales, format_sci, to_csv
+from compulse.analysis import FAMILIES, component_scan, default_scales, format_sci, to_csv
 from compulse.cli import main
-from compulse.error_models import PerChannel, parse_model
+from compulse.error_models import PerChannel, describe, parse_model
 from compulse.precision import working_digits
-from compulse.sequences import build_builtin, evaluate
+from compulse.sequences import build_builtin, evaluate, parse_target
 
 
 def run(capsys, *argv):
@@ -224,6 +224,18 @@ BAD_INPUTS = {
     ),
     "concat-too-deep": ("build", "--seq", "concat:XYZXYZXYZXYZX"),
     "file-not-utf8": ("simulate", "--file", "{bad_utf8}", "--model", "model=linear eps=0.1"),
+    "deltas-perfect-regime": ("plan", "--start", "1,1,1", "--deltas", "1,1,1", "--depth", "2"),
+    "deltas-axisdep-regime": ("plan", "--regime", "axisdep", "--start", "1,1,1", "--deltas", "1,1,1", "--depth", "2"),
+    "channels-text-outside-blocks": (
+        "simulate", "--seq", "pi3:Y", "--model", "model=channels target{linear eps=0.1} eps=0.1",
+    ),
+    "channels-repeated": (
+        "scan", "--seq", "pi3:Y", "--model", "model=channels target{linear eps=0.1} target{linear eps=0.2}",
+    ),
+    "channels-nested": ("fit", "--seq", "pi3:Y", "--model", "model=channels target{channels pi3{linear eps=0.1}}"),
+    "channels-nested-empty": ("simulate", "--seq", "pi3:Y", "--model", "model=channels target{channels}"),
+    "channels-perfect": ("simulate", "--seq", "pi5", "--model", "model=channels perfect{linear eps=0.1}"),
+    "channels-unknown": ("simulate", "--seq", "pi3:Y", "--model", "model=channels tagret{linear eps=0.1}"),
 }
 
 
@@ -232,7 +244,7 @@ class TestBadInput:
     def test_is_a_one_line_config_error(self, capsys, tmp_path, argv):
         bad_utf8 = tmp_path / "bad.txt"
         bad_utf8.write_bytes(b"target 1 0 0 1/2\n\xff\n")
-        argv = [a.format(bad_utf8=bad_utf8) for a in argv]
+        argv = [a.replace("{bad_utf8}", str(bad_utf8)) for a in argv]
         code, out, err = run(capsys, "--digits", "50", *argv)
         assert code == 2
         assert out == ""
@@ -332,16 +344,20 @@ class TestOutput:
 
 
 class TestPerfectPi3:
+    """Holding the pi/3 pulses ideal is a channels model that lists only
+    the target channel."""
+
     MODEL = "model=linear eps=0.1"
+    HELD = "model=channels target{linear eps=0.1}"
 
     def test_simulate_equals_a_target_only_model(self, capsys):
-        base = ("--digits", "30", "simulate", "--seq", "pi3:Y", "--model", self.MODEL, "--eps", "0.01")
-        code, held, _ = run(capsys, *base, "--perfect-pi3")
+        base = ("--digits", "30", "simulate", "--seq", "pi3:Y", "--eps", "0.01")
+        code, held, _ = run(capsys, *base, "--model", self.HELD)
         assert code == 0
-        _, noisy, _ = run(capsys, *base)
+        _, noisy, _ = run(capsys, *base, "--model", self.MODEL)
         assert held != noisy
         lines = dict(line.split(None, 1) for line in held.splitlines())
-        assert lines["model"] == "linear eps=0.1"
+        assert lines["model"] == "channels target{linear eps=0.1}"
         with working_digits(30):
             seq = build_builtin("pi3:Y")
             actual = evaluate(seq, PerChannel({"target": parse_model(self.MODEL)}), mpf("0.01"))
@@ -350,10 +366,10 @@ class TestPerfectPi3:
         assert [lines[k] for k in ("cx", "cy", "cz", "infidelity")] == want
 
     def test_scan_equals_a_target_only_model(self, capsys):
-        base = ("--digits", "30", "scan", "--seq", "pi3:Y", "--model", self.MODEL, "--grid", "1e-3:1e-1:3")
-        code, held, _ = run(capsys, *base, "--perfect-pi3")
+        base = ("--digits", "30", "scan", "--seq", "pi3:Y", "--grid", "1e-3:1e-1:3")
+        code, held, _ = run(capsys, *base, "--model", self.HELD)
         assert code == 0
-        _, noisy, _ = run(capsys, *base)
+        _, noisy, _ = run(capsys, *base, "--model", self.MODEL)
         assert held != noisy
         with working_digits(30):
             model = PerChannel({"target": parse_model(self.MODEL)})
@@ -363,10 +379,32 @@ class TestPerfectPi3:
     def test_simulate_without_model_stays_ideal(self, capsys):
         args = ("--digits", "30", "simulate", "--seq", "pi3:Y")
         _, plain, _ = run(capsys, *args)
-        code, held, _ = run(capsys, *args, "--perfect-pi3")
+        code, held, _ = run(capsys, *args, "--model", "model=channels")
         assert code == 0
-        assert held == plain
-        assert "model       none\n" in held
+        assert held.replace("model       channels\n", "model       none\n") == plain
+        assert "model       none\n" in plain
+
+
+class TestModelText:
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_every_family_model_runs_from_its_text(self, capsys, family):
+        # in-bound parameters 0.01, 0.02, ... (axisdep's ratio 1.25 included)
+        with working_digits(30):
+            factory = FAMILIES[family]()
+            model = factory.build([mpf(k + 1) / 100 for k in range(len(factory.names))])
+            text = describe(model)
+            assert parse_model("model=" + text) == model
+            seq = build_builtin("concat:XY", parse_target("z-pi"))
+            actual = evaluate(seq, model, 1)
+            ideal = seq.ideal_unitary()
+            want = [format_sci(v, 17) for v in (*su2.trace_components(ideal, actual), su2.infidelity(ideal, actual))]
+        code, out, _ = run(
+            capsys, "--digits", "30", "simulate", "--seq", "concat:XY", "--target", "z-pi", "--model", "model=" + text
+        )
+        assert code == 0
+        lines = dict(line.split(None, 1) for line in out.splitlines())
+        assert lines["model"] == text
+        assert [lines[k] for k in ("cx", "cy", "cz", "infidelity")] == want
 
 
 def readme_commands():

@@ -126,7 +126,7 @@ class TestAxisOverRotation:
 
     def test_unknown_axis_falls_back_to_base(self):
         model = AxisOverRotation(coeffs=(0, mpf("0.2")), per_axis={"y": (0,)})
-        diag = su2.unit_vector((1, 1, 0))
+        diag = oracles.unit_vector((1, 1, 0))
         p = make_pulse(axis=diag)
         got = model.realize(p)
         assert q_close(got, su2.from_generator(diag, pi / 2 * mpf("1.2")))
@@ -171,7 +171,7 @@ class TestCovariantVector:
                 FrameTriad.from_unitary(u), X, Fraction(1, 6), Role.CORRECTION, "pi3"
             )
             got = model.realize(moved)
-            want = su2.conjugate_frame(model.realize(base), u)
+            want = oracles.conjugate_frame(model.realize(base), u)
             assert q_close(got, want)
             m_want = (
                 oracles.to_matrix(u)
@@ -205,7 +205,7 @@ class TestRealizeMemo:
     def test_alternating_models_scales_and_precisions_match_fresh_pulses(self):
         with working_digits(16):
             frame = FrameTriad.from_unitary(su2.from_generator(Z, mpf("0.8")))
-            p = Pulse(frame, su2.unit_vector((1, 2, 3)), Fraction(1, 6), Role.CORRECTION, "pi3")
+            p = Pulse(frame, oracles.unit_vector((1, 2, 3)), Fraction(1, 6), Role.CORRECTION, "pi3")
             models = (LinearOverRotation(mpf("0.1")), CovariantVector.constant((mpf("0.01"), 0, mpf("-0.02"))))
             scales = (mpf("0.5"), mpf("1e-4"))
             # every step changes one of digits, model and scale; each is taken twice
@@ -267,6 +267,25 @@ class TestPerChannel:
         t = make_pulse()
         assert model.realize(t) == t.ideal_unitary()
 
+    @pytest.mark.parametrize("models", [
+        {"tagret": LinearOverRotation(mpf("0.1"))},
+        {"perfect": LinearOverRotation(mpf("0.1"))},
+        {"pi3": None},
+        {"target": PerChannel({})},
+    ])
+    def test_rejects_unknown_channels_and_non_models(self, models):
+        # a misspelt channel would otherwise leave every pulse ideal
+        with pytest.raises(ModelConfigError):
+            PerChannel(models)
+
+    def test_models_are_read_only(self):
+        given = {"target": LinearOverRotation(mpf("0.1"))}
+        model = PerChannel(given)
+        given["pi3"] = LinearOverRotation(mpf("0.2"))
+        assert set(model.models) == {"target"}
+        with pytest.raises(TypeError):
+            model.models["pi3"] = LinearOverRotation(mpf("0.2"))
+
 
 class TestOverRotationCovariance:
     @given(
@@ -279,11 +298,11 @@ class TestOverRotationCovariance:
         # axis-independent over-rotation is automatically covariant: realizing
         # the frame-transported pulse equals conjugating the realized base pulse
         model = LinearOverRotation(mpf("0.05"))
-        u = su2.from_generator(su2.unit_vector(gaxis), mpf(galpha))
+        u = su2.from_generator(oracles.unit_vector(gaxis), mpf(galpha))
         base = make_pulse(axis=Y, alpha_pi=Fraction(1, 6), role=Role.CORRECTION, channel="pi3")
         moved = Pulse(FrameTriad.from_unitary(u), Y, Fraction(1, 6), Role.CORRECTION, "pi3")
         got = model.realize(moved)
-        want = su2.conjugate_frame(model.realize(base), u)
+        want = oracles.conjugate_frame(model.realize(base), u)
         assert q_close(got, want, tol=mpf("1e-12"))
 
 
@@ -361,6 +380,12 @@ ANY_MODEL = st.one_of(
 )
 
 
+# A channels model: any subset of the two channels, each with its own model.
+CHANNEL_MODEL = st.dictionaries(st.sampled_from(["target", "pi3"]), ANY_MODEL).map(
+    lambda builds: lambda: PerChannel({channel: build() for channel, build in builds.items()})
+)
+
+
 def _axisdep(delta, ratio, swap):
     # |deltahat/delta| is ratio or its inverse, inside the axisdep ratio rule
     pair = (mpf(delta), mpf(delta) * mpf(ratio))
@@ -415,6 +440,14 @@ class TestParseModel:
             "model=poly coeffs=0 -y=0,0.6",
             "model=poly coeffs=0 y=0.1 y=0.2",
             "model=vector dx=0.1;dy=nan",
+            "model=channels target{linear eps=0.1} eps=0.1",
+            "model=channels target{linear eps=0.1} target{linear eps=0.2}",
+            "model=channels target{channels pi3{linear eps=0.1}}",
+            "model=channels target{channels}",
+            "model=channels perfect{linear eps=0.1}",
+            "model=channels tagret{linear eps=0.1}",
+            "model=channels target{linear eps=0.6}",
+            "model=channels target{}",
         ],
     )
     def test_rejects_malformed_configs(self, text):
@@ -449,13 +482,17 @@ class TestParseModel:
             "poly coeffs=-1.0e-40 x=0.25 -y=0.0,0.02",
             "vector dx=0.01;dy=0.0;dz=-0.002",
             "axisdep delta=0.01 deltahat=0.02",
+            "channels",
+            "channels target{linear eps=0.1}",
+            "channels pi3{axisdep delta=0.01 deltahat=0.02} target{vector dx=0.01;dy=0.0;dz=0.0}",
         ):
             assert describe(parse_model("model=" + text)) == text
-        model = PerChannel({"target": LinearOverRotation(mpf("0.1")), "pi3": None})
-        assert describe(model) == "channels[pi3: none | target: linear eps=0.1]"
+        # channel blocks print in sorted order, whatever order they were given in
+        model = PerChannel({"target": LinearOverRotation(mpf("0.1")), "pi3": LinearOverRotation(mpf("0.2"))})
+        assert describe(model) == "channels pi3{linear eps=0.2} target{linear eps=0.1}"
 
     @pytest.mark.parametrize("digits", [16, 60])
-    @given(ANY_MODEL)
+    @given(st.one_of(ANY_MODEL, CHANNEL_MODEL))
     def test_describe_is_exact_inverse_of_parse(self, digits, build):
         mp.dps = digits
         model = build()

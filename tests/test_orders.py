@@ -204,6 +204,11 @@ class TestPlan:
             plan(OrderTriple(1, 1, 1), "perfect", **stop)
         assert "None" not in str(info.value)
 
+    @pytest.mark.parametrize("regime", ["perfect", "axisdep"])
+    def test_deltas_outside_the_covariant_regime_are_rejected(self, regime):
+        with pytest.raises(SequenceError, match="covariant"):
+            plan(OrderTriple(INF, INF, 1), regime, deltas=DeltaOrders(1, 1, 1), depth=2)
+
     def test_requires_exactly_one_stop_condition(self):
         with pytest.raises(ValueError):
             plan(OrderTriple(1, 1, 1), "perfect")

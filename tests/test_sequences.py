@@ -40,6 +40,8 @@ from compulse.sequences import (
     total_angle,
 )
 
+import oracles
+
 X = (1, 0, 0)
 Y = (0, 1, 0)
 Z = (0, 0, 1)
@@ -56,7 +58,7 @@ def assert_sound(seq, tol=None):
 
 
 def _tilted_correction() -> Pulse:
-    return Pulse(FrameTriad.identity(), su2.unit_vector((1, 2, 3)), Fraction(1, 6), Role.CORRECTION, "pi3")
+    return Pulse(FrameTriad.identity(), oracles.unit_vector((1, 2, 3)), Fraction(1, 6), Role.CORRECTION, "pi3")
 
 
 class TestPulseDagger:
@@ -100,7 +102,7 @@ class TestGateAndTarget:
 
 class TestPi3Correct:
     def test_level1_sound_for_various_targets(self):
-        for gate in (X_PI, Z_PI, Gate(Y, Fraction(1, 4)), Gate(su2.unit_vector((1, 1, 1)), Fraction(1, 3))):
+        for gate in (X_PI, Z_PI, Gate(Y, Fraction(1, 4)), Gate(oracles.unit_vector((1, 1, 1)), Fraction(1, 3))):
             for axis in (X, Y, Z):
                 assert_sound(pi3_correct(naive(gate), axis))
 
@@ -351,6 +353,8 @@ class TestEvaluate:
                     "pi3": AxisDependentPi3(mpf("0.5"), mpf("0.7")),
                 }
             ),
+            None,  # every pulse's kept ideal unitary
+            PerChannel({"target": LinearOverRotation(1)}),
         )
         with working_digits(16):
             seq = make()
@@ -521,7 +525,7 @@ class TestDsl:
 
     def test_round_trip_at_extended_precision(self):
         with working_digits(60):
-            seq = build_builtin("pi3:Z", Gate(su2.unit_vector((2, 1, 2)), Fraction(1, 3)))
+            seq = build_builtin("pi3:Z", Gate(oracles.unit_vector((2, 1, 2)), Fraction(1, 3)))
             back = parse(serialize(seq))
             assert all(_pulses_identical(p, q) for p, q in zip(seq.pulses, back.pulses))
 
@@ -622,9 +626,9 @@ class TestDsl:
             if gspec[3] > 1.5:  # about half the pulses get a nontrivial frame
                 gvec = gspec[0:3]
                 if sum(c * c for c in gvec) > 0.01:
-                    g = su2.from_generator(su2.unit_vector(gvec), mpf(gspec[3]))
+                    g = su2.from_generator(oracles.unit_vector(gvec), mpf(gspec[3]))
                     frame = FrameTriad.from_unitary(g)
-            pulses.append(Pulse(frame, su2.unit_vector(axis), alpha_pi, role, channel))
+            pulses.append(Pulse(frame, oracles.unit_vector(axis), alpha_pi, role, channel))
         seq = PulseSequence(X_PI, tuple(pulses))
         back = parse(serialize(seq))
         assert all(_pulses_identical(p, q) for p, q in zip(seq.pulses, back.pulses))

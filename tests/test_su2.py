@@ -10,7 +10,6 @@ from compulse.su2 import (
     BranchError,
     InvalidAxisError,
     Unitary,
-    conjugate_frame,
     dagger,
     error_unitary,
     from_generator,
@@ -18,13 +17,13 @@ from compulse.su2 import (
     infidelity,
     log_pauli,
     multiply,
-    phase_opt_trace_distance,
     rotate_vector,
     state_fidelity_error,
     trace_components,
 )
 
 import oracles
+from oracles import conjugate_frame, phase_opt_trace_distance
 
 X = (1, 0, 0)
 Y = (0, 1, 0)
@@ -38,7 +37,7 @@ def q_close(a, b, tol=None):
 
 unit_axes = st.tuples(
     st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)
-).filter(lambda v: 0.1 < sum(c * c for c in v) ** 0.5).map(su2.unit_vector)
+).filter(lambda v: 0.1 < sum(c * c for c in v) ** 0.5).map(oracles.unit_vector)
 
 small_vecs = st.tuples(
     st.floats(-0.4, 0.4), st.floats(-0.4, 0.4), st.floats(-0.4, 0.4)
@@ -315,7 +314,7 @@ class TestRoundtripPrecision:
     def test_generator_log_roundtrip_at_extended_precision(self):
         with working_digits(60):
             tol = unit_tolerance()
-            axis = su2.unit_vector((mpf("0.6"), mpf("0.64"), mpf("0.48")))
+            axis = oracles.unit_vector((mpf("0.6"), mpf("0.64"), mpf("0.48")))
             u = from_generator(axis, mpf("0.77"))
             vec = log_pauli(u)
             again = su2.exp_pauli(vec)

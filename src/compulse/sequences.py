@@ -597,11 +597,11 @@ def _format_pulse(p: Pulse) -> str:
     return " ".join(parts)
 
 
-def _tokenize(line: str):
-    """Tokens with their 1-based start columns."""
+def _tokenize(line: str, words: list):
+    """The words of ``line`` (its ``split()``) with their 1-based start columns."""
     out = []
     pos = 0
-    for tok in line.split():
+    for tok in words:
         col = line.index(tok, pos)
         out.append((tok, col + 1))
         pos = col + len(tok)
@@ -650,9 +650,17 @@ def parse(text: str) -> PulseSequence:
             name = raw.lstrip()[len(_NAME_PREFIX):].strip()
             continue
         line = raw.split("#", 1)[0]
-        toks = _tokenize(line)
-        if not toks:
+        words = line.split()
+        if not words:
             continue
+        if words[0] == "pulse":
+            # A bad line never enters `made`, so only new lines need columns.
+            line_key = tuple(words[1:])
+            pulse = made.get(line_key)
+            if pulse is not None:
+                pulses.append(pulse)
+                continue
+        toks = _tokenize(line, words)
         head, head_col = toks[0]
         if head == "target":
             if target is not None:
@@ -668,10 +676,6 @@ def parse(text: str) -> PulseSequence:
         elif head == "pulse":
             if target is None:
                 raise DslError("pulse before target line", lineno, head_col)
-            line_key = tuple(t for t, _ in toks[1:])
-            if line_key in made:
-                pulses.append(made[line_key])
-                continue
             if len(toks) not in (7, 17):
                 raise DslError(
                     "pulse needs axis, angle, role, channel and optionally 'frame' + 9 numbers",

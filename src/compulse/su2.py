@@ -14,8 +14,11 @@ test suite only.
 The per-pulse kernels (:func:`rotation`, :func:`dagger`, :func:`exp_pauli`,
 :func:`multiply`) work on mpmath's raw ``(sign, mantissa, exponent,
 bitcount)`` tuples.  Each component of a product is one exact integer dot
-product, rounded once to nearest at the working precision, so products
-are correctly rounded per component.
+product, rounded once to nearest with ties to even at the working
+precision, so products are correctly rounded per component.  The rounding
+is done in plain integer arithmetic and gives the same bits as libmp's
+``from_man_exp`` with ``round_nearest``; a non-finite (inf or nan)
+component in a factor raises ValueError.
 
 All values are immutable and all operations are pure functions.
 """
@@ -25,7 +28,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from mpmath import atan2, fabs, mp, mpf, sqrt
-from mpmath.libmp import from_man_exp, mpf_cos_sin, mpf_div, mpf_mul, mpf_neg, round_nearest
+from mpmath.libmp import fzero, mpf_cos_sin, mpf_div, mpf_mul, mpf_neg, round_nearest
 
 from .precision import unit_tolerance
 
@@ -156,31 +159,82 @@ def exp_pauli(vec: Iterable) -> Unitary:
 def _fixed_point(u: Unitary) -> tuple:
     """(w, x, y, z, e): signed integer mantissas of u's components, all
     scaled to the smallest exponent e of a nonzero component."""
-    parts = (u[0]._mpf_, u[1]._mpf_, u[2]._mpf_, u[3]._mpf_)
-    low = None
-    for _, man, exp, bc in parts:
-        if man:
-            if low is None or exp < low:
-                low = exp
-        elif bc:  # mpmath stores inf and nan with a zero mantissa
+    sw, w, ew, bw = u[0]._mpf_
+    sx, x, ex, bx = u[1]._mpf_
+    sy, y, ey, by = u[2]._mpf_
+    sz, z, ez, bz = u[3]._mpf_
+    if not (w and x and y and z):
+        # mpmath stores 0, inf and nan with a zero mantissa; only 0 has bitcount 0.
+        if (bw and not w) or (bx and not x) or (by and not y) or (bz and not z):
             raise ValueError(f"non-finite quaternion component in {u}")
-    if low is None:
-        return 0, 0, 0, 0, 0
-    w, x, y, z = [((-man if sign else man) << (exp - low)) if man else 0 for sign, man, exp, _ in parts]
-    return w, x, y, z, low
+        if not (w or x or y or z):
+            return 0, 0, 0, 0, 0
+        # A zero takes a nonzero component's exponent, so it neither sets the
+        # scale nor needs a negative shift.
+        anchor = ew if w else ex if x else ey if y else ez
+        ew, ex, ey, ez = (ew if w else anchor), (ex if x else anchor), (ey if y else anchor), (ez if z else anchor)
+    low = min(ew, ex, ey, ez)
+    return (
+        (-w if sw else w) << (ew - low),
+        (-x if sx else x) << (ex - low),
+        (-y if sy else y) << (ey - low),
+        (-z if sz else z) << (ez - low),
+        low,
+    )
+
+
+def _rounded(man: int, exp: int, prec: int) -> tuple:
+    """The raw mpf of man * 2**exp rounded to prec bits, to nearest with ties
+    to even: exactly ``libmp.from_man_exp(man, exp, prec, round_nearest)``."""
+    if man > 0:
+        sign = 0
+    elif man:
+        sign, man = 1, -man
+    else:
+        return fzero
+    bc = man.bit_length()
+    n = bc - prec
+    if n > 0:
+        t = man >> (n - 1)  # the kept bits and the first dropped one
+        if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)):
+            man = (t >> 1) + 1
+        else:
+            man = t >> 1
+        exp += n
+        bc = prec
+    if not man & 1:
+        tz = (man & -man).bit_length() - 1
+        man >>= tz
+        exp += tz
+        bc -= tz
+        if man == 1:  # rounding carried into the next power of two
+            bc = 1
+    return sign, man, exp, bc
+
+
+_new = tuple.__new__
 
 
 def multiply(a: Unitary, b: Unitary) -> Unitary:
-    # From (w1 + i u1.s)(w2 + i u2.s) = (w1 w2 - u1.u2) + i(w1 u2 + w2 u1 - u1 x u2).s
-    # Each component is an exact integer dot product, rounded once.
+    """The quaternion product a*b, each component correctly rounded.
+
+    From (w1 + i u1.s)(w2 + i u2.s) = (w1 w2 - u1.u2) + i(w1 u2 + w2 u1 - u1 x u2).s,
+    each component is one exact integer dot product of the raw mantissas,
+    rounded once at the working precision to nearest with ties to even:
+    the same bits as libmp's ``from_man_exp`` with ``round_nearest``.
+    Raises ValueError when a component of either factor is inf or nan.
+    """
     w1, x1, y1, z1, ea = _fixed_point(a)
     w2, x2, y2, z2, eb = _fixed_point(b)
     e, prec = ea + eb, mp.prec
-    return Unitary(
-        _make(from_man_exp(w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2, e, prec, round_nearest)),
-        _make(from_man_exp(w1 * x2 + w2 * x1 - y1 * z2 + z1 * y2, e, prec, round_nearest)),
-        _make(from_man_exp(w1 * y2 + w2 * y1 - z1 * x2 + x1 * z2, e, prec, round_nearest)),
-        _make(from_man_exp(w1 * z2 + w2 * z1 - x1 * y2 + y1 * x2, e, prec, round_nearest)),
+    return _new(
+        Unitary,
+        (
+            _make(_rounded(w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2, e, prec)),
+            _make(_rounded(w1 * x2 + w2 * x1 - y1 * z2 + z1 * y2, e, prec)),
+            _make(_rounded(w1 * y2 + w2 * y1 - z1 * x2 + x1 * z2, e, prec)),
+            _make(_rounded(w1 * z2 + w2 * z1 - x1 * y2 + y1 * x2, e, prec)),
+        ),
     )
 
 

@@ -4,14 +4,18 @@ and the helpers that only the tests use.
 The matrix oracles go through numpy 2x2 complex matrices at double
 precision, deliberately sharing no code with the library under test.
 :func:`invert_model_consistency` checks a model at the working precision
-through nothing but its ``realize``.  The quaternion helpers at the end
-(:func:`unit_vector`, :func:`conjugate_frame`,
-:func:`phase_opt_trace_distance`, :func:`xy_error_axis`) are built on the
-library's kernels; no library code needs them.
+through nothing but its ``realize``.  :func:`multiply_from_man_exp` is the
+former product kernel, which rounds through libmp's generic
+``from_man_exp``; the library's integer rounding must match it bit for
+bit.  The quaternion helpers at the end (:func:`unit_vector`,
+:func:`conjugate_frame`, :func:`phase_opt_trace_distance`,
+:func:`xy_error_axis`) are built on the library's kernels; no library code
+needs them.
 """
 
 import numpy as np
-from mpmath import fabs, mpf, sqrt
+from mpmath import fabs, mp, mpf, sqrt
+from mpmath.libmp import from_man_exp, round_nearest
 
 from compulse import su2
 from compulse.precision import fit_floor, unit_tolerance
@@ -79,6 +83,40 @@ def invert_model_consistency(model, pulse) -> bool:
     w, x, y, z = model.realize(pulse)
     tol = unit_tolerance()
     return all(fabs(a - b) <= tol for a, b in zip(inv, (w, -x, -y, -z)))
+
+
+def _fixed_point_ref(u) -> tuple:
+    parts = tuple(c._mpf_ for c in u)
+    low = None
+    for _, man, exp, bc in parts:
+        if man:
+            if low is None or exp < low:
+                low = exp
+        elif bc:  # mpmath stores inf and nan with a zero mantissa
+            raise ValueError(f"non-finite quaternion component in {u}")
+    if low is None:
+        return 0, 0, 0, 0, 0
+    w, x, y, z = [((-man if sign else man) << (exp - low)) if man else 0 for sign, man, exp, _ in parts]
+    return w, x, y, z, low
+
+
+def multiply_from_man_exp(a, b):
+    """a*b with each component's exact integer dot product rounded by
+    ``libmp.from_man_exp`` at the working precision (the former kernel)."""
+    w1, x1, y1, z1, ea = _fixed_point_ref(a)
+    w2, x2, y2, z2, eb = _fixed_point_ref(b)
+    e, prec = ea + eb, mp.prec
+    return su2.Unitary(
+        *(
+            mp.make_mpf(from_man_exp(man, e, prec, round_nearest))
+            for man in (
+                w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+                w1 * x2 + w2 * x1 - y1 * z2 + z1 * y2,
+                w1 * y2 + w2 * y1 - z1 * x2 + x1 * z2,
+                w1 * z2 + w2 * z1 - x1 * y2 + y1 * x2,
+            )
+        )
+    )
 
 
 def unit_vector(v) -> tuple:

@@ -1,16 +1,20 @@
-"""The raw-mantissa SU(2) kernels: correct rounding of products, and
-bit-identity of rotation, dagger and exp_pauli with their mpf formulas."""
+"""The raw-mantissa SU(2) kernels: correct rounding of products, bit-identity
+of products with the former ``from_man_exp`` kernel (edge cases, the
+rounding helper and whole evaluations), and bit-identity of rotation, dagger
+and exp_pauli with their mpf formulas."""
 
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from mpmath import log10, mp, mpf, sqrt
-from mpmath.libmp import mpf_add, mpf_mul, mpf_pos, round_nearest
+from mpmath.libmp import from_man_exp, mpf_add, mpf_mul, mpf_neg, mpf_pos, round_nearest
 
 from compulse import su2
 from compulse.error_models import AxisDependentPi3, CovariantVector, LinearOverRotation, PerChannel
 from compulse.precision import working_digits
-from compulse.sequences import build_builtin, evaluate
+from compulse.sequences import BUILTIN_NAMES, build_builtin, evaluate
 from compulse.su2 import Unitary
 
 import oracles
@@ -30,22 +34,40 @@ def _random_quaternion(rng):
 
 
 def _exact_product_terms(a, b):
-    """The four signed products summed by each component of a*b."""
+    """The four signed products summed by each component of a*b, as
+    (sign, p, q) with sign +1 or -1."""
     w1, x1, y1, z1 = a
     w2, x2, y2, z2 = b
     return (
-        ((w1, w2), (-x1, x2), (-y1, y2), (-z1, z2)),
-        ((w1, x2), (w2, x1), (-y1, z2), (z1, y2)),
-        ((w1, y2), (w2, y1), (-z1, x2), (x1, z2)),
-        ((w1, z2), (w2, z1), (-x1, y2), (y1, x2)),
+        ((1, w1, w2), (-1, x1, x2), (-1, y1, y2), (-1, z1, z2)),
+        ((1, w1, x2), (1, w2, x1), (-1, y1, z2), (1, z1, y2)),
+        ((1, w1, y2), (1, w2, y1), (-1, z1, x2), (1, x1, z2)),
+        ((1, w1, z2), (1, w2, z1), (-1, x1, y2), (1, y1, x2)),
     )
 
 
 def _correctly_rounded(terms):
+    # Every step below prec=0 is exact, whatever the operands' widths.
     exact = mpf(0)._mpf_
-    for p, q in terms:
-        exact = mpf_add(exact, mpf_mul(p._mpf_, q._mpf_, 0), 0)
+    for sign, p, q in terms:
+        term = mpf_mul(p._mpf_, q._mpf_, 0)
+        exact = mpf_add(exact, term if sign > 0 else mpf_neg(term), 0)
     return mpf_pos(exact, mp.prec, round_nearest)
+
+
+def _assert_matches_oracles(a, b):
+    """su2.multiply(a, b) has the former kernel's bits, and each component is
+    the exact sum of its four products rounded once."""
+    got = su2.multiply(a, b)
+    assert _bits(got) == _bits(oracles.multiply_from_man_exp(a, b))
+    for component, terms in zip(got, _exact_product_terms(a, b)):
+        assert component._mpf_ == _correctly_rounded(terms)
+    return got
+
+
+def _exact(man, exp=0):
+    """man * 2**exp as an mpf, stored exactly whatever the working precision."""
+    return mp.make_mpf(from_man_exp(man, exp))
 
 
 class TestMultiplyRounding:
@@ -73,6 +95,149 @@ class TestMultiplyRounding:
             su2.multiply(u, su2.identity())
         with pytest.raises(ValueError, match="non-finite"):
             su2.multiply(su2.identity(), u)
+
+
+def _sums(p, q, r):
+    """Factors whose product has components (p-q-r, p+q, p+r, r-q)."""
+    return Unitary(p, q, r, mpf(0)), Unitary(mpf(1), mpf(1), mpf(1), mpf(0))
+
+
+@pytest.mark.parametrize("digits", [16, 60, 200])
+class TestMultiplyEdgeCases:
+    """Sums that sit exactly where rounding to nearest, ties to even, can
+    go wrong, each checked against both oracles and the expected value."""
+
+    def test_half_ulp_ties_round_to_even(self, digits):
+        with working_digits(digits):
+            prec = mp.prec
+            for kept in (2 ** (prec - 1) + 2, 2 ** (prec - 1) + 3, 2**prec - 3, 2**prec - 2):
+                for m in (1, 2, 3 * prec):
+                    # p + q lies half an ulp above kept (a tie), p + r a quarter ulp
+                    p, q = _exact(kept, m), _exact(1, m - 1)
+                    for sign in (1, -1):
+                        a, b = _sums(sign * p, sign * q, sign * _exact(1, m - 2))
+                        got = _assert_matches_oracles(a, b)
+                        assert got.x == sign * _exact(kept + (kept & 1), m)
+                        assert got.y == sign * p
+
+    def test_all_ones_mantissa_carries_into_the_next_power_of_two(self, digits):
+        with working_digits(digits):
+            prec = mp.prec
+            ones = 2**prec - 1
+            for m in (2, 3, 2 * prec + 5):
+                # p + q is a tie, p + r lies above it: both round up
+                a, b = _sums(_exact(ones, m), _exact(1, m - 1), _exact(3, m - 2))
+                got = _assert_matches_oracles(a, b)
+                assert got.x._mpf_ == (0, 1, prec + m, 1)
+                assert got.y._mpf_ == (0, 1, prec + m, 1)
+            a, b = _sums(_exact(ones, 1), mpf(1), mpf(0))
+            assert _assert_matches_oracles(a, b).x._mpf_ == (0, 1, prec + 1, 1)
+
+    def test_exact_results_shed_long_trailing_zero_runs(self, digits):
+        with working_digits(digits):
+            prec = mp.prec
+            half = 2 ** (prec - 1)
+            a, b = _sums(_exact(half + 1, 200), _exact(half - 1, 200), _exact(3, 5 * prec))
+            got = _assert_matches_oracles(a, b)
+            assert got.x._mpf_ == (0, 1, prec + 200, 1)
+            assert got.z == _exact(3, 5 * prec) - _exact(half - 1, 200)
+            a, b = _sums(_exact(3, 5 * prec), _exact(5, 5 * prec), _exact(5 << 300, -9))
+            got = _assert_matches_oracles(a, b)
+            assert got.x._mpf_ == (0, 1, 5 * prec + 3, 1)
+            assert got.y == _exact(3, 5 * prec) + _exact(5 << 300, -9)
+
+    def test_component_cancelling_to_exactly_zero(self, digits):
+        with working_digits(digits):
+            q = _exact(2**mp.prec - 1, -mp.prec)
+            a, b = _sums(2 * q, q, q)
+            got = _assert_matches_oracles(a, b)
+            assert got.w._mpf_ == got.z._mpf_ == (0, 0, 0, 0)
+
+    def test_zero_components_beside_large_exponents(self, digits):
+        with working_digits(digits):
+            big = _exact(2**mp.prec - 1, 3 * mp.prec)
+            zero = mpf(0)
+            for a in (Unitary(big, zero, _exact(5, 700), zero), Unitary(zero, zero, zero, big)):
+                for b in (Unitary(zero, big, zero, _exact(3, 40)), Unitary(zero, _exact(-1, -900), zero, zero)):
+                    _assert_matches_oracles(a, b)
+                    _assert_matches_oracles(b, a)
+
+    def test_exponents_far_apart(self, digits):
+        rng = random.Random(digits)
+        with working_digits(digits):
+            prec = mp.prec
+            for _ in range(50):
+                shifts = [0, -2 * prec - 1 - rng.randrange(prec), 2 * prec + 1 + rng.randrange(prec)]
+                parts = [_exact(rng.getrandbits(prec) | 1, rng.choice(shifts) - prec) for _ in range(8)]
+                _assert_matches_oracles(Unitary(*parts[:4]), Unitary(*parts[4:]))
+
+    def test_non_unit_inputs(self, digits):
+        rng = random.Random(digits + 1)
+        with working_digits(digits):
+            prec = mp.prec
+            for _ in range(100):
+                parts = [
+                    _exact(rng.choice((1, -1)) * rng.getrandbits(rng.randint(1, 3 * prec)), rng.randint(-1000, 1000))
+                    for _ in range(8)
+                ]
+                _assert_matches_oracles(Unitary(*parts[:4]), Unitary(*parts[4:]))
+
+    @given(data=st.data())
+    def test_raw_components(self, digits, data):
+        with working_digits(digits):
+            prec = mp.prec
+            raw = st.tuples(st.booleans(), st.integers(0, 2 ** (3 * prec) - 1), st.integers(-4 * prec, 4 * prec))
+            parts = [_exact(-man if neg else man, exp) for neg, man, exp in data.draw(st.lists(raw, min_size=8, max_size=8))]
+            _assert_matches_oracles(Unitary(*parts[:4]), Unitary(*parts[4:]))
+
+
+@pytest.mark.parametrize("digits", [16, 60, 200])
+def test_rounded_is_libmp_from_man_exp(digits):
+    """su2._rounded is from_man_exp(man, exp, prec, round_nearest), raw tuple for raw tuple."""
+    rng = random.Random(digits)
+    with working_digits(digits):
+        prec = mp.prec
+    cases = [(0, 0), (0, -7), (1, 0), (-1, 3)]
+    for _ in range(2000):
+        bits = rng.randint(1, 3 * prec)
+        man = rng.getrandbits(bits) | 1 << (bits - 1)
+        cases.append((rng.choice((1, -1)) * man << rng.choice((0, 0, 1, 64, 500)), rng.randint(-5 * prec, 5 * prec)))
+    for bits in range(1, 3 * prec + 1):
+        cases.append((2**bits - 1, -bits))  # all ones: carries when rounded up
+    for kept in (2 ** (prec - 1), 2 ** (prec - 1) + 1, 2**prec - 2, 2**prec - 1):
+        for m in (1, 2, 3, 299, 300, 301, 3 * prec):
+            tie = (kept << m) + (1 << (m - 1))
+            for man in (tie - 1, tie, tie + 1):
+                cases += [(man, -m), (-man, m)]
+    for man, exp in cases:
+        assert su2._rounded(man, exp, prec) == from_man_exp(man, exp, prec, round_nearest), (man, exp)
+
+
+_CHAIN_MODELS = [
+    LinearOverRotation(1),
+    PerChannel(
+        {
+            "target": CovariantVector.constant((mpf("0.7"), mpf("-0.4"), mpf("0.5"))),
+            "pi3": AxisDependentPi3(mpf("0.6"), mpf("0.9")),
+        }
+    ),
+]
+
+
+@pytest.mark.parametrize("digits", [16, 60])
+@pytest.mark.parametrize("model", _CHAIN_MODELS, ids=["linear", "vector_axisdep"])
+@pytest.mark.parametrize("name", BUILTIN_NAMES + ("concat:XYYXY",))
+def test_evaluate_folds_like_the_oracle_kernel(name, model, digits):
+    """A whole evaluation has the bits of the same fold through the former kernel."""
+    seq = build_builtin(name)
+    with working_digits(digits):
+        scale = mpf("0.01")
+        got = evaluate(seq, model, scale)
+        want = su2.identity()
+        for p in seq.pulses:
+            u = p.ideal_unitary() if p.channel == "perfect" else model.realize(p, scale)
+            want = oracles.multiply_from_man_exp(u, want)
+        assert _bits(got) == _bits(want)
 
 
 # The former mpf-expression kernels, kept as the bit-exact oracle.
@@ -140,19 +305,7 @@ class TestKernelsBitIdentical:
             assert _bits(su2.exp_pauli((0, 0, 0))) == _bits(su2.identity())
 
 
-@pytest.mark.parametrize(
-    "model",
-    [
-        LinearOverRotation(1),
-        PerChannel(
-            {
-                "target": CovariantVector.constant((mpf("0.7"), mpf("-0.4"), mpf("0.5"))),
-                "pi3": AxisDependentPi3(mpf("0.6"), mpf("0.9")),
-            }
-        ),
-    ],
-    ids=["linear", "vector_axisdep"],
-)
+@pytest.mark.parametrize("model", _CHAIN_MODELS, ids=["linear", "vector_axisdep"])
 def test_depth5_chain_at_60_digits_agrees_with_100(model):
     seq = build_builtin("concat:XYZXY")
     with working_digits(60):

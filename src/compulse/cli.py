@@ -7,9 +7,10 @@ reports a log-log slope, ``expand`` extracts a series coefficient,
 reference infidelity table.
 
 Exit codes: 0 success, 2 configuration or parse errors (a ``concat:``
-chain over ``sequences.MAX_PULSES`` and a ``--grid`` over
-``analysis.MAX_SCALES`` included), 3 numeric-domain errors
-(principal-branch overflow, unreachable goals, too few fit points).
+chain over ``sequences.MAX_PULSES``, a ``--grid`` over
+``analysis.MAX_SCALES`` and unreadable or unwritable files included),
+3 numeric-domain errors (principal-branch overflow, a rotation angle with
+no phase bit left, unreachable goals, too few fit points).
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ CONFIG_ERRORS = (
     error_models.ModelConfigError,
     PrecisionError,
     InvalidAxisError,
+    OSError,
 )
 DOMAIN_ERRORS = (BranchError, FitError, orders.PlanningError)
 
@@ -261,7 +263,7 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--model", required=True)
         p.add_argument("--grid", default="1e-4:1e-1:9", help="lo:hi:per_decade (default 1e-4:1e-1:9)")
         if name == "fit":
-            p.add_argument("--column", default="infidelity", choices=("cx", "cy", "cz", "infidelity"))
+            p.add_argument("--column", default="infidelity", choices=analysis.ScanResult.COLUMNS)
 
     p = add_sub("expand", cmd_expand, "series coefficient by finite differences (needs >= 50 digits)")
     _add_sequence_args(p)
@@ -315,9 +317,6 @@ def main(argv=None) -> int:
         print(f"compulse: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except CONFIG_ERRORS as exc:
-        print(f"compulse: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
         print(f"compulse: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return 0

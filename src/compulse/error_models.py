@@ -93,20 +93,22 @@ class ErrorModel:
         ``scale`` multiplies every model coefficient, so scans can sweep a
         base error magnitude with the model shape fixed.
 
-        The pulse keeps its last realization: a repeat call with this same
-        model object, this same ``scale`` object and the same ``mp.prec``
-        returns the stored unitary.  Models are immutable values, so the
-        identity of the two objects fixes the result.
+        The pulse's per-precision record (see :meth:`Pulse.derived`) keeps
+        the last realization: a repeat call with this same model object and
+        this same ``scale`` object returns the stored unitary.  Models are
+        immutable values, so the identity of the two objects fixes the
+        result; a change of precision drops the record and the realization
+        with it.
         """
-        memo = pulse._realized
-        if memo is not None and memo[0] is self and memo[1] is scale and memo[2] == mp.prec:
-            return memo[3]
-        axis, alpha = pulse.unit_axis(), pulse.alpha()
+        record = pulse.derived()
+        memo = record.realized
+        if memo is not None and memo[0] is self and memo[1] is scale:
+            return memo[2]
         if pulse.role.is_dagger:
-            u = su2.dagger(self._forward(pulse, axis, -alpha, mpf(scale)))
+            u = su2.dagger(self._forward(pulse, record.axis, -record.alpha, mpf(scale)))
         else:
-            u = self._forward(pulse, axis, alpha, mpf(scale))
-        object.__setattr__(pulse, "_realized", (self, scale, mp.prec, u))
+            u = self._forward(pulse, record.axis, record.alpha, mpf(scale))
+        record.realized = (self, scale, u)
         return u
 
     def _forward(self, pulse: "Pulse", axis: Vec3, alpha: mpf, scale: mpf) -> Unitary:
@@ -116,16 +118,9 @@ class ErrorModel:
 
 
 def _over_rotated(axis: Vec3, alpha: mpf, offset: mpf) -> Unitary:
-    """exp(i*(|alpha| + offset)*sign(alpha)*(axis.sigma)).
-
-    An angle of 2**mp.prec radians or more has no bit of its phase mod 2*pi
-    left, so it raises :class:`BranchError` instead of reducing it.
-    """
+    """exp(i*(|alpha| + offset)*sign(alpha)*(axis.sigma))."""
     mag = fabs(alpha) + offset
-    if fabs(mag) >= mp.ldexp(1, mp.prec):
-        raise BranchError(f"over-rotated angle {nstr(mag, 5)} reaches 2**{mp.prec} radians: no phase bit left")
-    g = mag if alpha >= 0 else -mag
-    return su2.rotation(axis, g)
+    return su2.rotation(axis, mag if alpha >= 0 else -mag)
 
 
 @dataclass(frozen=True)

@@ -71,7 +71,6 @@ class DeltaOrders(NamedTuple):
     f: object
 
 
-NO_DELTAS = DeltaOrders(INFINITY, INFINITY, INFINITY)
 OVERROTATION_DELTAS = DeltaOrders(1, INFINITY, INFINITY)
 
 

@@ -145,6 +145,16 @@ def _frac_to_radians(f: Fraction) -> mpf:
     return mp.pi * f.numerator / f.denominator
 
 
+class _Derived:
+    """A pulse's unit lab axis, radians, ideal unitary (made on first use) and
+    last realization (model, scale, unitary), all at precision ``prec``."""
+
+    __slots__ = ("prec", "axis", "alpha", "ideal", "realized")
+
+    def __init__(self, prec: int, axis: Vec3, alpha: mpf):
+        self.prec, self.axis, self.alpha, self.ideal, self.realized = prec, axis, alpha, None, None
+
+
 @dataclass(frozen=True)
 class Pulse:
     """One framed rotation.
@@ -154,14 +164,14 @@ class Pulse:
     the negated generator of their forward partner.  ``channel`` names the
     error-model channel ("target", "pi3", or "perfect").
 
-    The unit lab axis, the angle in radians and the ideal unitary are
-    derived on first use and kept until the working precision changes.
-    The dagger partner is kept the same way: at a fixed precision
+    Everything the pulse derives at the working precision (unit lab axis,
+    radians, ideal unitary and last realization) sits in one record that
+    :meth:`derived` drops when ``mp.prec`` changes.  The dagger partner is
+    kept beside it, under the same precision: at a fixed precision
     ``p.daggered().daggered() is p``.  With :func:`parse` loading identical
     pulse lines as one shared pulse, a deep chain holds a few dozen
-    distinct pulse objects.  Each keeps its last realization per (model,
-    scale, precision), so :func:`evaluate` corrupts a repeated pulse once
-    (see :meth:`ErrorModel.realize`).
+    distinct pulse objects, so :func:`evaluate` corrupts a repeated pulse
+    once per model, scale and precision.
     """
 
     frame: FrameTriad
@@ -169,9 +179,8 @@ class Pulse:
     alpha_pi: Fraction
     role: Role
     channel: str
-    _geometry: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _record: Optional[_Derived] = field(default=None, init=False, repr=False, compare=False)
     _dagger: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
-    _realized: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "axis_in_frame", su2.tighten_axis(self.axis_in_frame))
@@ -182,34 +191,27 @@ class Pulse:
     def lab_axis(self) -> Vec3:
         return su2.tighten_axis(self.frame.map(self.axis_in_frame))
 
-    def _compiled(self) -> tuple:
-        """(mp.prec, unit lab axis, generator radians) at the current
-        precision, then the ideal unitary once :meth:`ideal_unitary` ran."""
-        geometry = self._geometry
-        if geometry is None or geometry[0] != mp.prec:
-            axis = su2.normalized_axis(self.lab_axis())
-            geometry = (mp.prec, axis, _frac_to_radians(self.alpha_pi))
-            object.__setattr__(self, "_geometry", geometry)
-        return geometry
-
-    def unit_axis(self) -> Vec3:
-        """Lab rotation axis, normalized at the current precision."""
-        return self._compiled()[1]
+    def derived(self) -> _Derived:
+        """The record of this pulse at the working precision."""
+        record, prec = self._record, mp.prec
+        if record is None or record.prec != prec:
+            record = _Derived(prec, su2.normalized_axis(self.lab_axis()), _frac_to_radians(self.alpha_pi))
+            object.__setattr__(self, "_record", record)
+        return record
 
     def alpha(self) -> mpf:
         """Generator angle in radians at the current precision."""
-        return self._compiled()[2]
+        return self.derived().alpha
 
     def rotation_angle_pi(self) -> Fraction:
         """Unsigned rotation angle in units of pi."""
         return abs(2 * self.alpha_pi)
 
     def ideal_unitary(self) -> Unitary:
-        geometry = self._compiled()
-        if len(geometry) == 3:
-            geometry += (su2.rotation(geometry[1], geometry[2]),)
-            object.__setattr__(self, "_geometry", geometry)
-        return geometry[3]
+        record = self.derived()
+        if record.ideal is None:
+            record.ideal = su2.rotation(record.axis, record.alpha)
+        return record.ideal
 
     def forward(self) -> "Pulse":
         """The non-dagger partner (self if already a forward pulse)."""
@@ -239,11 +241,9 @@ class Gate:
         object.__setattr__(self, "axis", su2.tighten_axis(self.axis))
         object.__setattr__(self, "alpha_pi", Fraction(self.alpha_pi))
 
-    def alpha(self) -> mpf:
-        return _frac_to_radians(self.alpha_pi)
-
     def unitary(self) -> Unitary:
-        return su2.from_generator(self.axis, self.alpha())
+        """The ideal rotation, its axis derived as a pulse derives its own."""
+        return su2.from_generator(su2.tighten_axis(self.axis), _frac_to_radians(self.alpha_pi))
 
 
 @dataclass(frozen=True)
@@ -628,6 +628,8 @@ def _parse_fraction(tok: str, lineno: int, col: int) -> Fraction:
         return Fraction(tok)
     except ZeroDivisionError:
         raise DslError(f"bad rational angle {tok!r} (zero denominator)", lineno, col) from None
+    except ValueError:  # beyond Python's limit on int-string conversion
+        raise DslError(f"rational angle of {len(tok)} characters is too long", lineno, col) from None
 
 
 _NAME_PREFIX = "# sequence:"

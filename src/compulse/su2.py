@@ -20,6 +20,9 @@ is done in plain integer arithmetic and gives the same bits as libmp's
 ``from_man_exp`` with ``round_nearest``; a non-finite (inf or nan)
 component in a factor raises ValueError.
 
+Every unitary made from an angle (ideal or corrupted pulse, target gate)
+comes from :func:`rotation`, which holds the one phase guard.
+
 All values are immutable and all operations are pure functions.
 """
 
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from mpmath import atan2, fabs, mp, mpf, sqrt
+from mpmath import atan2, fabs, mp, mpf, nstr, sqrt
 from mpmath.libmp import fzero, mpf_cos_sin, mpf_div, mpf_mul, mpf_neg, round_nearest
 
 from .precision import unit_tolerance
@@ -125,10 +128,15 @@ _make = mp.make_mpf
 
 def rotation(unit_axis: Vec3, alpha: mpf) -> Unitary:
     """exp(i*alpha*(unit_axis . sigma)) for an axis already normalized at
-    the working precision (as returned by :func:`normalized_axis`)."""
+    the working precision (as returned by :func:`normalized_axis`).  An angle
+    that is not finite and below 2**mp.prec radians has no bit of its phase
+    mod 2*pi left, so it raises :class:`BranchError`."""
     nx, ny, nz = unit_axis
-    prec = mp.prec
-    c, s = mpf_cos_sin(alpha._mpf_, prec, round_nearest)
+    prec, raw = mp.prec, alpha._mpf_
+    # |alpha| < 2**(exp + bc); mpmath marks inf and nan with a negative bc.
+    if raw[2] + raw[3] > prec or raw[3] < 0:
+        raise BranchError(f"rotation angle {nstr(alpha, 5)} is not below 2**{prec} radians: no phase bit left")
+    c, s = mpf_cos_sin(raw, prec, round_nearest)
     return Unitary(
         _make(c),
         _make(mpf_mul(s, nx._mpf_, prec, round_nearest)),
@@ -264,10 +272,6 @@ def rotate_vector(g: Unitary, v: Iterable) -> Vec3:
         k * vy + 2 * dot * uy - 2 * w * cy,
         k * vz + 2 * dot * uz - 2 * w * cz,
     )
-
-
-def norm(u: Unitary) -> mpf:
-    return sqrt(u.w**2 + u.x**2 + u.y**2 + u.z**2)
 
 
 def error_unitary(ideal: Unitary, actual: Unitary) -> Unitary:

@@ -7,10 +7,10 @@ precision, deliberately sharing no code with the library under test.
 through nothing but its ``realize``.  :func:`multiply_from_man_exp` is the
 former product kernel, which rounds through libmp's generic
 ``from_man_exp``; the library's integer rounding must match it bit for
-bit.  The quaternion helpers at the end (:func:`unit_vector`,
-:func:`conjugate_frame`, :func:`phase_opt_trace_distance`,
-:func:`xy_error_axis`) are built on the library's kernels; no library code
-needs them.
+bit.  The quaternion helpers at the end (:func:`norm`,
+:func:`unit_vector`, :func:`conjugate_frame`,
+:func:`phase_opt_trace_distance`, :func:`xy_error_axis`) are built on the
+library's kernels; no library code needs them.
 """
 
 import numpy as np
@@ -117,6 +117,11 @@ def multiply_from_man_exp(a, b):
             )
         )
     )
+
+
+def norm(u) -> mpf:
+    """Euclidean norm of a quaternion."""
+    return sqrt(u.w**2 + u.x**2 + u.y**2 + u.z**2)
 
 
 def unit_vector(v) -> tuple:

@@ -224,6 +224,7 @@ BAD_INPUTS = {
     ),
     "concat-too-deep": ("build", "--seq", "concat:XYZXYZXYZXYZX"),
     "file-not-utf8": ("simulate", "--file", "{bad_utf8}", "--model", "model=linear eps=0.1"),
+    "file-angle-too-long": ("simulate", "--file", "{long_angle}", "--model", "model=linear eps=0.1"),
     "deltas-perfect-regime": ("plan", "--start", "1,1,1", "--deltas", "1,1,1", "--depth", "2"),
     "deltas-axisdep-regime": ("plan", "--regime", "axisdep", "--start", "1,1,1", "--deltas", "1,1,1", "--depth", "2"),
     "channels-text-outside-blocks": (
@@ -244,7 +245,9 @@ class TestBadInput:
     def test_is_a_one_line_config_error(self, capsys, tmp_path, argv):
         bad_utf8 = tmp_path / "bad.txt"
         bad_utf8.write_bytes(b"target 1 0 0 1/2\n\xff\n")
-        argv = [a.replace("{bad_utf8}", str(bad_utf8)) for a in argv]
+        long_angle = tmp_path / "long.txt"  # beyond Python's int-string limit
+        long_angle.write_bytes(b"target 1 0 0 1/2\npulse 1 0 0 " + b"1" * 4401 + b"/2 target target\n")
+        argv = [a.replace("{bad_utf8}", str(bad_utf8)).replace("{long_angle}", str(long_angle)) for a in argv]
         code, out, err = run(capsys, "--digits", "50", *argv)
         assert code == 2
         assert out == ""
@@ -258,7 +261,7 @@ class TestBadInput:
         assert code == 2 and "limit" in err
         assert time.perf_counter() - start < 1
 
-    def test_over_rotation_beyond_the_precision_is_a_domain_error_at_once(self, capsys):
+    def test_over_rotation_beyond_the_precision_is_a_domain_error_at_once(self, capsys, tmp_path):
         start = time.perf_counter()
         code, out, err = run(
             capsys, "simulate", "--seq", "naive", "--model", "model=linear eps=0.1", "--eps", "1e999999999999"
@@ -266,6 +269,22 @@ class TestBadInput:
         assert code == 3 and out == ""
         assert err.startswith("compulse: ") and err.count("\n") == 1
         assert time.perf_counter() - start < 1
+        # A stored angle of 10**40 * pi radians has no phase bit left at 16
+        # digits, whether a model corrupts it, keeps it ideal or it is the target.
+        huge = "1" + "0" * 40 + "/1"
+        pulse_file, target_file = tmp_path / "pulse.txt", tmp_path / "target.txt"
+        pulse_file.write_text(f"target 1 0 0 1/2\npulse 1 0 0 {huge} target target\n", encoding="utf-8")
+        target_file.write_text(f"target 1 0 0 {huge}\npulse 1 0 0 1/2 target target\n", encoding="utf-8")
+        models = [], ["--model", "model=channels"], ["--model", "model=vector dx=0.01"], [
+            "--model", "model=axisdep delta=0.01 deltahat=0.02"
+        ]
+        for path, model in [(pulse_file, m) for m in models] + [(target_file, [])]:
+            code, out, err = run(capsys, "--digits", "16", "simulate", "--file", str(path), *model)
+            assert code == 3 and out == "", (path.name, model)
+            assert err.startswith("compulse: ") and err.count("\n") == 1 and "no phase bit left" in err
+        for path in (pulse_file, target_file):
+            code, out, _ = run(capsys, "--digits", "60", "simulate", "--file", str(path))
+            assert code == 0 and "infidelity  1.0000000000000000e+00" in out
 
     def test_non_utf8_file_reports_position(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"

@@ -9,7 +9,6 @@ from compulse.orders import (
     INFINITY,
     MAX_DEPTH,
     DeltaOrders,
-    NO_DELTAS,
     OVERROTATION_DELTAS,
     OrderTriple,
     PlanningError,
@@ -23,6 +22,7 @@ from compulse.orders import (
 from compulse.sequences import SequenceError
 
 INF = INFINITY
+NO_DELTAS = DeltaOrders(INFINITY, INFINITY, INFINITY)
 
 order_values = st.one_of(st.integers(min_value=1, max_value=40), st.just(INF))
 triples = st.tuples(order_values, order_values, order_values).map(lambda t: OrderTriple(*t))

@@ -1,34 +1,44 @@
-"""Every name ``compulse`` exports has a caller outside the tests.
+"""Every public name ``compulse`` defines has a caller outside the tests.
 
-A name counts as used when a library module (outside the name's own
-definition) or a module under ``scripts/`` or ``benchmarks/`` loads it,
-reads it as an attribute, imports it, or names it in a string (the
-benchmark tracer patches functions by name).  Test-only helpers live in
-``tests/oracles.py`` instead.
+A public name is a function, class or constant defined at module level in
+``src/compulse`` under a name without a leading underscore; the exports of
+``__init__.py`` are among them.  It counts as used when a library module
+(outside the name's own definition and the re-exports) or a module under
+``scripts/`` or ``benchmarks/`` loads it, reads it as an attribute, imports
+it, or names it in a string (the benchmark tracer patches functions by
+name).  Test-only helpers live in ``tests/oracles.py`` or in their tests.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "compulse"
 
-# Exported without a non-test caller, each for a stated reason.
+# Public without a non-test caller, each for a stated reason.
 ALLOWED = {
     "total_angle": "a quantity the paper reports (acceptance criteria 5 and 7)",
     "state_fidelity_error": "a quantity the paper reports (acceptance criteria 5 and 7)",
 }
 
 
-def exported_names() -> set:
-    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
-    return {a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
+def defined_names(node: ast.stmt) -> set:
+    """Public names a module-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = {node.name}
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    else:
+        names = set()
+    return {n for n in names if not n.startswith("_")}
 
 
-def used_names(path: Path) -> set:
-    """Names ``path`` loads, reads as attributes, imports or spells as a string."""
+def used_names(tree: ast.AST) -> set:
+    """Names ``tree`` loads, reads as attributes, imports or spells as a string."""
     used = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -40,16 +50,26 @@ def used_names(path: Path) -> set:
     return used
 
 
-def unused_exports() -> set:
-    sources = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
-    sources += sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "benchmarks").glob("*.py"))
-    return exported_names() - set().union(*(used_names(p) for p in sources))
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
 
 
-def test_every_export_has_a_caller_outside_the_tests():
-    unused = unused_exports() - set(ALLOWED)
-    assert not unused, f"exported but used only by tests: {sorted(unused)}"
+def unused_public_names() -> set:
+    outside = sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "benchmarks").glob("*.py"))
+    used = set().union(*(used_names(_parse(p)) for p in outside))
+    statements = [node for p in PACKAGE.glob("*.py") if p.name != "__init__.py" for node in _parse(p).body]
+    uses = [used_names(node) for node in statements]
+    statements_using = Counter(name for names in uses for name in names)
+    unused = set()
+    for node, own in zip(statements, uses):
+        unused |= {n for n in defined_names(node) - used if statements_using[n] == (n in own)}
+    return unused
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    unused = unused_public_names() - set(ALLOWED)
+    assert not unused, f"public but used only by tests: {sorted(unused)}"
 
 
 def test_allow_list_holds_only_unused_exports():
-    assert set(ALLOWED) <= unused_exports()
+    assert set(ALLOWED) <= unused_public_names()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from mpmath import fabs, mp, mpf, pi
 
 from compulse import su2
+from compulse.analysis import component_scan
 from compulse.error_models import (
     AxisDependentPi3,
     AxisOverRotation,
@@ -98,6 +99,19 @@ class TestGateAndTarget:
     def test_parse_target_rejects(self, bad):
         with pytest.raises(SequenceError):
             parse_target(bad)
+
+    def test_target_built_at_low_precision_evaluates_like_its_pulse(self):
+        # The tilted axis stored at 16 digits is off unit by more than the
+        # 60-digit tolerance; the target derives its axis as a pulse does.
+        with working_digits(16):
+            gate = Gate(tuple(mpf(c) / 3 for c in (2, 1, 2)), Fraction(1, 3))
+            seq = build_builtin("pi3:Z", gate)
+        for digits in (16, 60):
+            with working_digits(digits):
+                assert seq.ideal_unitary() == evaluate(naive(gate), None)
+        with working_digits(60):
+            rows = component_scan(seq, LinearOverRotation(1), ["1e-3", "1e-2"]).rows
+        assert all(row.error is None and row.infidelity > 0 for row in rows)
 
 
 class TestPi3Correct:
@@ -594,6 +608,19 @@ class TestDsl:
             parse(text)
         assert err.value.line == line
         assert err.value.column == col
+
+    @pytest.mark.parametrize(
+        "text,line,col",
+        [
+            ("target 1 0 0 1/2\npulse 1 0 0 " + "1" * 4401 + "/2 target target\n", 2, 13),
+            ("target 1 0 0 " + "1" * 4401 + "/2\n", 1, 14),
+        ],
+        ids=["pulse", "target"],
+    )
+    def test_overlong_rational_angle_reports_its_position(self, text, line, col):
+        with pytest.raises(DslError, match="too long") as err:
+            parse(text)
+        assert (err.value.line, err.value.column) == (line, col)
 
     def test_rejects_bad_channel(self):
         text = "target 1.0 0.0 0.0 1/2\npulse 1.0 0.0 0.0 1/2 target radio\n"

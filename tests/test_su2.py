@@ -77,6 +77,26 @@ class TestFromGenerator:
         assert oracles.max_abs_diff(oracles.to_matrix(u), m) < 1e-12
 
 
+class TestRotationPhaseGuard:
+    @pytest.mark.parametrize("digits", [16, 60])
+    def test_refuses_an_angle_without_a_phase_bit(self, digits):
+        with working_digits(digits):
+            top = mp.ldexp(1, mp.prec)
+            for alpha in (top, -top, 2 * top, mpf("inf"), mpf("-inf"), mpf("nan")):
+                with pytest.raises(BranchError, match="no phase bit left"):
+                    su2.rotation((mpf(1), mpf(0), mpf(0)), alpha)
+
+    @pytest.mark.parametrize("digits", [16, 60])
+    def test_keeps_the_phase_just_below_two_to_the_precision(self, digits):
+        with working_digits(digits):
+            ulp = mp.ldexp(1, -mp.prec)
+            for alpha in (mp.ldexp(1, mp.prec) - 1, 1 - mp.ldexp(1, mp.prec)):
+                got = su2.rotation((mpf(0), mpf(1), mpf(0)), alpha)
+                with mp.workprec(2 * mp.prec):
+                    want = (cos(alpha), 0, sin(alpha), 0)
+                assert all(fabs(g - w) <= ulp for g, w in zip(got, want))
+
+
 class TestProduct:
     def test_u_times_dagger_is_identity(self):
         u = from_generator((0.6, 0.8, 0), 0.7)
@@ -96,7 +116,7 @@ class TestProduct:
         u = identity()
         for _ in range(200):
             u = multiply(u, random_quaternion(rng))
-        assert fabs(su2.norm(u) - 1) < unit_tolerance()
+        assert fabs(oracles.norm(u) - 1) < unit_tolerance()
 
 
 class TestConjugateFrame:

@@ -119,8 +119,10 @@ def format_sci(x, sig: int) -> str:
     s = nstr(m, sig, strip_zeros=False)
     if mpf(s) >= 10:  # mantissa rounded up to 10.0
         e += 1
-        m = a / mpf(10) ** e
-        s = nstr(m, sig, strip_zeros=False)
+        s = nstr(a / mpf(10) ** e, sig, strip_zeros=False)
+    elif mpf(s) < 1:  # log10 of a value just below 10**e rounded up to e
+        e -= 1
+        s = nstr(a / mpf(10) ** e, sig, strip_zeros=False)
     return f"{sign}{s}e{e:+03d}"
 
 
@@ -162,6 +164,8 @@ def fit_points(scales: Sequence, values: Sequence) -> OrderFit:
     mean_x = sum(xs) / n
     mean_y = sum(ys) / n
     var = sum((x - mean_x) ** 2 for x in xs)
+    if var == 0:
+        raise FitError(f"all {n} points above the precision floor share one eps; no slope to fit")
     cov = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
     slope = cov / var
     intercept = mean_y - slope * mean_x

@@ -4,7 +4,11 @@ Every family is invertible in the systematic sense: attempting the inverse
 pulse applies the exact dagger of the corrupted forward pulse.  The base
 class realizes a dagger-role pulse as the dagger of its forward partner
 (same axis, negated generator angle), so subclasses only describe the
-forward corruption.
+forward corruption.  It also corrupts a dagger pair once: when a pulse's
+linked partner already holds its realization under the same model and
+scale, the pulse gets that realization's dagger, bit for bit what its own
+corruption would give.  The ideal rotation inside a corrupted pulse is the
+one the pulse's record already stores.
 
 Over-rotation amounts are functions of the unsigned rotation angle
 ``theta = 2*|alpha|`` (polynomials here, degree-bounded for
@@ -98,13 +102,20 @@ class ErrorModel:
         this same ``scale`` object returns the stored unitary.  Models are
         immutable values, so the identity of the two objects fixes the
         result; a change of precision drops the record and the realization
-        with it.
+        with it.  On a miss, a realization that the linked dagger partner
+        keeps for the same model and scale (see
+        :meth:`Pulse.partner_record`) is returned daggered, so a dagger pair
+        is corrupted once.
         """
         record = pulse.derived()
-        memo = record.realized
-        if memo is not None and memo[0] is self and memo[1] is scale:
-            return memo[2]
-        if pulse.role.is_dagger:
+        u = record.kept(self, scale)
+        if u is not None:
+            return u
+        partner = pulse.partner_record()
+        shared = partner.kept(self, scale) if partner is not None else None
+        if shared is not None:
+            u = su2.dagger(shared)
+        elif pulse.role.is_dagger:
             u = su2.dagger(self._forward(pulse, record.axis, -record.alpha, mpf(scale)))
         else:
             u = self._forward(pulse, record.axis, record.alpha, mpf(scale))
@@ -115,6 +126,13 @@ class ErrorModel:
         """Corrupted forward pulse: ``axis`` is the unit lab axis and
         ``alpha`` the forward generator angle (negated for dagger roles)."""
         raise NotImplementedError
+
+
+def _ideal_forward(pulse: "Pulse") -> Unitary:
+    """The ideal forward rotation of ``pulse``: its stored ideal unitary,
+    daggered for a dagger role (exact, as the angle only changes sign)."""
+    u = pulse.ideal_unitary()
+    return su2.dagger(u) if pulse.role.is_dagger else u
 
 
 def _over_rotated(axis: Vec3, alpha: mpf, offset: mpf) -> Unitary:
@@ -203,7 +221,7 @@ class CovariantVector(ErrorModel):
         )
         lab = pulse.frame.map(delta)
         _check_branch(su2.vec_norm(lab))
-        return su2.multiply(su2.rotation(axis, alpha), su2.exp_pauli(lab))
+        return su2.multiply(_ideal_forward(pulse), su2.exp_pauli(lab))
 
 
 @dataclass(frozen=True)
@@ -224,7 +242,7 @@ class AxisDependentPi3(ErrorModel):
 
     def _forward(self, pulse, axis, alpha, scale):
         if pulse.channel != "pi3":
-            return su2.rotation(axis, alpha)
+            return _ideal_forward(pulse)
         d = self.delta if pulse.frame.is_identity() else self.delta_hat
         return _over_rotated(axis, alpha, scale * d)
 

@@ -154,6 +154,14 @@ class _Derived:
     def __init__(self, prec: int, axis: Vec3, alpha: mpf):
         self.prec, self.axis, self.alpha, self.ideal, self.realized = prec, axis, alpha, None, None
 
+    def kept(self, model, scale) -> Optional[Unitary]:
+        """The last realization if this same ``model`` object made it at this
+        same ``scale`` object, else None."""
+        memo = self.realized
+        if memo is not None and memo[0] is model and memo[1] is scale:
+            return memo[2]
+        return None
+
 
 @dataclass(frozen=True)
 class Pulse:
@@ -170,8 +178,9 @@ class Pulse:
     kept beside it, under the same precision: at a fixed precision
     ``p.daggered().daggered() is p``.  With :func:`parse` loading identical
     pulse lines as one shared pulse, a deep chain holds a few dozen
-    distinct pulse objects, so :func:`evaluate` corrupts a repeated pulse
-    once per model, scale and precision.
+    distinct pulse objects.  A pulse and its linked partner share one
+    corruption (see :meth:`partner_record`), so :func:`evaluate` corrupts
+    each repeated dagger pair once per model, scale and precision.
     """
 
     frame: FrameTriad
@@ -213,6 +222,23 @@ class Pulse:
             record.ideal = su2.rotation(record.axis, record.alpha)
         return record.ideal
 
+    def partner_record(self) -> Optional[_Derived]:
+        """The dagger partner's record, when this pulse and its partner link
+        each other at the working precision and the partner has derived one.
+
+        Linked partners share their frame, axis bits and (negated) radians,
+        so the partner's realization is the exact dagger of this pulse's.
+        A partner re-tightened at a higher precision does not link back, nor
+        do parsed lines that are separate pulses.
+        """
+        prec, link = mp.prec, self._dagger
+        if link is None or link[0] != prec:
+            return None
+        back, record = link[1]._dagger, link[1]._record
+        if back is None or back[0] != prec or back[1] is not self or record is None or record.prec != prec:
+            return None
+        return record
+
     def forward(self) -> "Pulse":
         """The non-dagger partner (self if already a forward pulse)."""
         return self.daggered() if self.role.is_dagger else self
@@ -236,14 +262,21 @@ class Gate:
 
     axis: Vec3
     alpha_pi: Fraction
+    _unitary: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "axis", su2.tighten_axis(self.axis))
         object.__setattr__(self, "alpha_pi", Fraction(self.alpha_pi))
 
     def unitary(self) -> Unitary:
-        """The ideal rotation, its axis derived as a pulse derives its own."""
-        return su2.from_generator(su2.tighten_axis(self.axis), _frac_to_radians(self.alpha_pi))
+        """The ideal rotation, its axis derived as a pulse derives its own.
+        It is kept with the precision it was made at, and remade when
+        ``mp.prec`` changes."""
+        kept, prec = self._unitary, mp.prec
+        if kept is None or kept[0] != prec:
+            kept = (prec, su2.from_generator(su2.tighten_axis(self.axis), _frac_to_radians(self.alpha_pi)))
+            object.__setattr__(self, "_unitary", kept)
+        return kept[1]
 
 
 @dataclass(frozen=True)

@@ -98,6 +98,18 @@ class TestFormatSci:
     def test_rounding_carry(self):
         assert format_sci(mpf("9.97e-3"), 2) == "1.0e-02"
 
+    @pytest.mark.parametrize("digits, bits", [(16, 52), (60, 200)])
+    def test_mantissa_starts_with_a_nonzero_digit_next_to_powers_of_ten(self, digits, bits):
+        # log10 of a value a few ulps from 10**k may round to k either way
+        with working_digits(digits):
+            for k in range(-30, 30):
+                for x in (mpf(10) ** k * (1 - mpf(2) ** -bits), mpf(10) ** k * (1 + mpf(2) ** -bits)):
+                    text = format_sci(x, digits)
+                    assert text[0] in "123456789", text
+                    mantissa, _, exponent = text.partition("e")
+                    back = mpf(mantissa) * mpf(10) ** int(exponent)
+                    assert fabs(back - x) <= fabs(x) * mpf(10) ** (1 - digits), text
+
 
 class TestFitOrder:
     def test_recovers_exact_power_law(self):
@@ -118,6 +130,10 @@ class TestFitOrder:
     def test_too_few_points_raises(self):
         with pytest.raises(FitError):
             fit_points([mpf("0.1"), mpf("0.01")], [mpf("1e-3"), mpf("1e-5")])
+
+    def test_points_at_one_eps_raise(self):
+        with pytest.raises(FitError, match="share one eps"):
+            fit_points([mpf(1)] * 4, [mpf(2)] * 4)
 
     def test_naive_infidelity_slope_two(self):
         scan = component_scan(build_builtin("naive"), LinearOverRotation(1), default_scales())

@@ -1,10 +1,17 @@
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+from mpmath import mp
+from mpmath.libmp import from_man_exp
+
+from compulse import su2
+
 ROOT = Path(__file__).resolve().parent.parent
 ORDER_SCALING = ROOT / "scripts" / "order_scaling.py"
+EVALUATE_DIGEST = ROOT / "scripts" / "evaluate_digest.py"
 
 CSV_NAMES = {"naive.csv", "b2.csv", "b4.csv", "pi3Y.csv", "pi3Y-b2sym.csv", "pi3Y-b4sym.csv"}
 
@@ -43,3 +50,30 @@ class TestOrderScaling:
         assert "bad --grid '1e-3:1e-2'" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
+
+
+def _load_evaluate_digest():
+    spec = importlib.util.spec_from_file_location("evaluate_digest", EVALUATE_DIGEST)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestEvaluateDigest:
+    NAMES = ("pi3:Y", "pi5", "b2")
+    MODELS = ("model=linear eps=0.01", "model=channels target{vector dx=0.01} pi3{axisdep delta=0.01 deltahat=0.02}")
+
+    def test_repeat_calls_agree_and_one_flipped_bit_shows(self, monkeypatch):
+        digest = _load_evaluate_digest().digest
+        want = digest(self.NAMES, self.MODELS, (16, 30))
+        assert digest(self.NAMES, self.MODELS, (16, 30)) == want
+        multiply = su2.multiply
+
+        def flipped(a, b):
+            u = multiply(a, b)
+            sign, man, exp, _ = u.w._mpf_
+            w = mp.make_mpf(from_man_exp(-(man ^ 2) if sign else man ^ 2, exp))
+            return su2.Unitary(w, u.x, u.y, u.z)
+
+        monkeypatch.setattr(su2, "multiply", flipped)
+        assert digest(self.NAMES, self.MODELS, (16, 30)) != want

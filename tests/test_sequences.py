@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from mpmath import fabs, mp, mpf, pi
 
 from compulse import su2
-from compulse.analysis import component_scan
+from compulse.analysis import axis_dependent_family, component_scan
 from compulse.error_models import (
     AxisDependentPi3,
     AxisOverRotation,
@@ -112,6 +112,17 @@ class TestGateAndTarget:
         with working_digits(60):
             rows = component_scan(seq, LinearOverRotation(1), ["1e-3", "1e-2"]).rows
         assert all(row.error is None and row.infidelity > 0 for row in rows)
+
+    def test_unitary_is_remade_when_precision_changes(self):
+        axis = tuple(mpf(c) / 3 for c in (2, 1, 2))
+        with working_digits(16):
+            gate, fresh = Gate(axis, Fraction(1, 3)), Gate(axis, Fraction(1, 3))
+            low = gate.unitary()
+            assert gate.unitary() is low
+        with working_digits(60):
+            high = gate.unitary()
+            assert high == fresh.unitary()
+            assert high != low
 
 
 class TestPi3Correct:
@@ -442,16 +453,15 @@ class TestRealizeMemo:
             for model, scale in [step for step in walk + walk[::-1] for _ in range(2)]:
                 assert evaluate(seq, model, scale) == want[id(model), id(scale)]
 
-    def test_one_forward_corruption_per_distinct_pulse(self, monkeypatch):
+    def test_one_forward_corruption_per_dagger_pair(self, monkeypatch):
         seq = build_builtin("concat:XYYXY")
-        distinct = len({id(p) for p in seq.pulses})
-        assert (len(seq.pulses), distinct) == (727, 22)
+        assert (len(seq.pulses), len({id(p) for p in seq.pulses}), _dagger_pairs(seq)) == (727, 22, 11)
         realized = _count_calls(monkeypatch, ErrorModel, "realize")
         forward = _count_calls(monkeypatch, LinearOverRotation, "_forward")
         evaluate(seq, LinearOverRotation(1), mpf("1e-3"))
-        assert (len(realized), len(forward)) == (727, 22)
+        assert (len(realized), len(forward)) == (727, 11)
 
-    def test_per_channel_mix_corrupts_each_distinct_pulse_once(self, monkeypatch):
+    def test_per_channel_mix_corrupts_each_dagger_pair_once(self, monkeypatch):
         seq = build_builtin("concat:XYYXY", Z_PI)
         model = _MODEL_KINDS["perchannel"](mpf("0.01"))
         realized = _count_calls(monkeypatch, ErrorModel, "realize")
@@ -459,8 +469,62 @@ class TestRealizeMemo:
         axisdep = _count_calls(monkeypatch, AxisDependentPi3, "_forward")
         evaluate(seq, model, mpf("1e-3"))
         assert len(realized) == len(seq.pulses)
-        assert len(vector) + len(axisdep) == len({id(p) for p in seq.pulses})
+        assert len(vector) + len(axisdep) == _dagger_pairs(seq) == 11
         assert vector and axisdep
+
+    def test_stencil_point_of_a_series_coefficient_corrupts_three_pairs(self, monkeypatch):
+        seq = build_builtin("pi3:X", Z_PI)
+        model = axis_dependent_family().build([mpf("1e-3")] * 5)
+        vector = _count_calls(monkeypatch, CovariantVector, "_forward")
+        axisdep = _count_calls(monkeypatch, AxisDependentPi3, "_forward")
+        evaluate(seq, model, 1)
+        assert (len(vector), len(axisdep)) == (1, 2)
+
+
+def _distinct(seq: PulseSequence) -> list:
+    return list({id(p): p for p in seq.pulses}.values())
+
+
+def _dagger_pairs(seq: PulseSequence) -> int:
+    return len({frozenset((id(p), id(p.daggered()))) for p in seq.pulses})
+
+
+class TestDaggerPairSharing:
+    @pytest.mark.parametrize("digits", [16, 60])
+    @pytest.mark.parametrize("kind", sorted(_MODEL_KINDS))
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_partner_realization_is_the_exact_dagger(self, name, kind, digits):
+        with working_digits(digits):
+            model, scale = _MODEL_KINDS[kind](mpf("-0.013")), mpf("0.7")
+            for partner_first in (False, True):
+                for p in _distinct(build_builtin(name)):
+                    q = p.daggered()
+                    first, second = (q, p) if partner_first else (p, q)
+                    u, v = model.realize(first, scale), model.realize(second, scale)
+                    assert v == su2.dagger(u)
+                    # unlinked copies are corrupted on their own
+                    assert (u, v) == (model.realize(replace(first), scale), model.realize(replace(second), scale))
+
+    def test_linked_partner_shares_its_record(self):
+        p = _tilted_correction()
+        q = p.daggered()
+        assert p.partner_record() is None  # q has derived nothing yet
+        record = p.derived()
+        assert q.partner_record() is record
+
+    def test_partner_tightened_at_higher_precision_is_realized_on_its_own(self, monkeypatch):
+        with working_digits(16):
+            p = _tilted_correction()
+        with working_digits(60):
+            q = p.daggered()
+            assert q.axis_in_frame != p.axis_in_frame
+            model, scale = LinearOverRotation(mpf("0.01")), mpf(1)
+            forward = _count_calls(monkeypatch, LinearOverRotation, "_forward")
+            model.realize(p, scale)
+            got = model.realize(q, scale)
+            assert len(forward) == 2
+            assert p.partner_record() is None and q.partner_record() is None
+            assert got == model.realize(replace(q), scale)
 
 
 class TestRegistry:

@@ -4,7 +4,9 @@
 The hash covers ``repr(evaluate(...))`` for every builtin plus two
 ``concat:`` chains, on three targets, under five error models, at three
 error scales, both as built and after a text round trip, at 16 and 60
-digits and for a 16-digit build evaluated at 60.  It also covers the
+digits and for a 16-digit build evaluated at 60.  It also covers
+``pi3_correct`` applied at 60 digits, about each lab axis, to those
+sequences built at 16 digits on x-pi, z-pi and a tilted target, and the
 60-digit infidelity table and three series coefficients.  Two checkouts
 that print the same hash give bit-identical results on all of them, which
 is how a change meant to be a pure speed-up shows that it is one.
@@ -14,6 +16,7 @@ Usage: evaluate_digest.py
 
 import hashlib
 import sys
+from fractions import Fraction
 from itertools import product
 
 from mpmath import mpf
@@ -21,8 +24,18 @@ from mpmath import mpf
 from compulse import analysis
 from compulse.error_models import parse_model
 from compulse.precision import working_digits
-from compulse.sequences import BUILTIN_NAMES, SequenceError, build_builtin, evaluate, parse, parse_target, serialize
-from compulse.su2 import BranchError
+from compulse.sequences import (
+    BUILTIN_NAMES,
+    Gate,
+    SequenceError,
+    build_builtin,
+    evaluate,
+    parse,
+    parse_target,
+    pi3_correct,
+    serialize,
+)
+from compulse.su2 import LAB_AXES, BranchError
 
 NAMES = BUILTIN_NAMES + ("concat:XYZXY", "concat:ZZY:b2sym")
 TARGETS = ("x-pi", "z-pi", "y-3pi/4")
@@ -62,17 +75,52 @@ def digest(names, models, digits) -> str:
         for eval_digits in sorted(d for d in digits if d >= build_digits):
             with working_digits(eval_digits):
                 parsed = [parse_model(config) for config in models]
-                for s, model, scale in product((seq, parse(text)), parsed, SCALES):
-                    try:
-                        result = evaluate(s, model, mpf(scale))
-                    except BranchError as exc:
-                        result = exc
-                    h.update(repr(result).encode())
+                for s in (seq, parse(text)):
+                    for result in _results(s, parsed):
+                        h.update(result)
+    return h.hexdigest()
+
+
+def _results(seq, models):
+    """``repr`` of ``evaluate(seq, ...)`` for each of ``models`` x SCALES;
+    an evaluation that raises gives the exception's repr."""
+    for model, scale in product(models, SCALES):
+        try:
+            result = evaluate(seq, model, mpf(scale))
+        except BranchError as exc:
+            result = exc
+        yield repr(result).encode()
+
+
+def wrapped_digest(names, models) -> str:
+    """SHA-256 over ``repr(evaluate(...))`` of ``pi3_correct`` applied at 60
+    digits, about each lab axis, to ``names`` built at 16 digits on x-pi,
+    z-pi and a tilted target, under ``models`` x SCALES.
+
+    The correction makes the daggers of the 16-digit inner pulses at 60
+    digits.  Builtins that reject a target are skipped.
+    """
+    h = hashlib.sha256()
+    with working_digits(16):
+        tilted = Gate((mpf(2) / 3, mpf(1) / 3, mpf(2) / 3), Fraction(1, 3))
+        targets = (parse_target("x-pi"), parse_target("z-pi"), tilted)
+    for name, target in product(names, targets):
+        with working_digits(16):
+            try:
+                inner = build_builtin(name, target)
+            except SequenceError:  # the b family corrects rotations about x only
+                continue
+        with working_digits(60):
+            parsed = [parse_model(config) for config in models]
+            for axis in LAB_AXES.values():
+                for result in _results(pi3_correct(inner, axis), parsed):
+                    h.update(result)
     return h.hexdigest()
 
 
 def main() -> int:
     h = hashlib.sha256(digest(NAMES, MODELS, (16, 60)).encode())
+    h.update(wrapped_digest(NAMES, MODELS).encode())
     with working_digits(60):
         h.update(repr(sorted(analysis.infidelity_table().items())).encode())
         seq = build_builtin("pi3:X", parse_target("z-pi"))

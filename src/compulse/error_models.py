@@ -2,13 +2,11 @@
 
 Every family is invertible in the systematic sense: attempting the inverse
 pulse applies the exact dagger of the corrupted forward pulse.  The base
-class realizes a dagger-role pulse as the dagger of its forward partner
-(same axis, negated generator angle), so subclasses only describe the
-forward corruption.  It also corrupts a dagger pair once: when a pulse's
-linked partner already holds its realization under the same model and
-scale, the pulse gets that realization's dagger, bit for bit what its own
-corruption would give.  The ideal rotation inside a corrupted pulse is the
-one the pulse's record already stores.
+class holds that rule in one place: it realizes a dagger-role pulse as
+``su2.dagger`` of the realization of its partner ``pulse.daggered()``
+(same frame and axis bits, negated generator angle), so subclasses only
+describe the corruption of forward pulses.  Each pulse keeps its last
+realization, so a dagger pair is corrupted once per model and scale.
 
 Over-rotation amounts are functions of the unsigned rotation angle
 ``theta = 2*|alpha|`` (polynomials here, degree-bounded for
@@ -97,42 +95,34 @@ class ErrorModel:
         ``scale`` multiplies every model coefficient, so scans can sweep a
         base error magnitude with the model shape fixed.
 
-        The pulse's per-precision record (see :meth:`Pulse.derived`) keeps
-        the last realization: a repeat call with this same model object and
-        this same ``scale`` object returns the stored unitary.  Models are
-        immutable values, so the identity of the two objects fixes the
-        result; a change of precision drops the record and the realization
-        with it.  On a miss, a realization that the linked dagger partner
-        keeps for the same model and scale (see
-        :meth:`Pulse.partner_record`) is returned daggered, so a dagger pair
-        is corrupted once.
+        A forward pulse is corrupted by ``_forward``; a dagger pulse gets
+        the exact dagger of its forward partner's realization.  The pulse's
+        per-precision record (see :meth:`Pulse.derived`) keeps the last
+        realization: a repeat call with this same model object and this same
+        ``scale`` object returns the stored unitary.  Models are immutable
+        values, so the identity of the two objects fixes the result; a
+        change of precision drops the record and the realization with it.
         """
+        return self._realized(pulse, scale)
+
+    def _realized(self, pulse: "Pulse", scale) -> Unitary:
+        # The rule behind realize; a dagger pulse recurses here, not through
+        # realize, so each pulse still costs one realize call.
         record = pulse.derived()
-        u = record.kept(self, scale)
-        if u is not None:
-            return u
-        partner = pulse.partner_record()
-        shared = partner.kept(self, scale) if partner is not None else None
-        if shared is not None:
-            u = su2.dagger(shared)
-        elif pulse.role.is_dagger:
-            u = su2.dagger(self._forward(pulse, record.axis, -record.alpha, mpf(scale)))
+        kept = record.realized
+        if kept is not None and kept[0] is self and kept[1] is scale:
+            return kept[2]
+        if pulse.role.is_dagger:
+            u = su2.dagger(self._realized(pulse.daggered(), scale))
         else:
             u = self._forward(pulse, record.axis, record.alpha, mpf(scale))
         record.realized = (self, scale, u)
         return u
 
     def _forward(self, pulse: "Pulse", axis: Vec3, alpha: mpf, scale: mpf) -> Unitary:
-        """Corrupted forward pulse: ``axis`` is the unit lab axis and
-        ``alpha`` the forward generator angle (negated for dagger roles)."""
+        """Corrupted forward ``pulse``: ``axis`` is its unit lab axis and
+        ``alpha`` its generator angle in radians."""
         raise NotImplementedError
-
-
-def _ideal_forward(pulse: "Pulse") -> Unitary:
-    """The ideal forward rotation of ``pulse``: its stored ideal unitary,
-    daggered for a dagger role (exact, as the angle only changes sign)."""
-    u = pulse.ideal_unitary()
-    return su2.dagger(u) if pulse.role.is_dagger else u
 
 
 def _over_rotated(axis: Vec3, alpha: mpf, offset: mpf) -> Unitary:
@@ -221,7 +211,7 @@ class CovariantVector(ErrorModel):
         )
         lab = pulse.frame.map(delta)
         _check_branch(su2.vec_norm(lab))
-        return su2.multiply(_ideal_forward(pulse), su2.exp_pauli(lab))
+        return su2.multiply(pulse.ideal_unitary(), su2.exp_pauli(lab))
 
 
 @dataclass(frozen=True)
@@ -242,7 +232,7 @@ class AxisDependentPi3(ErrorModel):
 
     def _forward(self, pulse, axis, alpha, scale):
         if pulse.channel != "pi3":
-            return _ideal_forward(pulse)
+            return pulse.ideal_unitary()
         d = self.delta if pulse.frame.is_identity() else self.delta_hat
         return _over_rotated(axis, alpha, scale * d)
 

@@ -154,14 +154,6 @@ class _Derived:
     def __init__(self, prec: int, axis: Vec3, alpha: mpf):
         self.prec, self.axis, self.alpha, self.ideal, self.realized = prec, axis, alpha, None, None
 
-    def kept(self, model, scale) -> Optional[Unitary]:
-        """The last realization if this same ``model`` object made it at this
-        same ``scale`` object, else None."""
-        memo = self.realized
-        if memo is not None and memo[0] is model and memo[1] is scale:
-            return memo[2]
-        return None
-
 
 @dataclass(frozen=True)
 class Pulse:
@@ -175,12 +167,12 @@ class Pulse:
     Everything the pulse derives at the working precision (unit lab axis,
     radians, ideal unitary and last realization) sits in one record that
     :meth:`derived` drops when ``mp.prec`` changes.  The dagger partner is
-    kept beside it, under the same precision: at a fixed precision
-    ``p.daggered().daggered() is p``.  With :func:`parse` loading identical
-    pulse lines as one shared pulse, a deep chain holds a few dozen
-    distinct pulse objects.  A pulse and its linked partner share one
-    corruption (see :meth:`partner_record`), so :func:`evaluate` corrupts
-    each repeated dagger pair once per model, scale and precision.
+    made once, from this pulse's frame and exact axis bits, and links back
+    at every precision: ``p.daggered().daggered() is p``.  An error model
+    realizes a dagger pulse through that partner (see
+    :meth:`ErrorModel.realize`), so :func:`evaluate` corrupts each dagger
+    pair of a built chain once per model and scale, and each distinct line
+    of a parsed file (which :func:`parse` loads as one shared pulse) once.
     """
 
     frame: FrameTriad
@@ -189,7 +181,7 @@ class Pulse:
     role: Role
     channel: str
     _record: Optional[_Derived] = field(default=None, init=False, repr=False, compare=False)
-    _dagger: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _dagger: Optional["Pulse"] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "axis_in_frame", su2.tighten_axis(self.axis_in_frame))
@@ -222,61 +214,44 @@ class Pulse:
             record.ideal = su2.rotation(record.axis, record.alpha)
         return record.ideal
 
-    def partner_record(self) -> Optional[_Derived]:
-        """The dagger partner's record, when this pulse and its partner link
-        each other at the working precision and the partner has derived one.
-
-        Linked partners share their frame, axis bits and (negated) radians,
-        so the partner's realization is the exact dagger of this pulse's.
-        A partner re-tightened at a higher precision does not link back, nor
-        do parsed lines that are separate pulses.
-        """
-        prec, link = mp.prec, self._dagger
-        if link is None or link[0] != prec:
-            return None
-        back, record = link[1]._dagger, link[1]._record
-        if back is None or back[0] != prec or back[1] is not self or record is None or record.prec != prec:
-            return None
-        return record
-
     def forward(self) -> "Pulse":
         """The non-dagger partner (self if already a forward pulse)."""
         return self.daggered() if self.role.is_dagger else self
 
     def daggered(self) -> "Pulse":
-        cached = self._dagger
-        if cached is not None and cached[0] == mp.prec:
-            return cached[1]
-        partner = replace(self, alpha_pi=-self.alpha_pi, role=self.role.partner)
-        object.__setattr__(self, "_dagger", (mp.prec, partner))
-        # A pulse stored at lower precision gets a re-tightened axis in its
-        # partner; that partner's own dagger must keep the tightened axis.
-        if partner.axis_in_frame == self.axis_in_frame:
-            object.__setattr__(partner, "_dagger", (mp.prec, self))
+        """The partner with the negated angle and the partner role, made on
+        first use with this pulse's frame and exact axis bits."""
+        partner = self._dagger
+        if partner is None:
+            partner = replace(self, alpha_pi=-self.alpha_pi, role=self.role.partner)
+            # undo any re-tightening at the working precision: same axis bits
+            object.__setattr__(partner, "axis_in_frame", self.axis_in_frame)
+            object.__setattr__(partner, "_dagger", self)
+            object.__setattr__(self, "_dagger", partner)
         return partner
 
 
 @dataclass(frozen=True)
 class Gate:
-    """Ideal target rotation: unit axis and generator angle in units of pi."""
+    """Ideal target rotation: unit axis and generator angle in units of pi.
+
+    The gate keeps its one target pulse (identity frame, "target" channel),
+    which :func:`naive` and :func:`pi5_sequence` apply and whose ideal
+    unitary is the gate's.
+    """
 
     axis: Vec3
     alpha_pi: Fraction
-    _unitary: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _pulse: Pulse = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "axis", su2.tighten_axis(self.axis))
         object.__setattr__(self, "alpha_pi", Fraction(self.alpha_pi))
+        pulse = Pulse(FrameTriad.identity(), self.axis, self.alpha_pi, Role.TARGET, "target")
+        object.__setattr__(self, "_pulse", pulse)
 
     def unitary(self) -> Unitary:
-        """The ideal rotation, its axis derived as a pulse derives its own.
-        It is kept with the precision it was made at, and remade when
-        ``mp.prec`` changes."""
-        kept, prec = self._unitary, mp.prec
-        if kept is None or kept[0] != prec:
-            kept = (prec, su2.from_generator(su2.tighten_axis(self.axis), _frac_to_radians(self.alpha_pi)))
-            object.__setattr__(self, "_unitary", kept)
-        return kept[1]
+        return self._pulse.ideal_unitary()
 
 
 @dataclass(frozen=True)
@@ -324,8 +299,7 @@ def evaluate(seq: PulseSequence, model, scale=1) -> Unitary:
 
 
 def naive(gate: Gate) -> PulseSequence:
-    pulse = Pulse(FrameTriad.identity(), gate.axis, gate.alpha_pi, Role.TARGET, "target")
-    return PulseSequence(gate, (pulse,), name="naive")
+    return PulseSequence(gate, (gate._pulse,), name="naive")
 
 
 def pi3_correct(inner: PulseSequence, axis: Iterable) -> PulseSequence:
@@ -368,7 +342,7 @@ def pi5_sequence(gate: Gate, perfect: bool = True) -> PulseSequence:
     def aux(frame, alpha_pi):
         return Pulse(frame, X_AXIS, Fraction(alpha_pi), Role.CORRECTION, ch)
 
-    t = Pulse(f_id, gate.axis, gate.alpha_pi, Role.TARGET, "target")
+    t = gate._pulse
     td = t.daggered()
     pulses = (
         aux(f_id, Fraction(-2, 5)),  # compensates the residual 4pi/5 rotation
@@ -497,7 +471,7 @@ def _about_x(builder, sym: bool = False):
 
     def build(target: Gate) -> PulseSequence:
         if not su2.axes_match(target.axis, X_AXIS):
-            raise SequenceError(f"{label} corrects rotations about x; got axis {target.axis}")
+            raise SequenceError(f"{label} corrects rotations about x; got axis {_axis_label(target.axis)}")
         seq = builder(2 * target.alpha_pi)
         return symmetrize(seq) if sym else seq
 

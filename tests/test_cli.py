@@ -94,6 +94,12 @@ class TestBuildSimulate:
         assert code == 2
         assert "unknown sequence" in err
 
+    def test_b_family_names_the_wrong_target_axis(self, capsys):
+        code, out, err = run(capsys, "build", "--seq", "pi3Y∘b2sym", "--target", "y-pi")
+        assert code == 2
+        assert out == ""
+        assert err == "compulse: b2sym corrects rotations about x; got axis Y\n"
+
     def test_seq_and_file_are_exclusive(self, capsys, tmp_path):
         path = tmp_path / "s.txt"
         path.write_text("target 1.0 0.0 0.0 1/2\n", encoding="utf-8")

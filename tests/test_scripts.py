@@ -67,13 +67,24 @@ class TestEvaluateDigest:
         digest = _load_evaluate_digest().digest
         want = digest(self.NAMES, self.MODELS, (16, 30))
         assert digest(self.NAMES, self.MODELS, (16, 30)) == want
-        multiply = su2.multiply
-
-        def flipped(a, b):
-            u = multiply(a, b)
-            sign, man, exp, _ = u.w._mpf_
-            w = mp.make_mpf(from_man_exp(-(man ^ 2) if sign else man ^ 2, exp))
-            return su2.Unitary(w, u.x, u.y, u.z)
-
-        monkeypatch.setattr(su2, "multiply", flipped)
+        monkeypatch.setattr(su2, "multiply", _flipping(su2.multiply))
         assert digest(self.NAMES, self.MODELS, (16, 30)) != want
+
+    def test_wrapped_case_repeats_and_shows_a_flipped_bit(self, monkeypatch):
+        wrapped_digest = _load_evaluate_digest().wrapped_digest
+        want = wrapped_digest(self.NAMES, self.MODELS)
+        assert wrapped_digest(self.NAMES, self.MODELS) == want
+        monkeypatch.setattr(su2, "multiply", _flipping(su2.multiply))
+        assert wrapped_digest(self.NAMES, self.MODELS) != want
+
+
+def _flipping(multiply):
+    """``multiply`` with one low bit of each product's w component flipped."""
+
+    def flipped(a, b):
+        u = multiply(a, b)
+        sign, man, exp, _ = u.w._mpf_
+        w = mp.make_mpf(from_man_exp(-(man ^ 2) if sign else man ^ 2, exp))
+        return su2.Unitary(w, u.x, u.y, u.z)
+
+    return flipped

@@ -19,6 +19,7 @@ from compulse.error_models import (
 from compulse.precision import unit_tolerance, working_digits
 from compulse.sequences import (
     BUILTIN_NAMES,
+    CHANNELS,
     MAX_PULSES,
     DslError,
     FrameTriad,
@@ -70,18 +71,18 @@ class TestPulseDagger:
         assert q.daggered() is p
         assert (q.alpha_pi, q.role) == (-p.alpha_pi, Role.CORRECTION_DAGGER)
 
-    def test_partner_at_higher_precision_matches_a_fresh_replace(self):
+    @pytest.mark.parametrize("made_at", [16, 60])
+    def test_partner_keeps_the_link_and_axis_bits_at_every_precision(self, made_at):
         with working_digits(16):
             p = _tilted_correction()
-        with working_digits(60):
+        with working_digits(made_at):
             q = p.daggered()
-            fresh = replace(p, alpha_pi=-p.alpha_pi, role=p.role.partner)
-            assert q == fresh
-            assert [c._mpf_ for c in q.axis_in_frame] == [c._mpf_ for c in fresh.axis_in_frame]
-            assert q.axis_in_frame != p.axis_in_frame  # re-tightened at 60 digits
-            back = q.daggered()
-            assert back is not p
-            assert [c._mpf_ for c in back.axis_in_frame] == [c._mpf_ for c in q.axis_in_frame]
+        with working_digits(60):
+            assert p.axis_in_frame != replace(p).axis_in_frame  # 60 digits would re-tighten it
+        for digits in (16, 60, 16):
+            with working_digits(digits):
+                assert p.daggered() is q and q.daggered() is p
+                assert [c._mpf_ for c in q.axis_in_frame] == [c._mpf_ for c in p.axis_in_frame]
 
 
 class TestGateAndTarget:
@@ -461,6 +462,17 @@ class TestRealizeMemo:
         evaluate(seq, LinearOverRotation(1), mpf("1e-3"))
         assert (len(realized), len(forward)) == (727, 11)
 
+    def test_chain_built_at_16_digits_corrupts_each_pair_once_at_60(self, monkeypatch):
+        with working_digits(16):
+            seq = build_builtin("concat:XYYXY")
+            fresh = _fresh_copies(seq)
+        with working_digits(60):
+            model, scale = LinearOverRotation(1), mpf("1e-3")
+            want = evaluate(fresh, model, scale)
+            forward = _count_calls(monkeypatch, LinearOverRotation, "_forward")
+            assert evaluate(seq, model, scale) == want
+            assert len(forward) == 11
+
     def test_per_channel_mix_corrupts_each_dagger_pair_once(self, monkeypatch):
         seq = build_builtin("concat:XYYXY", Z_PI)
         model = _MODEL_KINDS["perchannel"](mpf("0.01"))
@@ -505,26 +517,57 @@ class TestDaggerPairSharing:
                     # unlinked copies are corrupted on their own
                     assert (u, v) == (model.realize(replace(first), scale), model.realize(replace(second), scale))
 
-    def test_linked_partner_shares_its_record(self):
-        p = _tilted_correction()
-        q = p.daggered()
-        assert p.partner_record() is None  # q has derived nothing yet
-        record = p.derived()
-        assert q.partner_record() is record
-
-    def test_partner_tightened_at_higher_precision_is_realized_on_its_own(self, monkeypatch):
+    def test_pair_is_corrupted_once_at_each_precision(self, monkeypatch):
         with working_digits(16):
             p = _tilted_correction()
-        with working_digits(60):
-            q = p.daggered()
-            assert q.axis_in_frame != p.axis_in_frame
-            model, scale = LinearOverRotation(mpf("0.01")), mpf(1)
-            forward = _count_calls(monkeypatch, LinearOverRotation, "_forward")
-            model.realize(p, scale)
-            got = model.realize(q, scale)
-            assert len(forward) == 2
-            assert p.partner_record() is None and q.partner_record() is None
-            assert got == model.realize(replace(q), scale)
+        model, scale = LinearOverRotation(mpf("0.01")), mpf(1)
+        forward = _count_calls(monkeypatch, LinearOverRotation, "_forward")
+        for n, digits in enumerate((16, 60, 16), start=1):
+            with working_digits(digits):
+                q = p.daggered()
+                assert q.daggered() is p
+                assert [c._mpf_ for c in q.axis_in_frame] == [c._mpf_ for c in p.axis_in_frame]
+                assert model.realize(q, scale) == su2.dagger(model.realize(p, scale))
+                assert len(forward) == n
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        axis=st.tuples(*[st.floats(-1, 1)] * 3).filter(lambda v: sum(c * c for c in v) > 0.01),
+        gaxis=st.tuples(*[st.floats(-1, 1)] * 3).filter(lambda v: sum(c * c for c in v) > 0.01),
+        galpha=st.floats(0.05, 3),  # keeps the frame away from the identity
+        alpha_pi=st.fractions(-2, 2, max_denominator=24),
+        role=st.sampled_from([Role.TARGET, Role.CORRECTION]),
+        channel=st.sampled_from(CHANNELS),
+    )
+    def test_dagger_realizes_as_the_exact_dagger(self, axis, gaxis, galpha, alpha_pi, role, channel):
+        with working_digits(16):
+            frame = FrameTriad.from_unitary(su2.from_generator(oracles.unit_vector(gaxis), mpf(galpha)))
+            axis = oracles.unit_vector(axis)
+        for digits in (16, 60):
+            for partner_first in (False, True):
+                # a pulse built at 16 digits and daggered first at ``digits``
+                with working_digits(16):
+                    p = Pulse(frame, axis, alpha_pi, role, channel)
+                with working_digits(digits):
+                    q = p.daggered()
+                    for kind, make in sorted(_MODEL_KINDS.items()):
+                        model, scale = make(mpf("-0.013")), mpf("0.7")
+                        for pulse in (q, p) if partner_first else (p, q):
+                            model.realize(pulse, scale)
+                        assert model.realize(q, scale) == su2.dagger(model.realize(p, scale)), kind
+
+    @pytest.mark.parametrize("digits", [16, 60])
+    def test_parsed_dagger_line_without_its_forward_line(self, digits):
+        with working_digits(16):
+            frame = FrameTriad.from_unitary(su2.from_generator(oracles.unit_vector((1, -2, 2)), mpf("0.9")))
+            dagger = Pulse(frame, oracles.unit_vector((1, 2, 3)), Fraction(-1, 6), Role.CORRECTION_DAGGER, "pi3")
+            (q,) = parse(serialize(PulseSequence(X_PI, (dagger,)))).pulses
+            forward = Pulse(q.frame, q.axis_in_frame, -q.alpha_pi, Role.CORRECTION, "pi3")
+        with working_digits(digits):
+            for kind, make in sorted(_MODEL_KINDS.items()):
+                model, scale = make(mpf("-0.013")), mpf("0.7")
+                assert model.realize(q, scale) == su2.dagger(model.realize(forward, scale)), kind
+            assert q.daggered() is not forward and q.daggered().daggered() is q
 
 
 class TestRegistry:

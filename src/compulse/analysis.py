@@ -6,17 +6,22 @@ magnitudes of the three directional trace components plus the infidelity.
 Fits exclude points below the precision floor 10**(2 - digits).  Series
 coefficients come from tensor-product central-difference stencils (five
 points per parameter, exact rational weights) and need extended precision.
+Numbers print through :func:`format_sci`: the stored binary value correctly
+rounded to the requested significant digits, ties away from zero, with a
+mantissa in [1, 10) whatever the working precision; zero prints as ``0e+00``,
+and a non-finite value or fewer than one digit raises ValueError.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import factorial
 from typing import Callable, Mapping, Optional, Sequence
 
-from mpmath import fabs, floor, log10, mp, mpf, nstr
+from mpmath import fabs, floor, log10, mp, mpf
 
 from . import error_models, su2
 from .error_models import AxisDependentPi3, CovariantVector, ErrorModel, LinearOverRotation, PerChannel
@@ -105,25 +110,49 @@ def component_scan(seq: PulseSequence, model: ErrorModel, scales: Sequence) -> S
     )
 
 
+_LOG10_2 = math.log10(2)
+
+
 def format_sci(x, sig: int) -> str:
-    """Scientific notation with a ``sig``-digit mantissa, deterministic."""
+    """Scientific notation of ``x`` with a ``sig``-digit mantissa.
+
+    The mantissa is the stored binary value rounded once, correctly, to
+    ``sig`` significant digits, ties away from zero; it lies in [1, 10) and
+    does not depend on the working precision.  Only a non-mpf ``x`` is
+    converted, at the working precision.  Zero prints as ``0e+00`` and
+    ``None`` as ``nan``; ``sig < 1``, infinities and nan raise ValueError.
+    """
     if x is None:
         return "nan"
-    x = mpf(x)
-    if x == 0:
+    if sig < 1:
+        raise ValueError(f"need at least one significant digit, got sig={sig}")
+    sign, man, exp, bc = (x if isinstance(x, mpf) else mpf(x))._mpf_
+    if not man:
+        if bc:  # mpmath stores inf and nan with a zero mantissa
+            raise ValueError(f"cannot format {x}: not a finite number")
         return "0e+00"
-    sign = "-" if x < 0 else ""
-    a = fabs(x)
-    e = int(floor(log10(a)))
-    m = a / mpf(10) ** e
-    s = nstr(m, sig, strip_zeros=False)
-    if mpf(s) >= 10:  # mantissa rounded up to 10.0
-        e += 1
-        s = nstr(a / mpf(10) ** e, sig, strip_zeros=False)
-    elif mpf(s) < 1:  # log10 of a value just below 10**e rounded up to e
+    # |x| = man * 2**exp lies in [2**(t - 1), 2**t) with t = exp + bc, so its
+    # decimal exponent is e or e - 1 (the float floor is exact for |t| < 2**22).
+    e = math.floor((exp + bc) * _LOG10_2)
+    # num / den = |x| * 10**(sig - 1 - e), exactly
+    num, den = (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+    shift = sig - 1 - e
+    if shift >= 0:
+        num *= 10**shift
+    else:
+        den *= 10**-shift
+    low = 10 ** (sig - 1)
+    if num < low * den:
+        num *= 10
         e -= 1
-        s = nstr(a / mpf(10) ** e, sig, strip_zeros=False)
-    return f"{sign}{s}e{e:+03d}"
+    q, r = divmod(num, den)
+    if 2 * r >= den:
+        q += 1
+        if q == 10 * low:  # rounded up to the next power of ten
+            q, e = low, e + 1
+    digits = str(q)
+    mantissa = digits if sig == 1 else f"{digits[0]}.{digits[1:]}"
+    return f"{'-' if sign else ''}{mantissa}e{e:+03d}"
 
 
 def to_csv(scan: ScanResult) -> str:

@@ -1,5 +1,5 @@
-"""Independent oracles for the quaternion kernels and the error models,
-and the helpers that only the tests use.
+"""Independent oracles for the quaternion kernels, the error models and
+number formatting, and the helpers that only the tests use.
 
 The matrix oracles go through numpy 2x2 complex matrices at double
 precision, deliberately sharing no code with the library under test.
@@ -7,11 +7,15 @@ precision, deliberately sharing no code with the library under test.
 through nothing but its ``realize``.  :func:`multiply_from_man_exp` is the
 former product kernel, which rounds through libmp's generic
 ``from_man_exp``; the library's integer rounding must match it bit for
-bit.  The quaternion helpers at the end (:func:`norm`,
-:func:`unit_vector`, :func:`conjugate_frame`,
+bit.  :func:`format_sci_decimal` rounds an mpf's exact binary value to
+decimal through the standard library's ``decimal``, sharing no code with
+``analysis.format_sci``.  The quaternion helpers at the end
+(:func:`norm`, :func:`unit_vector`, :func:`conjugate_frame`,
 :func:`phase_opt_trace_distance`, :func:`xy_error_axis`) are built on the
 library's kernels; no library code needs them.
 """
+
+from decimal import ROUND_HALF_UP, Context, Decimal, Inexact, localcontext
 
 import numpy as np
 from mpmath import fabs, mp, mpf, sqrt
@@ -83,6 +87,20 @@ def invert_model_consistency(model, pulse) -> bool:
     w, x, y, z = model.realize(pulse)
     tol = unit_tolerance()
     return all(fabs(a - b) <= tol for a, b in zip(inv, (w, -x, -y, -z)))
+
+
+def format_sci_decimal(x, sig: int) -> str:
+    """``x`` in scientific notation with ``sig`` significant digits, ties
+    away from zero, through exact ``decimal`` arithmetic on its stored bits."""
+    sign, man, exp, bc = x._mpf_
+    if not man:
+        return "0e+00"
+    # man * 2**exp has at most bc + |exp| significant decimal digits
+    with localcontext(Context(prec=bc + abs(exp) + 2, traps=[Inexact])):
+        value = Decimal(-man if sign else man) * Decimal(2) ** exp
+    rounded = Context(prec=sig, rounding=ROUND_HALF_UP).plus(value)
+    mantissa, _, exponent = f"{rounded:.{sig - 1}e}".partition("e")
+    return f"{mantissa}e{int(exponent):+03d}"
 
 
 def _fixed_point_ref(u) -> tuple:

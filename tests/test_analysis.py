@@ -2,6 +2,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import fabs, mp, mpf, sqrt
 
 from compulse import su2
@@ -25,7 +27,7 @@ from compulse.error_models import CovariantVector, LinearOverRotation, ModelConf
 from compulse.precision import PrecisionError, working_digits
 from compulse.sequences import Gate, build_builtin, naive, pi3_correct
 
-from oracles import DegenerateDirectionError, xy_error_axis
+from oracles import DegenerateDirectionError, format_sci_decimal, xy_error_axis
 
 X = (1, 0, 0)
 Z_PI = Gate((0, 0, 1), Fraction(1, 2))
@@ -81,6 +83,13 @@ class TestComponentScan:
         assert a == b
         assert a.splitlines()[0] == "epsilon,cx,cy,cz,infidelity"
 
+    def test_csv_does_not_depend_on_the_ambient_precision(self):
+        with working_digits(60):
+            scan = component_scan(build_builtin("b2"), LinearOverRotation(1), default_scales("1e-3", "1e-1", 3))
+            at_60 = to_csv(scan)
+        with working_digits(16):
+            assert to_csv(scan) == at_60
+
     def test_csv_flags_appear_as_nan(self):
         model = CovariantVector.constant((mpf("0.9"), 0, 0))
         scan = component_scan(build_builtin("naive"), model, [mpf("2")])
@@ -98,17 +107,83 @@ class TestFormatSci:
     def test_rounding_carry(self):
         assert format_sci(mpf("9.97e-3"), 2) == "1.0e-02"
 
-    @pytest.mark.parametrize("digits, bits", [(16, 52), (60, 200)])
-    def test_mantissa_starts_with_a_nonzero_digit_next_to_powers_of_ten(self, digits, bits):
-        # log10 of a value a few ulps from 10**k may round to k either way
+    def test_ties_round_away_from_zero(self):
+        assert format_sci(mpf("0.125"), 2) == "1.3e-01"
+        assert format_sci(mpf("-0.375"), 2) == "-3.8e-01"
+
+    def test_one_digit_prints_no_point(self):
+        assert format_sci(mpf(5), 1) == "5e+00"
+        assert format_sci(mpf("-0.96"), 1) == "-1e+00"
+
+    @pytest.mark.parametrize(
+        "x, sig, problem",
+        [
+            (mpf(1), 0, "significant digit"),
+            (mpf("inf"), 3, "not a finite"),
+            (mpf("-inf"), 3, "not a finite"),
+            (mpf("nan"), 3, "not a finite"),
+        ],
+        ids=["sig-0", "inf", "-inf", "nan"],
+    )
+    def test_rejects_no_digits_and_non_finite_values(self, x, sig, problem):
+        with pytest.raises(ValueError, match=problem):
+            format_sci(x, sig)
+
+    @pytest.mark.parametrize("digits", [16, 60])
+    def test_mantissa_starts_with_a_nonzero_digit_next_to_powers_of_ten(self, digits):
+        # a value a few ulps from 10**k sits on the edge of two decimal exponents
         with working_digits(digits):
-            for k in range(-30, 30):
-                for x in (mpf(10) ** k * (1 - mpf(2) ** -bits), mpf(10) ** k * (1 + mpf(2) ** -bits)):
+            ulp = mpf(2) ** -mp.prec
+            for k in range(-80, 41):
+                for j in (-3, -2, -1, 1, 2, 3):
+                    x = mpf(10) ** k * (1 + j * ulp)
                     text = format_sci(x, digits)
-                    assert text[0] in "123456789", text
+                    assert text[0] in "123456789" and text[1] == ".", text
                     mantissa, _, exponent = text.partition("e")
+                    assert 1 <= Fraction(mantissa) < 10, text
                     back = mpf(mantissa) * mpf(10) ** int(exponent)
                     assert fabs(back - x) <= fabs(x) * mpf(10) ** (1 - digits), text
+
+
+@st.composite
+def _digits_and_sig(draw):
+    digits = draw(st.sampled_from((16, 60, 200)))
+    return digits, draw(st.integers(1, digits + 4))
+
+
+class TestFormatSciOracle:
+    """format_sci equals the decimal oracle at 16, 60 and 200 digits, for
+    every sig from 1 to digits + 4."""
+
+    @settings(max_examples=200)
+    @given(_digits_and_sig(), st.integers(-(1 << 700), 1 << 700), st.integers(-1500, 1000))
+    def test_random_values(self, digits_sig, man, exp):
+        digits, sig = digits_sig
+        with working_digits(digits):
+            x = mpf((man, exp))
+            assert format_sci(x, sig) == format_sci_decimal(x, sig)
+
+    @settings(max_examples=200)
+    @given(_digits_and_sig(), st.integers(-300, 300), st.integers(-4, 4), st.booleans())
+    def test_values_within_four_ulps_of_a_power_of_ten(self, digits_sig, k, ulps, negative):
+        digits, sig = digits_sig
+        with working_digits(digits):
+            _, man, exp, bc = (mpf(10) ** k)._mpf_
+            man, exp = (man << (mp.prec - bc)) + ulps, exp - (mp.prec - bc)
+            x = mpf((-man if negative else man, exp))
+            assert format_sci(x, sig) == format_sci_decimal(x, sig)
+
+    @given(st.sampled_from((16, 60, 200)), st.integers(0, (1 << 29) - 1), st.integers(2, 60), st.booleans())
+    def test_exact_ties(self, digits, half, shift, negative):
+        # m / 2**shift for odd m has len(str(m * 5**shift)) significant digits,
+        # the last a 5, so one digit fewer is an exact tie
+        m = 2 * half + 1
+        sig = len(str(m * 5**shift)) - 1
+        with working_digits(digits):
+            x = mpf((-m if negative else m, -shift))
+            text = format_sci(x, sig)
+            assert text == format_sci_decimal(x, sig)
+        assert int(text.partition("e")[0].replace(".", "").lstrip("-")) == (m * 5**shift + 5) // 10
 
 
 class TestFitOrder:

@@ -15,7 +15,7 @@ import argparse
 import pathlib
 import sys
 
-from compulse.analysis import TABLE_SEQUENCES, FitError, component_scan, default_scales, fit_order, to_csv
+from compulse.analysis import TABLE_SEQUENCES, FitError, component_scan, fit_order, parse_grid, to_csv
 from compulse.error_models import LinearOverRotation
 from compulse.precision import PrecisionError, set_digits
 from compulse.sequences import build_builtin
@@ -33,10 +33,9 @@ def main() -> int:
     except PrecisionError as exc:
         ap.error(str(exc))
     try:
-        lo, hi, per = args.grid.split(":")
-        grid = default_scales(lo, hi, int(per))
-    except ValueError:
-        ap.error(f"bad --grid {args.grid!r}: expected lo:hi:per_decade")
+        grid = parse_grid(args.grid)
+    except ValueError as exc:
+        ap.error(str(exc))
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 

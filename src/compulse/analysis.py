@@ -71,14 +71,28 @@ def default_scales(lo="1e-4", hi="1e-1", per_decade: int = 9) -> tuple:
     """Logarithmic grid from hi down to lo, ``per_decade`` points per decade,
     at most ``MAX_SCALES`` points."""
     lo, hi = mpf(lo), mpf(hi)
-    if not (0 < lo < hi) or per_decade < 1:
-        raise ValueError("need 0 < lo < hi and at least one point per decade")
+    if not (0 < lo < hi and mp.isfinite(hi)) or per_decade < 1:
+        raise ValueError("need finite bounds 0 < lo < hi and at least one point per decade")
     top = log10(hi)
     decades = log10(hi / lo)
     n = int(floor(decades * per_decade + mpf("0.5")))
     if n + 1 > MAX_SCALES:
         raise ValueError(f"grid of {n + 1} points exceeds the limit of {MAX_SCALES}")
     return tuple(mpf(10) ** (top - mpf(k) / per_decade) for k in range(n + 1))
+
+
+def parse_grid(spec: str) -> tuple:
+    """The :func:`default_scales` grid of a ``lo:hi:per_decade`` spec; a bad
+    spec raises ``ValueError`` naming it and the reason."""
+    try:
+        lo, hi, per = spec.split(":")
+        lo, hi, per = mpf(lo), mpf(hi), int(per)
+    except ValueError:
+        raise ValueError(f"bad --grid {spec!r}: expected lo:hi:per_decade") from None
+    try:
+        return default_scales(lo, hi, per)
+    except ValueError as exc:
+        raise ValueError(f"bad --grid {spec!r}: {exc}") from None
 
 
 def component_scan(seq: PulseSequence, model: ErrorModel, scales: Sequence) -> ScanResult:

@@ -23,10 +23,10 @@ from . import analysis, error_models, orders, sequences, su2
 from .analysis import (
     FitError,
     component_scan,
-    default_scales,
     fit_order,
     format_sci,
     infidelity_table,
+    parse_grid,
     series_coefficient,
     to_csv,
 )
@@ -66,18 +66,6 @@ def _load_sequence(args) -> sequences.PulseSequence:
             line, column = raw.count(b"\n", 0, exc.start) + 1, exc.start - raw.rfind(b"\n", 0, exc.start)
             raise DslError(f"not valid UTF-8 ({exc.reason})", line, column) from None
     return build_builtin(args.seq, parse_target(args.target))
-
-
-def _parse_grid(spec: str):
-    try:
-        lo, hi, per = spec.split(":")
-        per = int(per)
-    except ValueError as exc:
-        raise SequenceError(f"bad grid {spec!r}: expected lo:hi:per_decade") from exc
-    try:
-        return default_scales(lo, hi, per)
-    except ValueError as exc:
-        raise SequenceError(f"bad grid {spec!r}: {exc}") from exc
 
 
 def _parse_orders_spec(spec: str) -> dict:
@@ -135,7 +123,7 @@ def cmd_build(args) -> str:
 
 
 def cmd_simulate(args) -> str:
-    eps = error_models._parse_number(args.eps, "--eps")
+    eps = error_models.parse_number(args.eps, "--eps")
     seq = _load_sequence(args)
     model = error_models.parse_model(args.model) if args.model else None
     ideal = seq.ideal_unitary()
@@ -155,16 +143,22 @@ def cmd_simulate(args) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_scan(args) -> str:
+def _scan(args) -> analysis.ScanResult:
     seq = _load_sequence(args)
     model = error_models.parse_model(args.model)
-    return to_csv(component_scan(seq, model, _parse_grid(args.grid)))
+    try:
+        grid = parse_grid(args.grid)
+    except ValueError as exc:
+        raise SequenceError(str(exc)) from None
+    return component_scan(seq, model, grid)
+
+
+def cmd_scan(args) -> str:
+    return to_csv(_scan(args))
 
 
 def cmd_fit(args) -> str:
-    seq = _load_sequence(args)
-    model = error_models.parse_model(args.model)
-    fit = fit_order(component_scan(seq, model, _parse_grid(args.grid)), args.column)
+    fit = fit_order(_scan(args), args.column)
     return (
         f"column        {args.column}\n"
         f"slope         {fit.slope:.6f}\n"

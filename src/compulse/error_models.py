@@ -309,7 +309,7 @@ def describe(model: Optional[ErrorModel]) -> str:
     return f"{kind} {sep.join(parts)}"
 
 
-def _parse_number(text: str, key: str) -> mpf:
+def parse_number(text: str, key: str) -> mpf:
     try:
         val = mpf(text)
     except ValueError:
@@ -320,7 +320,7 @@ def _parse_number(text: str, key: str) -> mpf:
 
 
 def _parse_coeff_list(text: str, key: str) -> Coeffs:
-    return tuple(_parse_number(part, key) for part in text.split(","))
+    return tuple(parse_number(part, key) for part in text.split(","))
 
 
 def _check_bound(values, key: str) -> None:
@@ -379,7 +379,7 @@ def parse_model(text: str) -> ErrorModel:
             if name == "per_axis":
                 continue
             raise ModelConfigError(f"model={kind} requires {key}=")
-        value = _parse_coeff_list(value, key) if is_list else _parse_number(value, key)
+        value = _parse_coeff_list(value, key) if is_list else parse_number(value, key)
         _check_bound(value if is_list else (value,), key)
         if name == "per_axis":
             args.setdefault(name, {})[key] = value

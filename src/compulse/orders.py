@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .sequences import SequenceError
+from .sequences import SequenceError, pulse_count
 from .su2 import LAB_AXES
 
 INFINITY = math.inf
@@ -157,12 +157,6 @@ def apply_regime(t: OrderTriple, axis: str, regime: str, deltas: Optional[DeltaO
     if regime == "axisdep":
         return correct_axis_dependent(t, axis)
     raise ValueError(f"unknown regime {regime!r} (expected one of {REGIMES})")
-
-
-def pulse_count(levels: int) -> int:
-    """Length after ``levels`` concatenations onto one pulse: n -> 3n + 4
-    from n = 1, in closed form."""
-    return 3 ** (levels + 1) - 2
 
 
 @dataclass(frozen=True)

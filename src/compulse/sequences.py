@@ -438,35 +438,28 @@ def _axis_label(axis: Vec3) -> str:
     return "(" + ",".join(nstr(a, 6) for a in axis) + ")"
 
 
-def parse_target(spec: str) -> Gate:
-    """Gate descriptor ``<axis>-<p>pi[/<q>]``, e.g. "x-pi", "z-pi/2", "y-3pi/4".
+_TARGET_RE = re.compile(r"([xyz])-([+-]?\d*)pi(?:/(0*[1-9]\d*))?", re.IGNORECASE)
 
-    The angle is the rotation angle, so "x-pi" is a pi pulse about x.
+
+def parse_target(spec: str) -> Gate:
+    """Gate descriptor ``<axis>-[+|-][<p>]pi[/<q>]`` with q >= 1, e.g. "x-pi",
+    "z-pi/2", "y--3pi/4".
+
+    The angle is the signed rotation angle, so "x-pi" is a pi pulse about x.
     """
+    match = _TARGET_RE.fullmatch(spec)
     try:
-        axis_part, angle_part = spec.split("-", 1)
-    except ValueError:
-        raise SequenceError(f"bad target {spec!r}: expected <axis>-<angle>") from None
-    axis = LAB_AXES.get(axis_part.strip().upper())
-    if axis is None:
-        raise SequenceError(f"bad target axis {axis_part!r}: expected x, y or z")
-    angle_part = angle_part.strip().lower()
-    if "pi" not in angle_part:
-        raise SequenceError(f"bad target angle {angle_part!r}: expected a multiple of pi")
-    head, _, tail = angle_part.partition("pi")
-    try:
-        p = int(head) if head else 1
-        q = int(tail[1:]) if tail.startswith("/") else 1
-        if tail and not tail.startswith("/"):
+        if match is None:
             raise ValueError
-        rotation = Fraction(p, q)
-    except (ValueError, ZeroDivisionError):
-        raise SequenceError(f"bad target angle {angle_part!r}") from None
-    return Gate(axis, rotation / 2)
+        axis, p, q = match.groups()
+        rotation = Fraction(int(p + "1" if p in ("", "+", "-") else p), int(q or 1))
+    except ValueError:  # no match, or digits beyond Python's int-string limit
+        raise SequenceError(f"bad target {spec!r}: expected <axis>-[+|-][<p>]pi[/<q>] with q >= 1") from None
+    return Gate(LAB_AXES[axis.upper()], rotation / 2)
 
 
 def _about_x(builder, sym: bool = False):
-    """Table row for a b2/b4 compensator, which corrects rotations about x."""
+    """Base builder for a b2/b4 compensator, which corrects rotations about x."""
     label = builder.__name__ + "sym" * sym
 
     def build(target: Gate) -> PulseSequence:
@@ -478,43 +471,51 @@ def _about_x(builder, sym: bool = False):
     return build
 
 
-# Most pulses a built chain may hold: 12 pi/3 levels on one pulse,
-# orders.pulse_count(12).  Checked in closed form before building, so a
-# deep concat: spec fails at once instead of exhausting memory.
-MAX_PULSES = 3**13 - 2
+def pulse_count(levels: int, base: int = 1) -> int:
+    """Length after ``levels`` pi/3 corrections onto ``base`` pulses: n -> 3n + 4,
+    in closed form."""
+    return 3**levels * (base + 2) - 2
 
 
-def _chain(axes: str, base: str = "naive"):
-    """Table row for pi/3 corrections about ``axes`` (leftmost innermost)
-    concatenated onto the builtin ``base``."""
+# Most pulses a built chain may hold: 12 pi/3 levels on one pulse.  Checked
+# in closed form before building, so a deep concat: spec fails at once
+# instead of exhausting memory.
+MAX_PULSES = pulse_count(12)
 
-    def build(target: Gate) -> PulseSequence:
-        seq = build_builtin(base, target)
-        flat = 3 ** len(axes) * (len(seq.pulses) + 2) - 2
-        if flat > MAX_PULSES:
-            raise SequenceError(
-                f"{len(axes)} pi/3 levels on {base} make {flat} pulses; the limit is {MAX_PULSES}"
-            )
-        for letter in axes:
-            seq = pi3_correct(seq, LAB_AXES[letter.upper()])
-        return seq
-
-    return build
-
-
-# Every builtin in listing order: name -> builder taking the target gate.
+# Every builtin in listing order: name -> (base builder taking the target
+# gate, pi/3 correction axes applied after it, leftmost innermost).
 _BUILTINS = {
-    "naive": naive,
-    **{f"pi3:{a}": _chain(a) for a in LAB_AXES},
-    "pi5": pi5_sequence,
-    "b2": _about_x(b2),
-    "b4": _about_x(b4),
-    "b2sym": _about_x(b2, sym=True),
-    "b4sym": _about_x(b4, sym=True),
-    "pi3Y∘b2sym": _chain("Y", "b2sym"),
-    "pi3Y∘b4sym": _chain("Y", "b4sym"),
+    "naive": (naive, ""),
+    **{f"pi3:{a}": (naive, a) for a in LAB_AXES},
+    "pi5": (pi5_sequence, ""),
+    "b2": (_about_x(b2), ""),
+    "b4": (_about_x(b4), ""),
+    "b2sym": (_about_x(b2, sym=True), ""),
+    "b4sym": (_about_x(b4, sym=True), ""),
+    "pi3Y∘b2sym": (_about_x(b2, sym=True), "Y"),
+    "pi3Y∘b4sym": (_about_x(b4, sym=True), "Y"),
 }
 BUILTIN_NAMES = tuple(_BUILTINS)
+
+
+def _resolve(name: str) -> tuple:
+    """The (base builder, correction axes) that the builtin ``name`` builds."""
+    axes, base = "", name
+    if name.startswith("concat:"):
+        _, axes, *rest = name.split(":", 2)
+        if not axes:
+            raise SequenceError(f"bad concat spec {name!r}: expected concat:<AXES>[:<base>]")
+        for letter in axes:
+            if letter.upper() not in LAB_AXES:
+                raise SequenceError(f"unknown correction axis {letter!r} in {name!r}")
+        base = rest[0] if rest else "naive"
+        if base.startswith("concat:"):
+            raise SequenceError("nested concat specs are not supported")
+    # pi3:<A> takes its axis letter in either case
+    row = _BUILTINS.get("pi3:" + base[4:].upper() if base.startswith("pi3:") else base)
+    if row is None:
+        raise SequenceError(f"unknown sequence {base!r} (builtins: {', '.join(BUILTIN_NAMES)})")
+    return row[0], row[1] + axes.upper()
 
 
 def build_builtin(name: str, target: Optional[Gate] = None) -> PulseSequence:
@@ -523,25 +524,19 @@ def build_builtin(name: str, target: Optional[Gate] = None) -> PulseSequence:
 
     ``concat:<AXES>[:<base>]`` chains pi/3 corrections (leftmost axis
     innermost) onto a base builtin, e.g. ``concat:XYY:naive`` or
-    ``concat:Y:b2sym``.
+    ``concat:Y:b2sym``; a chain base adds its own levels first, so
+    ``concat:XY:pi3:x`` builds ``concat:XXY``.
     """
     if target is None:
         target = Gate(X_AXIS, Fraction(1, 2))
-    if name.startswith("concat:"):
-        _, axes, *base = name.split(":", 2)
-        if not axes:
-            raise SequenceError(f"bad concat spec {name!r}: expected concat:<AXES>[:<base>]")
-        for letter in axes:
-            if letter.upper() not in LAB_AXES:
-                raise SequenceError(f"unknown correction axis {letter!r} in {name!r}")
-        if base and base[0].startswith("concat:"):
-            raise SequenceError("nested concat specs are not supported")
-        builder = _chain(axes, *base)
-    else:  # pi3:<A> takes its axis letter in either case
-        builder = _BUILTINS.get("pi3:" + name[4:].upper() if name.startswith("pi3:") else name)
-    if builder is None:
-        raise SequenceError(f"unknown sequence {name!r} (builtins: {', '.join(BUILTIN_NAMES)})")
-    return replace(builder(target), name=name)
+    base, axes = _resolve(name)
+    seq = base(target)
+    flat = pulse_count(len(axes), len(seq.pulses))
+    if flat > MAX_PULSES:
+        raise SequenceError(f"{name} makes {flat} pulses; the limit is {MAX_PULSES}")
+    for letter in axes:
+        seq = pi3_correct(seq, LAB_AXES[letter])
+    return replace(seq, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -715,9 +710,10 @@ def parse(text: str) -> PulseSequence:
                     frames[key] = frame
             try:
                 made[line_key] = Pulse(frame, axis, alpha, role, channel_tok)
-            except (su2.InvalidAxisError, SequenceError) as exc:
-                col = channel_col if "channel" in str(exc) else toks[1][1]
-                raise DslError(str(exc), lineno, col) from None
+            except su2.InvalidAxisError as exc:
+                raise DslError(str(exc), lineno, toks[1][1]) from None
+            except SequenceError as exc:  # the only check left is the channel's
+                raise DslError(str(exc), lineno, channel_col) from None
             pulses.append(made[line_key])
         else:
             raise DslError(f"unknown directive {head!r}", lineno, head_col)

@@ -48,6 +48,11 @@ class TestDefaultScales:
         with pytest.raises(ValueError):
             default_scales("1e-1", "1e-4")
 
+    @pytest.mark.parametrize("lo,hi", [("1e-3", "inf"), ("nan", "1e-1"), ("1e-3", "nan"), ("inf", "inf")])
+    def test_rejects_non_finite_bounds_by_name(self, lo, hi):
+        with pytest.raises(ValueError, match="finite bounds"):
+            default_scales(lo, hi, 3)
+
     def test_point_limit(self):
         assert len(default_scales("1e-4", "1e-1", 3333)) == MAX_SCALES
         with pytest.raises(ValueError, match="limit"):

@@ -160,6 +160,14 @@ class TestScanFit:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("grid", ["1e-3:inf:3", "nan:1e-1:3", "inf:inf:3", "1e-3:nan:3"])
+    @pytest.mark.parametrize("command", ["scan", "fit"])
+    def test_non_finite_grid_bound_is_config_error(self, capsys, command, grid):
+        code, out, err = run(capsys, command, "--seq", "naive", "--model", "model=linear eps=0.1", "--grid", grid)
+        assert code == 2 and out == ""
+        reason = "need finite bounds 0 < lo < hi and at least one point per decade"
+        assert err == f"compulse: bad --grid {grid!r}: {reason}\n"
+
 
 class TestExpand:
     def test_known_coefficient(self, capsys):

@@ -4,10 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from mpmath import mp
 from mpmath.libmp import from_man_exp
 
 from compulse import su2
+from compulse.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 ORDER_SCALING = ROOT / "scripts" / "order_scaling.py"
@@ -49,6 +51,24 @@ class TestOrderScaling:
         assert proc.returncode == 2
         assert "bad --grid '1e-3:1e-2'" in proc.stderr
         assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "grid,why",
+        [
+            ("1e-3:inf:3", "need finite bounds"),
+            ("nan:1e-1:3", "need finite bounds"),
+            ("1e-1:1e-3:3", "need finite bounds 0 < lo < hi"),
+            ("1e-3:1e-1:x", "expected lo:hi:per_decade"),
+        ],
+    )
+    def test_bad_grid_gets_the_cli_reason(self, tmp_path, capsys, grid, why):
+        proc = run_order_scaling(tmp_path, "out", "--grid", grid)
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr
+        assert main(["scan", "--seq", "naive", "--model", "model=linear eps=0.1", "--grid", grid]) == 2
+        reason = capsys.readouterr().err.removeprefix("compulse: ")
+        assert reason.startswith(f"bad --grid {grid!r}: {why}")
+        assert proc.stderr.endswith(f"error: {reason}")
         assert not (tmp_path / "out").exists()
 
 

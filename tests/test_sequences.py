@@ -21,6 +21,7 @@ from compulse.sequences import (
     BUILTIN_NAMES,
     CHANNELS,
     MAX_PULSES,
+    Z_AXIS,
     DslError,
     FrameTriad,
     Gate,
@@ -37,6 +38,7 @@ from compulse.sequences import (
     parse_target,
     pi3_correct,
     pi5_sequence,
+    pulse_count,
     serialize,
     symmetrize,
     total_angle,
@@ -96,7 +98,15 @@ class TestGateAndTarget:
         assert parse_target("y-3pi/4").alpha_pi == Fraction(3, 8)
         assert parse_target("Y-2pi").alpha_pi == Fraction(1)
 
-    @pytest.mark.parametrize("bad", ["pi", "w-pi", "x-2", "x-pi/0", "x-pi2"])
+    def test_parse_target_signs(self):
+        assert parse_target("x--pi").alpha_pi == Fraction(-1, 2)
+        assert parse_target("x--2pi").alpha_pi == Fraction(-1)
+        assert parse_target("x-+3pi/4").alpha_pi == Fraction(3, 8)
+        assert parse_target("z-+pi/02").alpha_pi == Fraction(1, 4)
+
+    @pytest.mark.parametrize(
+        "bad", ["pi", "w-pi", "x-2", "x-pi/0", "x-pi/00", "x-pi2", "x-2pi/-3", "x-2pi/+3", "x---pi", "x-pi/", "xy-pi"]
+    )
     def test_parse_target_rejects(self, bad):
         with pytest.raises(SequenceError):
             parse_target(bad)
@@ -171,11 +181,30 @@ class TestPi3Correct:
         assert len({id(p) for p in seq.pulses}) <= 100
 
     @pytest.mark.parametrize(
-        "spec", ["concat:XYZXYZXYZXYZX", "concat:XYZXYZXYZX:b4sym", "concat:" + "X" * 20]
+        "spec",
+        ["concat:XYZXYZXYZXYZX", "concat:XYZXYZXYZX:b4sym", "concat:" + "X" * 20, "concat:XYZXYZXYZXYZ:pi3:X"],
     )
     def test_chain_beyond_pulse_limit_is_refused_before_building(self, spec):
         with pytest.raises(SequenceError, match=f"the limit is {MAX_PULSES}"):
             build_builtin(spec)
+
+    @pytest.mark.parametrize("base", ["naive", "pi5", "b2sym", "b4"])
+    def test_pulse_count_closed_form(self, base):
+        n = len(build_builtin(base).pulses)
+        for levels in range(3):
+            spec = f"concat:{'XYZ'[:levels]}:{base}" if levels else base
+            assert len(build_builtin(spec).pulses) == pulse_count(levels, n)
+        assert MAX_PULSES == pulse_count(12) == 1_594_321
+
+    @pytest.mark.parametrize(
+        "spec,flat",
+        [("concat:X:pi3:y", "concat:YX"), ("concat:XY:pi3:x", "concat:XXY"), ("concat:Z:pi3Y∘b2sym", None)],
+    )
+    def test_chain_base_adds_its_levels_first(self, spec, flat):
+        seq = build_builtin(spec)
+        want = build_builtin(flat) if flat else pi3_correct(build_builtin("pi3Y∘b2sym"), Z_AXIS)
+        assert seq.name == spec
+        assert seq.pulses == want.pulses
 
     def test_deep_concatenation_sound(self):
         seq = build_builtin("concat:XYZ", Z_PI)
@@ -708,6 +737,8 @@ class TestDsl:
             ("garbage\n", 1, 1),
             ("pulse 1.0 0.0 0.0 1/2 target target\n", 1, 1),  # pulse before target
             ("target 1.0 0.0 0.0 one\n", 1, 20),  # bad fraction
+            ("target 1 0 0 1/2\npulse 0 0 0 1/2 target target\n", 2, 7),  # zero axis: its first number
+            ("target 1 0 0 1/2\npulse 1 0 0 1/2 target radio\n", 2, 24),  # unknown channel
         ],
     )
     def test_errors_carry_line_and_column(self, text, line, col):

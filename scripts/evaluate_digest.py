@@ -7,7 +7,7 @@ error scales, both as built and after a text round trip, at 16 and 60
 digits and for a 16-digit build evaluated at 60.  It also covers
 ``pi3_correct`` applied at 60 digits, about each lab axis, to those
 sequences built at 16 digits on x-pi, z-pi and a tilted target, and the
-60-digit infidelity table and three series coefficients.  Two checkouts
+60-digit infidelity table and four series coefficients.  Two checkouts
 that print the same hash give bit-identical results on all of them, which
 is how a change meant to be a pure speed-up shows that it is one.
 
@@ -48,9 +48,11 @@ MODELS = (
 )
 SCALES = ("1", "0.1", "1e-3")
 
-# (family, orders, component): one coefficient of pi3:X around z-pi per family
+# (family, orders, component): coefficients of pi3:X around z-pi.  The
+# second changes the target channel's model at every stencil point.
 SERIES = (
     ("target-vector", {"ex": 1}, "x"),
+    ("target-vector", {"ey": 1, "ez": 2}, "y"),
     ("covariant", {"dy": 1, "ex": 1}, "y"),
     ("axisdep", {"d": 1, "ey": 1}, "y"),
 )

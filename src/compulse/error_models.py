@@ -6,7 +6,10 @@ class holds that rule in one place: it realizes a dagger-role pulse as
 ``su2.dagger`` of the realization of its partner ``pulse.daggered()``
 (same frame and axis bits, negated generator angle), so subclasses only
 describe the corruption of forward pulses.  Each pulse keeps its last
-realization, so a dagger pair is corrupted once per model and scale.
+realization, which a later call reuses when its model and scale are equal
+values (not only the same objects), so a dagger pair is corrupted once per
+model and scale value, and consecutive evaluations under models that agree
+on a channel share that channel's corruptions.
 
 Over-rotation amounts are functions of the unsigned rotation angle
 ``theta = 2*|alpha|`` (polynomials here, degree-bounded for
@@ -46,6 +49,7 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Optional, Tuple
 
 from mpmath import fabs, mp, mpf, nstr
+from mpmath.libmp import fzero, mpf_abs, mpf_add, mpf_ge, mpf_mul, mpf_mul_int, mpf_pi, mpf_shift, round_nearest
 
 from . import su2
 from .precision import unit_tolerance  # noqa: F401 -- benchmarks/test_tracer.py checks this alias
@@ -69,10 +73,20 @@ def _as_coeffs(coeffs) -> Coeffs:
     return tuple(mpf(c) for c in coeffs)
 
 
-def _poly_eval(coeffs: Coeffs, theta: mpf) -> mpf:
-    acc = mpf(0)
+_make = mp.make_mpf
+
+
+def _theta(alpha: mpf, prec: int) -> tuple:
+    """The raw rotation angle 2*|alpha|."""
+    return mpf_mul_int(mpf_abs(alpha._mpf_, prec, round_nearest), 2, prec, round_nearest)
+
+
+def _poly_eval(coeffs: Coeffs, theta: tuple, prec: int) -> tuple:
+    """sum_k coeffs[k] * theta**k by Horner's rule on the raw ``theta``,
+    each step rounded to nearest at ``prec``."""
+    acc = fzero
     for c in reversed(coeffs):
-        acc = acc * theta + c
+        acc = mpf_add(mpf_mul(acc, theta, prec, round_nearest), c._mpf_, prec, round_nearest)
     return acc
 
 
@@ -81,7 +95,8 @@ def _check_branch(offset: mpf) -> None:
     # log-based analysis can invert them.  Over-rotations are exempt: a
     # rotation by (1+eps)*theta is well-defined for any offset, and the
     # infidelity table needs offsets beyond pi/2 at its largest eps.
-    if fabs(offset) >= mp.pi / 2:
+    prec = mp.prec
+    if mpf_ge(mpf_abs(offset._mpf_, prec, round_nearest), mpf_shift(mpf_pi(prec, round_nearest), -1)):
         raise BranchError(f"error generator {offset} reaches pi/2: outside principal branch")
 
 
@@ -98,21 +113,29 @@ class ErrorModel:
         A forward pulse is corrupted by ``_forward``; a dagger pulse gets
         the exact dagger of its forward partner's realization.  The pulse's
         per-precision record (see :meth:`Pulse.derived`) keeps the last
-        realization: a repeat call with this same model object and this same
-        ``scale`` object returns the stored unitary.  Models are immutable
-        values, so the identity of the two objects fixes the result; a
-        change of precision drops the record and the realization with it.
+        realization, and a call whose model and ``scale`` equal the kept
+        ones as values returns the stored unitary.  Models are immutable
+        values and ``scale`` enters only as ``mpf(scale)``, so equal values
+        fix the result.  A call with the very same two objects is answered
+        here; any other goes through the record.  A change of precision
+        drops the record and the realization with it.
         """
+        record = pulse._record
+        if record is not None and record.prec == mp.prec:
+            kept = record.realized
+            if kept is not None and kept[0] is self and kept[1] is scale:
+                return kept[2]
         return self._realized(pulse, scale)
 
     def _realized(self, pulse: "Pulse", scale) -> Unitary:
         # The rule behind realize; a dagger pulse recurses here, not through
-        # realize, so each pulse still costs one realize call.
+        # realize, so each pulse still costs one realize call.  A value hit
+        # keeps the new objects, so the next identical call stops in realize.
         record = pulse.derived()
         kept = record.realized
-        if kept is not None and kept[0] is self and kept[1] is scale:
-            return kept[2]
-        if pulse.role.is_dagger:
+        if kept is not None and (kept[0] is self or kept[0] == self) and (kept[1] is scale or kept[1] == scale):
+            u = kept[2]
+        elif pulse.role.is_dagger:
             u = su2.dagger(self._realized(pulse.daggered(), scale))
         else:
             u = self._forward(pulse, record.axis, record.alpha, mpf(scale))
@@ -174,9 +197,9 @@ class AxisOverRotation(ErrorModel):
         return self.coeffs
 
     def _forward(self, pulse, axis, alpha, scale):
-        theta = 2 * fabs(alpha)
-        coeffs = self._coeffs_for(axis, alpha)
-        return _over_rotated(axis, alpha, scale * _poly_eval(coeffs, theta) / 2)
+        prec = mp.prec
+        poly = _make(_poly_eval(self._coeffs_for(axis, alpha), _theta(alpha, prec), prec))
+        return _over_rotated(axis, alpha, scale * poly / 2)
 
 
 @dataclass(frozen=True)
@@ -202,14 +225,17 @@ class CovariantVector(ErrorModel):
         v = su2.as_vec3(vec)
         return CovariantVector((v[0],), (v[1],), (v[2],))
 
-    def _forward(self, pulse, axis, alpha, scale):
-        theta = 2 * fabs(alpha)
-        delta = (
-            scale * _poly_eval(self.dx, theta),
-            scale * _poly_eval(self.dy, theta),
-            scale * _poly_eval(self.dz, theta),
+    def _generator(self, frame, alpha: mpf, scale: mpf) -> Vec3:
+        """The lab error generator ``frame.map(scale * delta(2*|alpha|))``,
+        each polynomial and its scale on raw tuples."""
+        prec = mp.prec
+        theta, s = _theta(alpha, prec), scale._mpf_
+        return frame.map(
+            [_make(mpf_mul(s, _poly_eval(c, theta, prec), prec, round_nearest)) for c in (self.dx, self.dy, self.dz)]
         )
-        lab = pulse.frame.map(delta)
+
+    def _forward(self, pulse, axis, alpha, scale):
+        lab = self._generator(pulse.frame, alpha, scale)
         _check_branch(su2.vec_norm(lab))
         return su2.multiply(pulse.ideal_unitary(), su2.exp_pauli(lab))
 

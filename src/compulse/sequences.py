@@ -27,6 +27,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from mpmath import acos, cos, fabs, mp, mpf, nstr, sin
+from mpmath.libmp import mpf_add, mpf_mul, round_nearest
 
 from . import su2
 from .su2 import GEOMETRY_TOL, LAB_AXES, Unitary, Vec3
@@ -114,10 +115,19 @@ class FrameTriad:
         )
 
     def map(self, v: Iterable) -> Vec3:
-        vx, vy, vz = su2.as_vec3(v)
-        return tuple(
-            vx * self.ex[k] + vy * self.ey[k] + vz * self.ez[k] for k in range(3)
-        )
+        """The lab vector ``vx*ex + vy*ey + vz*ez``, each product and sum
+        rounded to nearest at the working precision; ``v`` itself, rounded,
+        in the identity frame."""
+        v = su2.as_vec3(v)
+        if self is _IDENTITY_FRAME:
+            return v
+        prec, rnd = mp.prec, round_nearest
+        x, y, z = v[0]._mpf_, v[1]._mpf_, v[2]._mpf_
+        out = []
+        for a, b, c in zip(self.ex, self.ey, self.ez):
+            s = mpf_add(mpf_mul(x, a._mpf_, prec, rnd), mpf_mul(y, b._mpf_, prec, rnd), prec, rnd)
+            out.append(_make(mpf_add(s, mpf_mul(z, c._mpf_, prec, rnd), prec, rnd)))
+        return tuple(out)
 
     def is_exact_identity(self) -> bool:
         return (
@@ -139,6 +149,7 @@ def _det3(a: Vec3, b: Vec3, c: Vec3):
 
 
 _IDENTITY_FRAME = FrameTriad(X_AXIS, Y_AXIS, Z_AXIS)
+_make = mp.make_mpf
 
 
 def _frac_to_radians(f: Fraction) -> mpf:
@@ -171,8 +182,8 @@ class Pulse:
     at every precision: ``p.daggered().daggered() is p``.  An error model
     realizes a dagger pulse through that partner (see
     :meth:`ErrorModel.realize`), so :func:`evaluate` corrupts each dagger
-    pair of a built chain once per model and scale, and each distinct line
-    of a parsed file (which :func:`parse` loads as one shared pulse) once.
+    pair of a built chain or a parsed file (which :func:`parse` loads as
+    shared, linked pulses) once per model and scale value.
     """
 
     frame: FrameTriad
@@ -193,10 +204,19 @@ class Pulse:
         return su2.tighten_axis(self.frame.map(self.axis_in_frame))
 
     def derived(self) -> _Derived:
-        """The record of this pulse at the working precision."""
+        """The record of this pulse at the working precision.  A linked
+        dagger partner with a record at this precision lends its unit axis
+        and negated angle: the same bits, since the two share frame and
+        axis bits."""
         record, prec = self._record, mp.prec
         if record is None or record.prec != prec:
-            record = _Derived(prec, su2.normalized_axis(self.lab_axis()), _frac_to_radians(self.alpha_pi))
+            partner = self._dagger
+            twin = None if partner is None else partner._record
+            if twin is not None and twin.prec == prec:
+                record = _Derived(prec, twin.axis, -twin.alpha)
+            else:
+                axis = su2.stored_unit_axis(self.frame.map(self.axis_in_frame))
+                record = _Derived(prec, axis, _frac_to_radians(self.alpha_pi))
             object.__setattr__(self, "_record", record)
         return record
 
@@ -223,12 +243,17 @@ class Pulse:
         first use with this pulse's frame and exact axis bits."""
         partner = self._dagger
         if partner is None:
-            partner = replace(self, alpha_pi=-self.alpha_pi, role=self.role.partner)
-            # undo any re-tightening at the working precision: same axis bits
-            object.__setattr__(partner, "axis_in_frame", self.axis_in_frame)
-            object.__setattr__(partner, "_dagger", self)
-            object.__setattr__(self, "_dagger", partner)
+            # this pulse's fields are validated already: no __post_init__
+            partner = object.__new__(Pulse)
+            partner.__dict__.update(vars(self), alpha_pi=-self.alpha_pi, role=self.role.partner, _record=None)
+            _link(self, partner)
         return partner
+
+
+def _link(a: Pulse, b: Pulse) -> None:
+    """Make ``a`` and ``b`` each other's dagger partner."""
+    object.__setattr__(a, "_dagger", b)
+    object.__setattr__(b, "_dagger", a)
 
 
 @dataclass(frozen=True)
@@ -642,13 +667,17 @@ def parse(text: str) -> PulseSequence:
 
     Pulse lines with the same tokens (whatever their spacing or trailing
     comment) load as one shared :class:`Pulse`, and pulses whose frame
-    blocks have the same nine tokens share one :class:`FrameTriad`.
+    blocks have the same nine tokens share one :class:`FrameTriad`.  A
+    pulse whose dagger partner is also in the file (same frame tokens,
+    axis bits and channel, negated angle, partner role) is linked to it
+    as :meth:`Pulse.daggered` links the pair it makes.
     """
     target = None
     pulses = []
     name = ""
     made = {}  # tokens after "pulse" -> the Pulse they built
     frames = {}
+    forms = {}  # (id(frame), axis bits, channel, angle, role) -> a Pulse with them
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if target is None and not name and raw.lstrip().startswith(_NAME_PREFIX):
             name = raw.lstrip()[len(_NAME_PREFIX):].strip()
@@ -709,12 +738,17 @@ def parse(text: str) -> PulseSequence:
                         raise DslError(str(exc), lineno, kw_col) from None
                     frames[key] = frame
             try:
-                made[line_key] = Pulse(frame, axis, alpha, role, channel_tok)
+                pulse = made[line_key] = Pulse(frame, axis, alpha, role, channel_tok)
             except su2.InvalidAxisError as exc:
                 raise DslError(str(exc), lineno, toks[1][1]) from None
             except SequenceError as exc:  # the only check left is the channel's
                 raise DslError(str(exc), lineno, channel_col) from None
-            pulses.append(made[line_key])
+            form = (id(frame), tuple(c._mpf_ for c in pulse.axis_in_frame), pulse.channel)
+            partner = forms.get((*form, -pulse.alpha_pi, role.partner))
+            if partner is not None and partner._dagger is None:
+                _link(pulse, partner)
+            forms[(*form, pulse.alpha_pi, role)] = pulse
+            pulses.append(pulse)
         else:
             raise DslError(f"unknown directive {head!r}", lineno, head_col)
     if target is None:

@@ -12,13 +12,15 @@ multiplication is cheap.  A dense 2x2 complex-matrix oracle lives in the
 test suite only.
 
 The per-pulse kernels (:func:`rotation`, :func:`dagger`, :func:`exp_pauli`,
-:func:`multiply`) work on mpmath's raw ``(sign, mantissa, exponent,
-bitcount)`` tuples.  Each component of a product is one exact integer dot
-product, rounded once to nearest with ties to even at the working
-precision, so products are correctly rounded per component.  The rounding
-is done in plain integer arithmetic and gives the same bits as libmp's
-``from_man_exp`` with ``round_nearest``; a non-finite (inf or nan)
-component in a factor raises ValueError.
+:func:`multiply`, :func:`vec_norm`) work on mpmath's raw ``(sign, mantissa,
+exponent, bitcount)`` tuples, each libmp step rounded to nearest at the
+working precision: the same bits as the mpf expressions they replace.
+Each component of a product is one exact integer dot product, rounded once
+to nearest with ties to even at the working precision, so products are
+correctly rounded per component.  The rounding is done in plain integer
+arithmetic and gives the same bits as libmp's ``from_man_exp`` with
+``round_nearest``; a non-finite (inf or nan) component in a factor raises
+ValueError.
 
 Every unitary made from an angle (ideal or corrupted pulse, target gate)
 comes from :func:`rotation`, which holds the one phase guard.
@@ -31,7 +33,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from mpmath import atan2, fabs, mp, mpf, nstr, sqrt
-from mpmath.libmp import fzero, mpf_cos_sin, mpf_div, mpf_mul, mpf_neg, round_nearest
+from mpmath.libmp import fzero, mpf_add, mpf_cos_sin, mpf_div, mpf_mul, mpf_neg, mpf_sqrt, round_nearest
 
 from .precision import unit_tolerance
 
@@ -74,9 +76,20 @@ def as_vec3(v: Iterable) -> Vec3:
     return out
 
 
+_make = mp.make_mpf
+
+
 def vec_norm(v: Vec3) -> mpf:
-    x, y, z = v
-    return sqrt(x * x + y * y + z * z)
+    """sqrt(x*x + y*y + z*z) of three mpf, each step rounded to nearest."""
+    x, y, z = v[0]._mpf_, v[1]._mpf_, v[2]._mpf_
+    prec = mp.prec
+    squares = mpf_add(mpf_mul(x, x, prec, round_nearest), mpf_mul(y, y, prec, round_nearest), prec, round_nearest)
+    squares = mpf_add(squares, mpf_mul(z, z, prec, round_nearest), prec, round_nearest)
+    return _make(mpf_sqrt(squares, prec, round_nearest))
+
+
+def _divided(v: Vec3, n: mpf) -> Vec3:
+    return (v[0] / n, v[1] / n, v[2] / n)
 
 
 def normalized_axis(axis: Iterable) -> Vec3:
@@ -85,7 +98,7 @@ def normalized_axis(axis: Iterable) -> Vec3:
     n = vec_norm(v)
     if fabs(n - 1) > unit_tolerance():
         raise InvalidAxisError(f"axis norm {n} deviates from 1 beyond tolerance")
-    return (v[0] / n, v[1] / n, v[2] / n)
+    return _divided(v, n)
 
 
 # Tolerance of stored geometry (pulse axes, frame triads, named-axis
@@ -110,20 +123,30 @@ def tighten_axis(axis: Iterable) -> Vec3:
     left untouched, keeping same-precision round trips exact.
     """
     v = as_vec3(axis)
+    n, loose = _stored_norm(v)
+    return _divided(v, n) if loose else v
+
+
+def stored_unit_axis(axis: Iterable) -> Vec3:
+    """``normalized_axis(tighten_axis(axis))``, bit for bit, computing one
+    norm unless the stored axis has to be re-tightened."""
+    v = as_vec3(axis)
+    n, loose = _stored_norm(v)
+    return normalized_axis(_divided(v, n)) if loose else _divided(v, n)
+
+
+def _stored_norm(v: Vec3) -> tuple:
+    """(norm of the stored axis ``v``, whether it deviates from 1 beyond the
+    working-precision tolerance); beyond GEOMETRY_TOL it is no axis."""
     n = vec_norm(v)
     dev = fabs(n - 1)
     if dev > GEOMETRY_TOL:
         raise InvalidAxisError(f"axis norm {n} deviates from 1 beyond tolerance")
-    if dev > unit_tolerance():
-        return (v[0] / n, v[1] / n, v[2] / n)
-    return v
+    return n, dev > unit_tolerance()
 
 
 def identity() -> Unitary:
     return Unitary(mpf(1), mpf(0), mpf(0), mpf(0))
-
-
-_make = mp.make_mpf
 
 
 def rotation(unit_axis: Vec3, alpha: mpf) -> Unitary:

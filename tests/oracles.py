@@ -7,7 +7,11 @@ precision, deliberately sharing no code with the library under test.
 through nothing but its ``realize``.  :func:`multiply_from_man_exp` is the
 former product kernel, which rounds through libmp's generic
 ``from_man_exp``; the library's integer rounding must match it bit for
-bit.  :func:`format_sci_decimal` rounds an mpf's exact binary value to
+bit.  :func:`vec_norm_expr`, :func:`frame_map_expr` and
+:func:`covariant_generator_expr` are the former mpf-expression forms of
+``su2.vec_norm``, ``FrameTriad.map`` and the lab error generator of
+``CovariantVector``; the raw-tuple kernels must match them bit for bit.
+:func:`format_sci_decimal` rounds an mpf's exact binary value to
 decimal through the standard library's ``decimal``, sharing no code with
 ``analysis.format_sci``.  The quaternion helpers at the end
 (:func:`norm`, :func:`unit_vector`, :func:`conjugate_frame`,
@@ -135,6 +139,32 @@ def multiply_from_man_exp(a, b):
             )
         )
     )
+
+
+def vec_norm_expr(v) -> mpf:
+    """sqrt(x*x + y*y + z*z) in mpf arithmetic (the former ``su2.vec_norm``)."""
+    x, y, z = v
+    return sqrt(x * x + y * y + z * z)
+
+
+def frame_map_expr(frame, v) -> tuple:
+    """vx*ex + vy*ey + vz*ez in mpf arithmetic (the former ``FrameTriad.map``)."""
+    vx, vy, vz = su2.as_vec3(v)
+    return tuple(vx * frame.ex[k] + vy * frame.ey[k] + vz * frame.ez[k] for k in range(3))
+
+
+def covariant_generator_expr(model, frame, alpha, scale) -> tuple:
+    """The lab error generator of ``CovariantVector`` in mpf arithmetic:
+    ``frame`` applied to scale * (dx, dy, dz) at theta = 2*|alpha|."""
+    theta = 2 * fabs(alpha)
+
+    def poly(coeffs):
+        acc = mpf(0)
+        for c in reversed(coeffs):
+            acc = acc * theta + c
+        return acc
+
+    return frame_map_expr(frame, (scale * poly(model.dx), scale * poly(model.dy), scale * poly(model.dz)))
 
 
 def norm(u) -> mpf:

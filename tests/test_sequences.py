@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from mpmath import fabs, mp, mpf, pi
 
 from compulse import su2
-from compulse.analysis import axis_dependent_family, component_scan
+from compulse.analysis import FAMILIES, axis_dependent_family, component_scan, series_coefficient
 from compulse.error_models import (
     AxisDependentPi3,
     AxisOverRotation,
@@ -477,11 +477,15 @@ class TestRealizeMemo:
             seq = build_builtin(f"concat:{axes}:{base}", parse_target(target))
             models = [_MODEL_KINDS[k](mpf(coeff)) for k in kinds]
             objects = [mpf(s) for s in scales]
+            # a value-equal but distinct copy of each model and scale
+            copies = [_MODEL_KINDS[k](mpf(coeff)) for k in kinds] + [mpf(s) for s in scales]
+            twin = {id(x): y for x, y in zip(models + objects, copies)}
             # every step changes the model or the scale, never both; each is taken twice
             walk = [(m, s) for i, m in enumerate(models) for s in (objects if i % 2 == 0 else objects[::-1])]
             want = {(id(m), id(s)): evaluate(_fresh_copies(seq), m, s) for m, s in walk}
             for model, scale in [step for step in walk + walk[::-1] for _ in range(2)]:
-                assert evaluate(seq, model, scale) == want[id(model), id(scale)]
+                for m, s in ((model, scale), (twin[id(model)], scale), (twin[id(model)], twin[id(scale)])):
+                    assert evaluate(seq, m, s) == want[id(model), id(scale)]
 
     def test_one_forward_corruption_per_dagger_pair(self, monkeypatch):
         seq = build_builtin("concat:XYYXY")
@@ -512,6 +516,38 @@ class TestRealizeMemo:
         assert len(realized) == len(seq.pulses)
         assert len(vector) + len(axisdep) == _dagger_pairs(seq) == 11
         assert vector and axisdep
+
+    @pytest.mark.parametrize(
+        "family, orders, component, calls",
+        [
+            ("target-vector", {"ey": 1, "ez": 2}, "y", (20, 0)),
+            ("covariant", {"dy": 1, "ex": 1}, "y", (36, 0)),
+            ("axisdep", {"d": 1, "ey": 1}, "y", (4, 32)),
+        ],
+    )
+    def test_series_coefficient_corrupts_each_channel_model_value_once(
+        self, monkeypatch, family, orders, component, calls
+    ):
+        # consecutive stencil points that leave a channel's model unchanged
+        # share its corruptions, so only model changes cost a _forward call
+        seq = build_builtin("pi3:X", Z_PI)
+        vector = _count_calls(monkeypatch, CovariantVector, "_forward")
+        axisdep = _count_calls(monkeypatch, AxisDependentPi3, "_forward")
+        with working_digits(60):
+            series_coefficient(seq, FAMILIES[family](), orders, component)
+        assert (len(vector), len(axisdep)) == calls
+
+    def test_parsed_file_corrupts_each_dagger_pair_once(self, monkeypatch):
+        with working_digits(16):
+            text = serialize(build_builtin("concat:XYZXYZ"))
+        with working_digits(60):
+            seq = parse(text)
+            model, scale = LinearOverRotation(1), mpf("1e-3")
+            want = evaluate(_fresh_copies(seq), model, scale)
+            forward = _count_calls(monkeypatch, LinearOverRotation, "_forward")
+            assert evaluate(seq, model, scale) == want
+            assert len(forward) == 7
+        assert (len(seq.pulses), len({id(p) for p in seq.pulses}), _dagger_pairs(seq)) == (2185, 14, 7)
 
     def test_stencil_point_of_a_series_coefficient_corrupts_three_pairs(self, monkeypatch):
         seq = build_builtin("pi3:X", Z_PI)
@@ -584,6 +620,52 @@ class TestDaggerPairSharing:
                         for pulse in (q, p) if partner_first else (p, q):
                             model.realize(pulse, scale)
                         assert model.realize(q, scale) == su2.dagger(model.realize(p, scale)), kind
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        axis=st.tuples(*[st.floats(-1, 1)] * 3).filter(lambda v: sum(c * c for c in v) > 0.01),
+        gaxis=st.tuples(*[st.floats(-1, 1)] * 3).filter(lambda v: sum(c * c for c in v) > 0.01),
+        galpha=st.floats(0, 3),
+        alpha_pi=st.fractions(-2, 2, max_denominator=24),
+        role=st.sampled_from([Role.TARGET, Role.CORRECTION]),
+        digits=st.sampled_from([(16, 16), (60, 60), (16, 60), (60, 16)]),
+        partner_first=st.booleans(),
+    )
+    def test_partner_derives_the_bits_of_a_derivation_from_scratch(
+        self, axis, gaxis, galpha, alpha_pi, role, digits, partner_first
+    ):
+        build, derive = digits  # built at one precision, derived at another
+        with working_digits(build):
+            frame = FrameTriad.from_unitary(su2.from_generator(oracles.unit_vector(gaxis), mpf(galpha)))
+            p = Pulse(frame, oracles.unit_vector(axis), alpha_pi, role, "pi3")
+        with working_digits(derive):
+            q = p.daggered()
+            first, second = (q, p) if partner_first else (p, q)
+            lent = first.derived()
+            assert second.derived().axis is lent.axis
+            for pulse in (first, second):
+                record = pulse.derived()
+                lab = oracles.frame_map_expr(pulse.frame, pulse.axis_in_frame)
+                want_axis = su2.normalized_axis(su2.tighten_axis(lab))
+                want_alpha = mp.pi * pulse.alpha_pi.numerator / pulse.alpha_pi.denominator
+                assert [c._mpf_ for c in record.axis] == [c._mpf_ for c in want_axis]
+                assert record.alpha._mpf_ == want_alpha._mpf_
+
+    @pytest.mark.parametrize(
+        "line, linked",
+        [
+            ("pulse 0 1 0 1/6 correction pi3", True),
+            ("pulse 0 1 0 1/6 correction target", False),
+            ("pulse 0 1 0 1/3 correction pi3", False),
+            ("pulse 0 1 0 1/6 target pi3", False),
+            ("pulse 0 -1 0 1/6 correction pi3", False),
+            ("pulse 0 1 0 1/6 correction pi3 frame 1 0 0 0 -1 0 0 0 -1", False),
+        ],
+    )
+    def test_parse_links_a_dagger_line_only_to_its_forward_line(self, line, linked):
+        dagger, other = parse(f"target 1 0 0 1/2\npulse 0 1 0 -1/6 correction_dagger pi3\n{line}\n").pulses
+        assert (dagger.daggered() is other) == linked
+        assert dagger.daggered().daggered() is dagger
 
     @pytest.mark.parametrize("digits", [16, 60])
     def test_parsed_dagger_line_without_its_forward_line(self, digits):

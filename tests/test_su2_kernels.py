@@ -1,7 +1,8 @@
 """The raw-mantissa SU(2) kernels: correct rounding of products, bit-identity
 of products with the former ``from_man_exp`` kernel (edge cases, the
-rounding helper and whole evaluations), and bit-identity of rotation, dagger
-and exp_pauli with their mpf formulas."""
+rounding helper and whole evaluations), and bit-identity of rotation, dagger,
+exp_pauli, the vector norm, the frame map and the covariant error generator
+with their mpf formulas."""
 
 import random
 
@@ -12,9 +13,9 @@ from mpmath import log10, mp, mpf, sqrt
 from mpmath.libmp import from_man_exp, mpf_add, mpf_mul, mpf_neg, mpf_pos, round_nearest
 
 from compulse import su2
-from compulse.error_models import AxisDependentPi3, CovariantVector, LinearOverRotation, PerChannel
+from compulse.error_models import AxisDependentPi3, CovariantVector, LinearOverRotation, PerChannel, _check_branch
 from compulse.precision import working_digits
-from compulse.sequences import BUILTIN_NAMES, build_builtin, evaluate
+from compulse.sequences import BUILTIN_NAMES, FrameTriad, build_builtin, evaluate
 from compulse.su2 import Unitary
 
 import oracles
@@ -303,6 +304,78 @@ class TestKernelsBitIdentical:
                     vec = _random_vec(rng, mpf(scale))
                     assert _bits(su2.exp_pauli(vec)) == _bits(_exp_pauli_ref(vec))
             assert _bits(su2.exp_pauli((0, 0, 0))) == _bits(su2.identity())
+
+
+def _vectors(rng):
+    """Vectors at the working precision: random components of 1e-45..1 or
+    zero, and components below one ulp of the largest one."""
+    for _ in range(100):
+        yield tuple(_random_component(rng) for _ in range(3))
+    ulp = mpf(2) ** -mp.prec
+    for big in (mpf(1), mpf("-0.3"), mpf("1e-20")):
+        yield (big, big * ulp / 3, mpf(0))
+        yield (big * ulp / 7, -big, big * ulp * 5 / 11)
+        yield (mpf(0), mpf(0), big)
+    yield (mpf(0), mpf(0), mpf(0))
+
+
+def _frames(rng):
+    yield FrameTriad.identity()
+    for _ in range(3):
+        g = su2.from_generator(oracles.unit_vector(_random_vec(rng, 1)), mpf(rng.uniform(0, 3)))
+        yield FrameTriad.from_unitary(g)
+
+
+@pytest.mark.parametrize("digits", [16, 60, 200])
+class TestVectorKernelsBitIdentical:
+    def test_vec_norm(self, digits):
+        with working_digits(digits):
+            for v in _vectors(random.Random(5)):
+                assert su2.vec_norm(v)._mpf_ == oracles.vec_norm_expr(v)._mpf_
+
+    def test_frame_map(self, digits):
+        rng = random.Random(6)
+        with working_digits(digits):
+            for frame in _frames(rng):
+                for v in _vectors(rng):
+                    assert _bits(frame.map(v)) == _bits(oracles.frame_map_expr(frame, v))
+
+    def test_frame_map_of_higher_precision_values(self, digits):
+        rng = random.Random(7)
+        with mp.workdps(digits + 40):  # past the library's digit range at 200
+            frames = list(_frames(rng))
+            vectors = list(_vectors(rng))
+        with working_digits(digits):
+            for frame in frames:
+                for v in vectors:
+                    assert _bits(frame.map(v)) == _bits(oracles.frame_map_expr(frame, v))
+
+    def test_covariant_generator(self, digits):
+        rng = random.Random(8)
+        with mp.workdps(digits + 40):
+            models = [CovariantVector(*(tuple(_random_component(rng) for _ in range(k)) for k in (1, 2, 3)))
+                      for _ in range(4)]
+        with working_digits(digits):
+            models.append(CovariantVector((mpf("0.01"),), (mpf(0), mpf("-0.002")), (mpf(0),)))
+            alphas = [mpf(0)] + [mp.pi * mpf(rng.uniform(-2, 2)) for _ in range(4)]
+            for frame in _frames(rng):
+                for model in models:
+                    for alpha in alphas:
+                        for scale in (mpf(1), mpf("1e-3"), mpf("1e-40"), mpf(0)):
+                            want = oracles.covariant_generator_expr(model, frame, alpha, scale)
+                            assert _bits(model._generator(frame, alpha, scale)) == _bits(want)
+
+    def test_branch_bound(self, digits):
+        with working_digits(digits):
+            _, man, exp, _ = (mp.pi / 2)._mpf_
+            for m in (man - 1, man, man + 1):
+                offset = mp.make_mpf(from_man_exp(m, exp))
+                try:
+                    _check_branch(offset)
+                    raised = False
+                except su2.BranchError:
+                    raised = True
+                assert raised == (offset >= mp.pi / 2)
 
 
 @pytest.mark.parametrize("model", _CHAIN_MODELS, ids=["linear", "vector_axisdep"])

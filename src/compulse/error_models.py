@@ -5,7 +5,8 @@ pulse applies the exact dagger of the corrupted forward pulse.  The base
 class holds that rule in one place: it realizes a dagger-role pulse as
 ``su2.dagger`` of the realization of its partner ``pulse.daggered()``
 (same frame and axis bits, negated generator angle), so subclasses only
-describe the corruption of forward pulses.  Each pulse keeps its last
+describe the corruption of forward pulses.  It also keeps a pulse on the
+"perfect" channel ideal under every model.  Each pulse keeps its last
 realization, which a later call reuses when its model and scale are equal
 values (not only the same objects), so a dagger pair is corrupted once per
 model and scale value, and consecutive evaluations under models that agree
@@ -53,15 +54,12 @@ from mpmath.libmp import fzero, mpf_abs, mpf_add, mpf_ge, mpf_mul, mpf_mul_int, 
 
 from . import su2
 from .precision import unit_tolerance  # noqa: F401 -- benchmarks/test_tracer.py checks this alias
-from .su2 import BranchError, Unitary, Vec3
+from .su2 import NAMED_AXES, BranchError, Unitary, Vec3
 
 if TYPE_CHECKING:
     from .sequences import Pulse
 
 Coeffs = Tuple[mpf, ...]
-
-NAMED_AXES = {k.lower(): v for k, v in su2.LAB_AXES.items()}
-NAMED_AXES.update({"-" + k: tuple(-c for c in v) for k, v in NAMED_AXES.items()})
 
 class ModelConfigError(ValueError):
     """Malformed or out-of-range error-model configuration."""
@@ -110,10 +108,12 @@ class ErrorModel:
         ``scale`` multiplies every model coefficient, so scans can sweep a
         base error magnitude with the model shape fixed.
 
-        A forward pulse is corrupted by ``_forward``; a dagger pulse gets
-        the exact dagger of its forward partner's realization.  The pulse's
-        per-precision record (see :meth:`Pulse.derived`) keeps the last
-        realization, and a call whose model and ``scale`` equal the kept
+        A pulse on the "perfect" channel stays ideal under every model, in
+        a direct call as in an evaluation.  Any other forward pulse is
+        corrupted by ``_forward``; a dagger pulse gets the exact dagger of
+        its forward partner's realization.  The pulse's per-precision
+        record (see :meth:`Pulse.derived`) keeps the last realization,
+        perfect or not, and a call whose model and ``scale`` equal the kept
         ones as values returns the stored unitary.  Models are immutable
         values and ``scale`` enters only as ``mpf(scale)``, so equal values
         fix the result.  A call with the very same two objects is answered
@@ -135,6 +135,8 @@ class ErrorModel:
         kept = record.realized
         if kept is not None and (kept[0] is self or kept[0] == self) and (kept[1] is scale or kept[1] == scale):
             u = kept[2]
+        elif pulse.channel == "perfect":
+            u = pulse.ideal_unitary()
         elif pulse.role.is_dagger:
             u = su2.dagger(self._realized(pulse.daggered(), scale))
         else:
@@ -191,10 +193,7 @@ class AxisOverRotation(ErrorModel):
     def _coeffs_for(self, axis: Vec3, alpha: mpf) -> Coeffs:
         if alpha < 0:
             axis = tuple(-c for c in axis)
-        for key, coeffs in self.per_axis.items():
-            if su2.axes_match(axis, NAMED_AXES[key]):
-                return coeffs
-        return self.coeffs
+        return self.per_axis.get(su2.axis_name(axis), self.coeffs)
 
     def _forward(self, pulse, axis, alpha, scale):
         prec = mp.prec

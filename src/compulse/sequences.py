@@ -215,7 +215,7 @@ class Pulse:
             if twin is not None and twin.prec == prec:
                 record = _Derived(prec, twin.axis, -twin.alpha)
             else:
-                axis = su2.stored_unit_axis(self.frame.map(self.axis_in_frame))
+                axis = su2.unit_axis(self.frame.map(self.axis_in_frame))
                 record = _Derived(prec, axis, _frac_to_radians(self.alpha_pi))
             object.__setattr__(self, "_record", record)
         return record
@@ -270,9 +270,9 @@ class Gate:
     _pulse: Pulse = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "axis", su2.tighten_axis(self.axis))
-        object.__setattr__(self, "alpha_pi", Fraction(self.alpha_pi))
         pulse = Pulse(FrameTriad.identity(), self.axis, self.alpha_pi, Role.TARGET, "target")
+        object.__setattr__(self, "axis", pulse.axis_in_frame)
+        object.__setattr__(self, "alpha_pi", pulse.alpha_pi)
         object.__setattr__(self, "_pulse", pulse)
 
     def unitary(self) -> Unitary:
@@ -308,13 +308,13 @@ def evaluate(seq: PulseSequence, model, scale=1) -> Unitary:
     """Multiply out the realized pulses.
 
     ``model`` may be None for an all-ideal evaluation.  Pulses on channel
-    "perfect" always bypass the model.  To hold the pi/3 correction pulses
-    ideal, pass ``PerChannel({"target": model})``.
+    "perfect" stay ideal under every model (see :meth:`ErrorModel.realize`).
+    To hold the pi/3 correction pulses ideal, pass
+    ``PerChannel({"target": model})``.
     """
     out = su2.identity()
     for p in seq.pulses:
-        bypass = model is None or p.channel == "perfect"
-        u = p.ideal_unitary() if bypass else model.realize(p, scale)
+        u = p.ideal_unitary() if model is None else model.realize(p, scale)
         out = su2.multiply(u, out)
     return out
 
@@ -334,7 +334,7 @@ def pi3_correct(inner: PulseSequence, axis: Iterable) -> PulseSequence:
     rotation about ``axis`` and Ct is the same pulse conjugated into the
     target gate's frame.  Pulse count obeys n -> 3n + 4.
     """
-    axis = su2.normalized_axis(axis)
+    axis = su2.unit_axis(su2.tighten_axis(axis))
     u = inner.target.unitary()
     f_id = FrameTriad.identity()
     f_u = FrameTriad.from_unitary(u)
@@ -457,10 +457,8 @@ def symmetrize(seq: PulseSequence) -> PulseSequence:
 
 
 def _axis_label(axis: Vec3) -> str:
-    for label, vec in LAB_AXES.items():
-        if su2.axes_match(axis, vec):
-            return label
-    return "(" + ",".join(nstr(a, 6) for a in axis) + ")"
+    label = (su2.axis_name(axis) or "").upper()
+    return label if label in LAB_AXES else "(" + ",".join(nstr(a, 6) for a in axis) + ")"
 
 
 _TARGET_RE = re.compile(r"([xyz])-([+-]?\d*)pi(?:/(0*[1-9]\d*))?", re.IGNORECASE)
@@ -488,7 +486,7 @@ def _about_x(builder, sym: bool = False):
     label = builder.__name__ + "sym" * sym
 
     def build(target: Gate) -> PulseSequence:
-        if not su2.axes_match(target.axis, X_AXIS):
+        if su2.axis_name(target.axis) != "x":
             raise SequenceError(f"{label} corrects rotations about x; got axis {_axis_label(target.axis)}")
         seq = builder(2 * target.alpha_pi)
         return symmetrize(seq) if sym else seq

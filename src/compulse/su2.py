@@ -25,12 +25,16 @@ ValueError.
 Every unitary made from an angle (ideal or corrupted pulse, target gate)
 comes from :func:`rotation`, which holds the one phase guard.
 
+An axis is checked once, where it enters: :func:`tighten_axis` is the only
+acceptance check, to GEOMETRY_TOL at any precision.  :func:`unit_axis` is
+the rule for the unit axis at the working precision, and never raises.
+
 All values are immutable and all operations are pure functions.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Optional
 
 from mpmath import atan2, fabs, mp, mpf, nstr, sqrt
 from mpmath.libmp import fzero, mpf_add, mpf_cos_sin, mpf_div, mpf_mul, mpf_neg, mpf_sqrt, round_nearest
@@ -92,21 +96,14 @@ def _divided(v: Vec3, n: mpf) -> Vec3:
     return (v[0] / n, v[1] / n, v[2] / n)
 
 
-def normalized_axis(axis: Iterable) -> Vec3:
-    """Validate a unit axis (within tolerance) and tighten its norm."""
-    v = as_vec3(axis)
-    n = vec_norm(v)
-    if fabs(n - 1) > unit_tolerance():
-        raise InvalidAxisError(f"axis norm {n} deviates from 1 beyond tolerance")
-    return _divided(v, n)
-
-
 # Tolerance of stored geometry (pulse axes, frame triads, named-axis
 # matches), independent of the working precision.
 GEOMETRY_TOL = mpf("1e-9")
 
-# The named lab axes, as exact unit vectors.
+# The named lab axes, as exact unit vectors, and the signed named axes.
 LAB_AXES = {"X": (1, 0, 0), "Y": (0, 1, 0), "Z": (0, 0, 1)}
+NAMED_AXES = {k.lower(): v for k, v in LAB_AXES.items()}
+NAMED_AXES.update({"-" + k: tuple(-c for c in v) for k, v in NAMED_AXES.items()})
 
 
 def axes_match(a: Iterable, b: Iterable) -> bool:
@@ -114,47 +111,46 @@ def axes_match(a: Iterable, b: Iterable) -> bool:
     return all(fabs(p - q) <= GEOMETRY_TOL for p, q in zip(a, b))
 
 
+def axis_name(v: Iterable) -> Optional[str]:
+    """The key of NAMED_AXES ("x", "-y", ...) that ``v`` matches, or None."""
+    return next((name for name, vec in NAMED_AXES.items() if axes_match(v, vec)), None)
+
+
 def tighten_axis(axis: Iterable) -> Vec3:
     """Accept a stored unit axis and renormalize it only when needed.
 
-    Stored geometry (pulse axes, frames) is valid to a fixed tolerance
-    regardless of precision, so a sequence written at 16 digits still
+    The one acceptance check: a norm off 1 by more than GEOMETRY_TOL, at
+    any precision, raises, so a sequence written at 16 digits still
     evaluates at 60.  Within the working-precision tolerance the bits are
     left untouched, keeping same-precision round trips exact.
     """
     v = as_vec3(axis)
-    n, loose = _stored_norm(v)
-    return _divided(v, n) if loose else v
-
-
-def stored_unit_axis(axis: Iterable) -> Vec3:
-    """``normalized_axis(tighten_axis(axis))``, bit for bit, computing one
-    norm unless the stored axis has to be re-tightened."""
-    v = as_vec3(axis)
-    n, loose = _stored_norm(v)
-    return normalized_axis(_divided(v, n)) if loose else _divided(v, n)
-
-
-def _stored_norm(v: Vec3) -> tuple:
-    """(norm of the stored axis ``v``, whether it deviates from 1 beyond the
-    working-precision tolerance); beyond GEOMETRY_TOL it is no axis."""
     n = vec_norm(v)
     dev = fabs(n - 1)
     if dev > GEOMETRY_TOL:
         raise InvalidAxisError(f"axis norm {n} deviates from 1 beyond tolerance")
-    return n, dev > unit_tolerance()
+    return _divided(v, n) if dev > unit_tolerance() else v
+
+
+def unit_axis(axis: Iterable) -> Vec3:
+    """``axis`` over its norm, and over the new norm as well when the first
+    is off 1 beyond the working-precision tolerance; never raises."""
+    v = as_vec3(axis)
+    n = vec_norm(v)
+    u = _divided(v, n)
+    return _divided(u, vec_norm(u)) if fabs(n - 1) > unit_tolerance() else u
 
 
 def identity() -> Unitary:
     return Unitary(mpf(1), mpf(0), mpf(0), mpf(0))
 
 
-def rotation(unit_axis: Vec3, alpha: mpf) -> Unitary:
-    """exp(i*alpha*(unit_axis . sigma)) for an axis already normalized at
-    the working precision (as returned by :func:`normalized_axis`).  An angle
+def rotation(axis: Vec3, alpha: mpf) -> Unitary:
+    """exp(i*alpha*(axis . sigma)) for an axis already normalized at
+    the working precision (as returned by :func:`unit_axis`).  An angle
     that is not finite and below 2**mp.prec radians has no bit of its phase
     mod 2*pi left, so it raises :class:`BranchError`."""
-    nx, ny, nz = unit_axis
+    nx, ny, nz = axis
     prec, raw = mp.prec, alpha._mpf_
     # |alpha| < 2**(exp + bc); mpmath marks inf and nan with a negative bc.
     if raw[2] + raw[3] > prec or raw[3] < 0:
@@ -169,8 +165,8 @@ def rotation(unit_axis: Vec3, alpha: mpf) -> Unitary:
 
 
 def from_generator(axis: Iterable, alpha) -> Unitary:
-    """exp(i*alpha*(axis . sigma)) for a unit axis."""
-    return rotation(normalized_axis(axis), mpf(alpha))
+    """exp(i*alpha*(axis . sigma)) for a unit axis (within GEOMETRY_TOL)."""
+    return rotation(unit_axis(tighten_axis(axis)), mpf(alpha))
 
 
 def exp_pauli(vec: Iterable) -> Unitary:

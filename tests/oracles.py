@@ -11,6 +11,8 @@ bit.  :func:`vec_norm_expr`, :func:`frame_map_expr` and
 :func:`covariant_generator_expr` are the former mpf-expression forms of
 ``su2.vec_norm``, ``FrameTriad.map`` and the lab error generator of
 ``CovariantVector``; the raw-tuple kernels must match them bit for bit.
+:func:`unit_axis_expr` spells out the rule of ``su2.unit_axis`` in mpf
+expressions.
 :func:`format_sci_decimal` rounds an mpf's exact binary value to
 decimal through the standard library's ``decimal``, sharing no code with
 ``analysis.format_sci``.  The quaternion helpers at the end
@@ -151,6 +153,19 @@ def frame_map_expr(frame, v) -> tuple:
     """vx*ex + vy*ey + vz*ez in mpf arithmetic (the former ``FrameTriad.map``)."""
     vx, vy, vz = su2.as_vec3(v)
     return tuple(vx * frame.ex[k] + vy * frame.ey[k] + vz * frame.ez[k] for k in range(3))
+
+
+def unit_axis_expr(v) -> tuple:
+    """The unit axis of ``v`` in mpf arithmetic: ``v`` over its norm, and
+    that over its own norm when the first norm is off 1 by more than
+    10**(3 - digits) (the rule of ``su2.unit_axis``)."""
+    x, y, z = (mpf(c) for c in v)
+    n = sqrt(x * x + y * y + z * z)
+    x, y, z = x / n, y / n, z / n
+    if fabs(n - 1) > mpf(10) ** (3 - mp.dps):
+        m = sqrt(x * x + y * y + z * z)
+        x, y, z = x / m, y / m, z / m
+    return x, y, z
 
 
 def covariant_generator_expr(model, frame, alpha, scale) -> tuple:

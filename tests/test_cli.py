@@ -300,6 +300,18 @@ class TestBadInput:
             code, out, _ = run(capsys, "--digits", "60", "simulate", "--file", str(path))
             assert code == 0 and "infidelity  1.0000000000000000e+00" in out
 
+    def test_a_file_that_loads_also_evaluates(self, capsys, tmp_path):
+        # A unit axis in a frame within the geometry tolerance of
+        # orthonormal: its lab image is further off unit than a stored axis
+        # may be, yet derives like any other.
+        c = "0.57735026918962576450914878050195745564760175127"
+        big, small = "1.00000000033", "0.00000000049"
+        frame = " ".join([big, small, small, small, big, small, small, small, big])
+        path = tmp_path / "tilted.txt"
+        path.write_text(f"target 1 0 0 1/2\npulse {c} {c} {c} 1/6 correction pi3 frame {frame}\n", encoding="utf-8")
+        code, out, err = run(capsys, "--digits", "30", "simulate", "--file", str(path))
+        assert (code, err) == (0, "") and "infidelity" in out
+
     def test_non_utf8_file_reports_position(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_bytes(b"target 1 0 0 1/2\npulse 1 0 0 1/2 target \xfftarget\n")

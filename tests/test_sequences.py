@@ -33,6 +33,7 @@ from compulse.sequences import (
     b4,
     build_builtin,
     evaluate,
+    format_scalar,
     naive,
     parse,
     parse_target,
@@ -646,7 +647,7 @@ class TestDaggerPairSharing:
             for pulse in (first, second):
                 record = pulse.derived()
                 lab = oracles.frame_map_expr(pulse.frame, pulse.axis_in_frame)
-                want_axis = su2.normalized_axis(su2.tighten_axis(lab))
+                want_axis = oracles.unit_axis_expr(lab)
                 want_alpha = mp.pi * pulse.alpha_pi.numerator / pulse.alpha_pi.denominator
                 assert [c._mpf_ for c in record.axis] == [c._mpf_ for c in want_axis]
                 assert record.alpha._mpf_ == want_alpha._mpf_
@@ -679,6 +680,93 @@ class TestDaggerPairSharing:
                 model, scale = make(mpf("-0.013")), mpf("0.7")
                 assert model.realize(q, scale) == su2.dagger(model.realize(forward, scale)), kind
             assert q.daggered() is not forward and q.daggered().daggered() is q
+
+
+def _bits(u) -> list:
+    return [c._mpf_ for c in u]
+
+
+class TestPerfectChannel:
+    @pytest.mark.parametrize("digits", [16, 60])
+    @pytest.mark.parametrize("kind", sorted(_MODEL_KINDS))
+    def test_realize_keeps_every_perfect_pulse_ideal(self, kind, digits):
+        with working_digits(digits):
+            model, scale = _MODEL_KINDS[kind](mpf("0.1")), mpf("0.7")
+            for daggers_first in (False, True):
+                seq = pi3_correct(pi5_sequence(parse_target("z-pi")), Y)
+                perfect = [p for p in seq.pulses if p.channel == "perfect"]
+                assert {p.role.is_dagger for p in perfect} == {False, True}
+                for p in sorted(perfect, key=lambda p: p.role.is_dagger != daggers_first):
+                    assert _bits(model.realize(p, scale)) == _bits(p.ideal_unitary()), p
+
+
+def _axis_entry_outcomes(axis, frame_scale) -> dict:
+    """Entry point -> the sequence or unitary it makes of ``axis``, or None
+    when it refuses the axis.  The pulse line and the Pulse sit in a frame of
+    three lab axes scaled by ``frame_scale``."""
+    text = " ".join(format_scalar(c) for c in axis)
+    f = format_scalar(frame_scale)
+    frame = FrameTriad((frame_scale, 0, 0), (0, frame_scale, 0), (0, 0, frame_scale))
+    entries = {
+        "target line": lambda: parse(f"target {text} 1/2\npulse 1 0 0 1/2 target target\n"),
+        "pulse line": lambda: parse(
+            f"target 1 0 0 1/2\npulse {text} 1/6 correction pi3 frame {f} 0 0 0 {f} 0 0 0 {f}\n"
+        ),
+        "Pulse": lambda: PulseSequence(X_PI, (Pulse(frame, axis, Fraction(1, 6), Role.CORRECTION, "pi3"),)),
+        "Gate": lambda: naive(Gate(axis, Fraction(1, 2))),
+        "pi3_correct": lambda: pi3_correct(naive(X_PI), axis),
+        "from_generator": lambda: su2.from_generator(axis, mpf("0.3")),
+    }
+    out = {}
+    for name, make in entries.items():
+        try:
+            out[name] = make()
+        except su2.InvalidAxisError:
+            out[name] = None
+        except DslError as exc:
+            assert "axis norm" in str(exc)
+            out[name] = None
+    return out
+
+
+def _assert_evaluates(made) -> None:
+    for seq in made.values():
+        if isinstance(seq, PulseSequence):
+            seq.ideal_unitary()
+            for kind, make in sorted(_MODEL_KINDS.items()):
+                assert evaluate(seq, make(mpf("0.01")), mpf("0.5")) != su2.identity(), kind
+
+
+class TestAxisAcceptance:
+    @pytest.mark.parametrize(
+        "axis, accepted",
+        [
+            ((1 + mpf("1e-12"), 0, 0), True),
+            ((0, 0, 1 - mpf("9e-10")), True),
+            ((1, 1, 0), False),
+            ((1 + mpf("2e-9"), 0, 0), False),
+            ((0, 1 - mpf("2e-9"), 0), False),
+        ],
+    )
+    def test_every_entry_point_checks_an_axis_to_the_geometry_tolerance(self, axis, accepted):
+        with working_digits(60):
+            made = _axis_entry_outcomes(tuple(mpf(c) for c in axis), mpf(1))
+            assert [name for name, m in made.items() if (m is not None) != accepted] == []
+            _assert_evaluates(made)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        direction=st.tuples(*[st.floats(-1, 1)] * 3).filter(lambda v: sum(c * c for c in v) > 0.01),
+        d=st.floats(-2e-9, 2e-9),
+        f=st.floats(-3e-10, 3e-10),
+        digits=st.sampled_from([16, 60]),
+    )
+    def test_entry_points_accept_or_refuse_an_axis_together(self, direction, d, f, digits):
+        with working_digits(digits):
+            axis = tuple(c * (1 + mpf(d)) for c in oracles.unit_vector(direction))
+            made = _axis_entry_outcomes(axis, 1 + mpf(f))
+            assert len({m is None for m in made.values()}) == 1, made
+            _assert_evaluates(made)
 
 
 class TestRegistry:

@@ -77,6 +77,18 @@ class TestFromGenerator:
         assert oracles.max_abs_diff(oracles.to_matrix(u), m) < 1e-12
 
 
+class TestNamedAxes:
+    def test_each_signed_axis_is_named_within_the_geometry_tolerance(self):
+        assert list(su2.NAMED_AXES) == ["x", "y", "z", "-x", "-y", "-z"]
+        for name, vec in su2.NAMED_AXES.items():
+            assert su2.axis_name(vec) == name
+            assert su2.axis_name(tuple(c + mpf("9e-10") for c in vec)) == name
+            assert su2.axis_name(tuple(c + mpf("2e-9") for c in vec)) is None
+
+    def test_other_axes_have_no_name(self):
+        assert su2.axis_name(oracles.unit_vector((1, 1, 0))) is None
+
+
 class TestRotationPhaseGuard:
     @pytest.mark.parametrize("digits", [16, 60])
     def test_refuses_an_angle_without_a_phase_bit(self, digits):

@@ -1,8 +1,8 @@
 """The raw-mantissa SU(2) kernels: correct rounding of products, bit-identity
 of products with the former ``from_man_exp`` kernel (edge cases, the
 rounding helper and whole evaluations), and bit-identity of rotation, dagger,
-exp_pauli, the vector norm, the frame map and the covariant error generator
-with their mpf formulas."""
+exp_pauli, the vector norm, the unit axis, the frame map and the covariant
+error generator with their mpf formulas."""
 
 import random
 
@@ -364,6 +364,19 @@ class TestVectorKernelsBitIdentical:
                         for scale in (mpf(1), mpf("1e-3"), mpf("1e-40"), mpf(0)):
                             want = oracles.covariant_generator_expr(model, frame, alpha, scale)
                             assert _bits(model._generator(frame, alpha, scale)) == _bits(want)
+
+    def test_unit_axis(self, digits):
+        rng = random.Random(9)
+        with working_digits(digits):
+            beyond = set()
+            for frame in _frames(rng):
+                for _ in range(10):
+                    u = frame.map(oracles.unit_vector(_random_vec(rng, 1)))
+                    for d in (0, mpf(10) ** -digits, mpf("-1e-11"), mpf("3e-10"), mpf("-2e-9"), mpf("1e-3")):
+                        axis = tuple(c * (1 + d) for c in u)
+                        beyond.add(abs(su2.vec_norm(axis) - 1) > su2.unit_tolerance())
+                        assert _bits(su2.unit_axis(axis)) == _bits(oracles.unit_axis_expr(axis))
+            assert beyond == {False, True}  # axes inside and beyond the working tolerance
 
     def test_branch_bound(self, digits):
         with working_digits(digits):

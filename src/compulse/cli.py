@@ -16,6 +16,7 @@ no phase bit left, unreachable goals, too few fit points).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -222,7 +223,10 @@ def _add_global_args(parser: argparse.ArgumentParser, top_level: bool) -> None:
     parser.add_argument("--out", default=out_default, help="write output to this path instead of stdout")
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, each call filling a new namespace."""
     parser = argparse.ArgumentParser(
         prog="compulse",
         description="Composite pulse sequences: build, simulate, scan, fit, expand, plan.",

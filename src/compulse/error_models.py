@@ -50,7 +50,6 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Optional, Tuple
 
 from mpmath import fabs, mp, mpf, nstr
-from mpmath.libmp import fzero, mpf_abs, mpf_add, mpf_ge, mpf_mul, mpf_mul_int, mpf_pi, mpf_shift, round_nearest
 
 from . import su2
 from .precision import unit_tolerance  # noqa: F401 -- benchmarks/test_tracer.py checks this alias
@@ -71,20 +70,11 @@ def _as_coeffs(coeffs) -> Coeffs:
     return tuple(mpf(c) for c in coeffs)
 
 
-_make = mp.make_mpf
-
-
-def _theta(alpha: mpf, prec: int) -> tuple:
-    """The raw rotation angle 2*|alpha|."""
-    return mpf_mul_int(mpf_abs(alpha._mpf_, prec, round_nearest), 2, prec, round_nearest)
-
-
-def _poly_eval(coeffs: Coeffs, theta: tuple, prec: int) -> tuple:
-    """sum_k coeffs[k] * theta**k by Horner's rule on the raw ``theta``,
-    each step rounded to nearest at ``prec``."""
-    acc = fzero
+def _poly_eval(coeffs: Coeffs, theta: mpf) -> mpf:
+    """sum_k coeffs[k] * theta**k by Horner's rule."""
+    acc = mpf(0)
     for c in reversed(coeffs):
-        acc = mpf_add(mpf_mul(acc, theta, prec, round_nearest), c._mpf_, prec, round_nearest)
+        acc = acc * theta + c
     return acc
 
 
@@ -93,8 +83,7 @@ def _check_branch(offset: mpf) -> None:
     # log-based analysis can invert them.  Over-rotations are exempt: a
     # rotation by (1+eps)*theta is well-defined for any offset, and the
     # infidelity table needs offsets beyond pi/2 at its largest eps.
-    prec = mp.prec
-    if mpf_ge(mpf_abs(offset._mpf_, prec, round_nearest), mpf_shift(mpf_pi(prec, round_nearest), -1)):
+    if fabs(offset) >= mp.pi / 2:
         raise BranchError(f"error generator {offset} reaches pi/2: outside principal branch")
 
 
@@ -196,8 +185,7 @@ class AxisOverRotation(ErrorModel):
         return self.per_axis.get(su2.axis_name(axis), self.coeffs)
 
     def _forward(self, pulse, axis, alpha, scale):
-        prec = mp.prec
-        poly = _make(_poly_eval(self._coeffs_for(axis, alpha), _theta(alpha, prec), prec))
+        poly = _poly_eval(self._coeffs_for(axis, alpha), 2 * fabs(alpha))
         return _over_rotated(axis, alpha, scale * poly / 2)
 
 
@@ -225,13 +213,11 @@ class CovariantVector(ErrorModel):
         return CovariantVector((v[0],), (v[1],), (v[2],))
 
     def _generator(self, frame, alpha: mpf, scale: mpf) -> Vec3:
-        """The lab error generator ``frame.map(scale * delta(2*|alpha|))``,
-        each polynomial and its scale on raw tuples."""
-        prec = mp.prec
-        theta, s = _theta(alpha, prec), scale._mpf_
-        return frame.map(
-            [_make(mpf_mul(s, _poly_eval(c, theta, prec), prec, round_nearest)) for c in (self.dx, self.dy, self.dz)]
-        )
+        """The lab error generator ``frame.map(scale * delta(2*|alpha|))``
+        as a plain mpf expression, each operation rounded at the working
+        precision."""
+        theta = 2 * fabs(alpha)
+        return frame.map([scale * _poly_eval(c, theta) for c in (self.dx, self.dy, self.dz)])
 
     def _forward(self, pulse, axis, alpha, scale):
         lab = self._generator(pulse.frame, alpha, scale)

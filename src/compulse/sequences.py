@@ -27,7 +27,6 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from mpmath import acos, cos, fabs, mp, mpf, nstr, sin
-from mpmath.libmp import mpf_add, mpf_mul, round_nearest
 
 from . import su2
 from .su2 import GEOMETRY_TOL, LAB_AXES, Unitary, Vec3
@@ -115,19 +114,13 @@ class FrameTriad:
         )
 
     def map(self, v: Iterable) -> Vec3:
-        """The lab vector ``vx*ex + vy*ey + vz*ez``, each product and sum
-        rounded to nearest at the working precision; ``v`` itself, rounded,
-        in the identity frame."""
-        v = su2.as_vec3(v)
+        """The lab vector ``vx*ex + vy*ey + vz*ez`` as a plain mpf
+        expression, each operation rounded at the working precision; ``v``
+        itself, rounded, in the identity frame."""
+        x, y, z = v = su2.as_vec3(v)
         if self is _IDENTITY_FRAME:
             return v
-        prec, rnd = mp.prec, round_nearest
-        x, y, z = v[0]._mpf_, v[1]._mpf_, v[2]._mpf_
-        out = []
-        for a, b, c in zip(self.ex, self.ey, self.ez):
-            s = mpf_add(mpf_mul(x, a._mpf_, prec, rnd), mpf_mul(y, b._mpf_, prec, rnd), prec, rnd)
-            out.append(_make(mpf_add(s, mpf_mul(z, c._mpf_, prec, rnd), prec, rnd)))
-        return tuple(out)
+        return tuple(x * a + y * b + z * c for a, b, c in zip(self.ex, self.ey, self.ez))
 
     def is_exact_identity(self) -> bool:
         return (
@@ -149,7 +142,6 @@ def _det3(a: Vec3, b: Vec3, c: Vec3):
 
 
 _IDENTITY_FRAME = FrameTriad(X_AXIS, Y_AXIS, Z_AXIS)
-_make = mp.make_mpf
 
 
 def _frac_to_radians(f: Fraction) -> mpf:
@@ -201,7 +193,8 @@ class Pulse:
             raise SequenceError(f"unknown channel {self.channel!r}")
 
     def lab_axis(self) -> Vec3:
-        return su2.tighten_axis(self.frame.map(self.axis_in_frame))
+        """Unit lab axis at the working precision (see :meth:`derived`)."""
+        return self.derived().axis
 
     def derived(self) -> _Derived:
         """The record of this pulse at the working precision.  A linked
@@ -245,15 +238,11 @@ class Pulse:
         if partner is None:
             # this pulse's fields are validated already: no __post_init__
             partner = object.__new__(Pulse)
-            partner.__dict__.update(vars(self), alpha_pi=-self.alpha_pi, role=self.role.partner, _record=None)
-            _link(self, partner)
+            partner.__dict__.update(
+                vars(self), alpha_pi=-self.alpha_pi, role=self.role.partner, _record=None, _dagger=self
+            )
+            object.__setattr__(self, "_dagger", partner)
         return partner
-
-
-def _link(a: Pulse, b: Pulse) -> None:
-    """Make ``a`` and ``b`` each other's dagger partner."""
-    object.__setattr__(a, "_dagger", b)
-    object.__setattr__(b, "_dagger", a)
 
 
 @dataclass(frozen=True)
@@ -663,19 +652,19 @@ _NAME_PREFIX = "# sequence:"
 def parse(text: str) -> PulseSequence:
     """Parse the line-oriented sequence format; errors carry line and column.
 
-    Pulse lines with the same tokens (whatever their spacing or trailing
-    comment) load as one shared :class:`Pulse`, and pulses whose frame
-    blocks have the same nine tokens share one :class:`FrameTriad`.  A
-    pulse whose dagger partner is also in the file (same frame tokens,
-    axis bits and channel, negated angle, partner role) is linked to it
-    as :meth:`Pulse.daggered` links the pair it makes.
+    Pulse lines that load to equal values (``1`` and ``1.0`` alike, whatever
+    the spacing or trailing comment) load as one shared :class:`Pulse`,
+    and pulses whose frame blocks have the same nine tokens share one
+    :class:`FrameTriad`.  Dagger partners are linked by value: a pulse
+    whose :meth:`Pulse.daggered` value is also in the file is linked to
+    that pulse.
     """
     target = None
     pulses = []
     name = ""
     made = {}  # tokens after "pulse" -> the Pulse they built
     frames = {}
-    forms = {}  # (id(frame), axis bits, channel, angle, role) -> a Pulse with them
+    shared = {}  # pulse value -> its one Pulse, closed under daggered()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if target is None and not name and raw.lstrip().startswith(_NAME_PREFIX):
             name = raw.lstrip()[len(_NAME_PREFIX):].strip()
@@ -736,16 +725,14 @@ def parse(text: str) -> PulseSequence:
                         raise DslError(str(exc), lineno, kw_col) from None
                     frames[key] = frame
             try:
-                pulse = made[line_key] = Pulse(frame, axis, alpha, role, channel_tok)
+                pulse = Pulse(frame, axis, alpha, role, channel_tok)
             except su2.InvalidAxisError as exc:
                 raise DslError(str(exc), lineno, toks[1][1]) from None
             except SequenceError as exc:  # the only check left is the channel's
                 raise DslError(str(exc), lineno, channel_col) from None
-            form = (id(frame), tuple(c._mpf_ for c in pulse.axis_in_frame), pulse.channel)
-            partner = forms.get((*form, -pulse.alpha_pi, role.partner))
-            if partner is not None and partner._dagger is None:
-                _link(pulse, partner)
-            forms[(*form, pulse.alpha_pi, role)] = pulse
+            pulse = made[line_key] = shared.setdefault(pulse, pulse)
+            partner = pulse.daggered()
+            shared.setdefault(partner, partner)
             pulses.append(pulse)
         else:
             raise DslError(f"unknown directive {head!r}", lineno, head_col)

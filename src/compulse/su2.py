@@ -11,16 +11,16 @@ SU(2), so products stay unit-norm up to rounding and extended-precision
 multiplication is cheap.  A dense 2x2 complex-matrix oracle lives in the
 test suite only.
 
-The per-pulse kernels (:func:`rotation`, :func:`dagger`, :func:`exp_pauli`,
-:func:`multiply`, :func:`vec_norm`) work on mpmath's raw ``(sign, mantissa,
-exponent, bitcount)`` tuples, each libmp step rounded to nearest at the
-working precision: the same bits as the mpf expressions they replace.
-Each component of a product is one exact integer dot product, rounded once
-to nearest with ties to even at the working precision, so products are
-correctly rounded per component.  The rounding is done in plain integer
-arithmetic and gives the same bits as libmp's ``from_man_exp`` with
-``round_nearest``; a non-finite (inf or nan) component in a factor raises
-ValueError.
+Integer arithmetic on mpmath's raw ``(sign, mantissa, exponent,
+bitcount)`` tuples is kept to the product, :func:`multiply`, which runs
+once per flat pulse: each component is one exact integer dot product,
+rounded once to nearest with ties to even at the working precision, so
+products are correctly rounded per component.  The rounding gives the
+same bits as libmp's ``from_man_exp`` with ``round_nearest``; a non-finite
+(inf or nan) component in a factor raises ValueError.  Every other kernel
+is a plain mpf expression, each operation rounded to nearest at the
+working precision; only :func:`rotation`'s phase guard reads a raw
+exponent.
 
 Every unitary made from an angle (ideal or corrupted pulse, target gate)
 comes from :func:`rotation`, which holds the one phase guard.
@@ -37,7 +37,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Optional
 
 from mpmath import atan2, fabs, mp, mpf, nstr, sqrt
-from mpmath.libmp import fzero, mpf_add, mpf_cos_sin, mpf_div, mpf_mul, mpf_neg, mpf_sqrt, round_nearest
+from mpmath.libmp import fzero
 
 from .precision import unit_tolerance
 
@@ -80,16 +80,10 @@ def as_vec3(v: Iterable) -> Vec3:
     return out
 
 
-_make = mp.make_mpf
-
-
 def vec_norm(v: Vec3) -> mpf:
-    """sqrt(x*x + y*y + z*z) of three mpf, each step rounded to nearest."""
-    x, y, z = v[0]._mpf_, v[1]._mpf_, v[2]._mpf_
-    prec = mp.prec
-    squares = mpf_add(mpf_mul(x, x, prec, round_nearest), mpf_mul(y, y, prec, round_nearest), prec, round_nearest)
-    squares = mpf_add(squares, mpf_mul(z, z, prec, round_nearest), prec, round_nearest)
-    return _make(mpf_sqrt(squares, prec, round_nearest))
+    """sqrt(x*x + y*y + z*z), each operation rounded at the working precision."""
+    x, y, z = v
+    return sqrt(x * x + y * y + z * z)
 
 
 def _divided(v: Vec3, n: mpf) -> Vec3:
@@ -155,13 +149,8 @@ def rotation(axis: Vec3, alpha: mpf) -> Unitary:
     # |alpha| < 2**(exp + bc); mpmath marks inf and nan with a negative bc.
     if raw[2] + raw[3] > prec or raw[3] < 0:
         raise BranchError(f"rotation angle {nstr(alpha, 5)} is not below 2**{prec} radians: no phase bit left")
-    c, s = mpf_cos_sin(raw, prec, round_nearest)
-    return Unitary(
-        _make(c),
-        _make(mpf_mul(s, nx._mpf_, prec, round_nearest)),
-        _make(mpf_mul(s, ny._mpf_, prec, round_nearest)),
-        _make(mpf_mul(s, nz._mpf_, prec, round_nearest)),
-    )
+    c, s = mp.cos_sin(alpha)
+    return Unitary(c, s * nx, s * ny, s * nz)
 
 
 def from_generator(axis: Iterable, alpha) -> Unitary:
@@ -175,12 +164,8 @@ def exp_pauli(vec: Iterable) -> Unitary:
     m = vec_norm(v)
     if m == 0:
         return identity()
-    prec, raw_m = mp.prec, m._mpf_
-    c, s = mpf_cos_sin(raw_m, prec, round_nearest)
-    return Unitary(
-        _make(c),
-        *(_make(mpf_div(mpf_mul(s, a._mpf_, prec, round_nearest), raw_m, prec, round_nearest)) for a in v),
-    )
+    c, s = mp.cos_sin(m)
+    return Unitary(c, s * v[0] / m, s * v[1] / m, s * v[2] / m)
 
 
 def _fixed_point(u: Unitary) -> tuple:
@@ -240,6 +225,7 @@ def _rounded(man: int, exp: int, prec: int) -> tuple:
 
 
 _new = tuple.__new__
+_make = mp.make_mpf
 
 
 def multiply(a: Unitary, b: Unitary) -> Unitary:
@@ -266,14 +252,8 @@ def multiply(a: Unitary, b: Unitary) -> Unitary:
 
 
 def dagger(u: Unitary) -> Unitary:
-    prec = mp.prec
     w, x, y, z = u
-    return Unitary(
-        w,
-        _make(mpf_neg(x._mpf_, prec, round_nearest)),
-        _make(mpf_neg(y._mpf_, prec, round_nearest)),
-        _make(mpf_neg(z._mpf_, prec, round_nearest)),
-    )
+    return Unitary(w, -x, -y, -z)
 
 
 def rotate_vector(g: Unitary, v: Iterable) -> Vec3:

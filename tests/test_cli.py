@@ -8,7 +8,7 @@ from mpmath import mpf
 
 from compulse import su2
 from compulse.analysis import FAMILIES, component_scan, default_scales, format_sci, to_csv
-from compulse.cli import main
+from compulse.cli import main, make_parser
 from compulse.error_models import PerChannel, describe, parse_model
 from compulse.precision import working_digits
 from compulse.sequences import build_builtin, evaluate, parse_target
@@ -340,6 +340,18 @@ class TestFlagPlacement:
 
 
 class TestPrecisionFlag:
+    def test_parser_is_built_once(self):
+        assert make_parser() is make_parser()
+
+    def test_no_precision_leaks_into_the_next_call(self, capsys, monkeypatch):
+        monkeypatch.delenv("COMPULSE_DIGITS", raising=False)
+        argv = ("simulate", "--seq", "b2", "--model", "model=linear eps=0.1")
+        _, at_16, _ = run(capsys, "--digits", "16", *argv)
+        code, at_30, _ = run(capsys, "--digits", "30", *argv)
+        assert code == 0 and at_30 != at_16
+        code, plain, err = run(capsys, *argv)
+        assert (code, plain, err) == (0, at_16, "")
+
     def test_digits_out_of_range_is_config_error(self, capsys):
         code, _, err = run(capsys, "--digits", "300", "plan", "--start", "1,1,1", "--depth", "1")
         assert code == 2

@@ -10,6 +10,9 @@ from mpmath.libmp import from_man_exp
 
 from compulse import su2
 from compulse.cli import main
+from compulse.error_models import parse_model
+from compulse.precision import working_digits
+from compulse.sequences import Role, build_builtin, parse, parse_target, serialize
 
 ROOT = Path(__file__).resolve().parent.parent
 ORDER_SCALING = ROOT / "scripts" / "order_scaling.py"
@@ -96,6 +99,59 @@ class TestEvaluateDigest:
         assert wrapped_digest(self.NAMES, self.MODELS) == want
         monkeypatch.setattr(su2, "multiply", _flipping(su2.multiply))
         assert wrapped_digest(self.NAMES, self.MODELS) != want
+
+    def test_results_keep_their_pinned_bits(self):
+        # All five model kinds, dagger pairs, the text round trip and a
+        # 16-digit build evaluated at 60.  A change that alters result bits
+        # on purpose updates these hashes and says so.
+        module = _load_evaluate_digest()
+        names = ("pi3:Y", "pi5", "b2sym", "pi3Y∘b2sym", "concat:ZZY:b2sym")
+        assert module.digest(names, module.MODELS, (16, 60)) == (
+            "a3b9698d9abd5f67c5576323b85c96944df4775ff2a7c0e411ae9c4a7a516be4"
+        )
+        assert module.wrapped_digest(("pi3:Y", "pi5", "b2sym"), module.MODELS) == (
+            "31fccdf9c2433b6ad1735c3b3994499e0dcadfcebdad6c8cb03efa843373db43"
+        )
+
+    @pytest.mark.parametrize("digits", [16, 60])
+    def test_a_respelled_file_loads_and_evaluates_like_its_canonical_text(self, digits):
+        module = _load_evaluate_digest()
+        with working_digits(digits):
+            models = [parse_model(config) for config in module.MODELS]
+            for name, target in (("pi3Y∘b2sym", "x-pi"), ("concat:XZ", "y-3pi/4")):
+                text = serialize(build_builtin(name, parse_target(target)))
+                respelled = _respell_dagger_lines(text)
+                assert respelled != text
+                canonical, other = parse(text), parse(respelled)
+                assert _sharing(other) == _sharing(canonical)
+                assert list(module._results(other, models)) == list(module._results(canonical, models))
+
+
+def _respell_dagger_lines(text: str) -> str:
+    """``text`` with every number of its dagger pulse lines spelled with one
+    more decimal zero ("1" as "1.0", "0.25e-3" as "0.250e-3")."""
+
+    def respell(tok):
+        mantissa, e, exponent = tok.partition("e")
+        return mantissa + ("0" if "." in mantissa else ".0") + e + exponent
+
+    lines = []
+    for line in text.splitlines():
+        words = line.split()
+        if words[0] == "pulse" and Role(words[5]).is_dagger:
+            words[1:4] = map(respell, words[1:4])
+            words[8:] = map(respell, words[8:])
+        lines.append(" ".join(words))
+    return "\n".join(lines) + "\n"
+
+
+def _sharing(seq) -> list:
+    """For each pulse, the first positions of it and of its linked dagger
+    partner in ``seq`` (None when the partner is not in it)."""
+    first = {}
+    for k, p in enumerate(seq.pulses):
+        first.setdefault(id(p), k)
+    return [(first[id(p)], first.get(id(p.daggered()))) for p in seq.pulses]
 
 
 def _flipping(multiply):

@@ -768,6 +768,17 @@ class TestAxisAcceptance:
             assert len({m is None for m in made.values()}) == 1, made
             _assert_evaluates(made)
 
+    def test_lab_axis_is_the_derived_axis_of_a_tilted_frame(self):
+        # A unit axis in a frame within the geometry tolerance of
+        # orthonormal: its lab image is off unit by more than a stored axis
+        # may be, and the derived axis is what the pulse rotates about.
+        c = "0.57735026918962576450914878050195745564760175127"
+        big, small = "1.00000000033", "0.00000000049"
+        frame = " ".join([big, small, small, small, big, small, small, small, big])
+        with working_digits(30):
+            (p,) = parse(f"target 1 0 0 1/2\npulse {c} {c} {c} 1/6 correction pi3 frame {frame}\n").pulses
+            assert p.lab_axis() == p.derived().axis
+
 
 class TestRegistry:
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -886,6 +897,19 @@ class TestDsl:
         )
         a, b, c = parse(text).pulses
         assert a is b is c
+
+    def test_pulse_lines_of_equal_value_load_as_one_pulse(self):
+        a, b = parse("target 1 0 0 1/2\npulse 0 1 0 1/6 correction pi3\npulse 0.0 1.0 0 1/6 correction pi3\n").pulses
+        assert a is b
+
+    def test_a_dagger_line_spelled_otherwise_is_linked_to_its_forward_line(self):
+        text = (
+            "target 1 0 0 1/2\n"
+            "pulse 0 1 0 1/6 correction pi3 frame 1 0 0 0 -1 0 0 0 -1\n"
+            "pulse 0 1 0 -1/6 correction_dagger pi3 frame 1.0 0 0 0 -1.0 0 0 0 -1\n"
+        )
+        forward, dagger = parse(text).pulses
+        assert forward.daggered() is dagger and dagger.daggered() is forward
 
     def test_repeated_bad_line_fails_at_its_first_occurrence(self):
         bad = "pulse 1 0 0 1/2 target radio\n"

@@ -15,7 +15,7 @@ import argparse
 import pathlib
 import sys
 
-from compulse.analysis import TABLE_SEQUENCES, FitError, component_scan, fit_order, parse_grid, to_csv
+from compulse.analysis import DEFAULT_GRID, TABLE_SEQUENCES, FitError, component_scan, fit_order, parse_grid, to_csv
 from compulse.error_models import LinearOverRotation
 from compulse.precision import PrecisionError, set_digits
 from compulse.sequences import build_builtin
@@ -25,7 +25,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("outdir", nargs="?", default="scans")
     ap.add_argument("--digits", type=int, default=60)
-    ap.add_argument("--grid", default="1e-4:1e-1:9")
+    ap.add_argument("--grid", default=DEFAULT_GRID)
     args = ap.parse_args()
 
     try:

@@ -66,6 +66,9 @@ class ScanResult:
 # Most points a grid may hold; every scan evaluates the sequence once per point.
 MAX_SCALES = 10_000
 
+# The lo:hi:per_decade spec of the default_scales() grid.
+DEFAULT_GRID = "1e-4:1e-1:9"
+
 
 def default_scales(lo="1e-4", hi="1e-1", per_decade: int = 9) -> tuple:
     """Logarithmic grid from hi down to lo, ``per_decade`` points per decade,

@@ -259,7 +259,7 @@ def make_parser() -> argparse.ArgumentParser:
         p = add_sub(name, func, help_text)
         _add_sequence_args(p)
         p.add_argument("--model", required=True)
-        p.add_argument("--grid", default="1e-4:1e-1:9", help="lo:hi:per_decade (default 1e-4:1e-1:9)")
+        p.add_argument("--grid", default=analysis.DEFAULT_GRID, help="lo:hi:per_decade (default %(default)s)")
         if name == "fit":
             p.add_argument("--column", default="infidelity", choices=analysis.ScanResult.COLUMNS)
 

@@ -39,7 +39,10 @@ def parse_order(text: str):
     text = text.strip().lower()
     if text in ("inf", "infinity", "∞"):
         return INFINITY
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError(f"orders are positive integers or inf, got {text!r}") from None
     if value < 1:
         raise ValueError(f"orders are positive integers or inf, got {value}")
     return value

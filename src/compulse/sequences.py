@@ -555,40 +555,26 @@ def build_builtin(name: str, target: Optional[Gate] = None) -> PulseSequence:
 # Text format
 #
 #   # sequence: <name>
-#   # comment
 #   target <nx> <ny> <nz> <p>/<q>
 #   pulse <nx> <ny> <nz> <p>/<q> <role> <channel> [frame <9 numbers>]
 #
-# Angles are generator angles in units of pi, kept as exact rationals.
-# The frame block is omitted for the exact identity triad.  A
-# "# sequence:" comment before the target line names the sequence.
-# Scalars are written with enough digits to round-trip bit-exactly at the
-# current precision.
-
-
-def _repr_digits() -> int:
-    return mp.dps + 4
+# Scalars are written with dps + 4 digits: dps decimal digits do not always
+# pin down a value of mp.prec bits, and four more do, so a written number
+# reads back bit-exactly at the precision that wrote it.
 
 
 def format_scalar(x) -> str:
-    return nstr(mpf(x), _repr_digits(), strip_zeros=True)
+    return nstr(mpf(x), mp.dps + 4, strip_zeros=True)
 
 
-def _format_fraction(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
+def _axis_angle(axis: Vec3, alpha_pi: Fraction) -> str:
+    """The axis and angle fields that target and pulse lines share."""
+    return " ".join(map(format_scalar, axis)) + f" {alpha_pi.numerator}/{alpha_pi.denominator}"
 
 
 def serialize(seq: PulseSequence) -> str:
-    lines = []
-    if seq.name:
-        lines.append(f"# sequence: {seq.name}")
-    t = seq.target
-    lines.append(
-        "target "
-        + " ".join(format_scalar(c) for c in t.axis)
-        + " "
-        + _format_fraction(t.alpha_pi)
-    )
+    lines = [f"# sequence: {seq.name}"] if seq.name else []
+    lines.append("target " + _axis_angle(seq.target.axis, seq.target.alpha_pi))
     formatted = {}  # id(pulse) -> its line; seq.pulses keeps every id alive
     for p in seq.pulses:
         line = formatted.get(id(p))
@@ -599,30 +585,16 @@ def serialize(seq: PulseSequence) -> str:
 
 
 def _format_pulse(p: Pulse) -> str:
-    parts = (
-        ["pulse"]
-        + [format_scalar(c) for c in p.axis_in_frame]
-        + [_format_fraction(p.alpha_pi), p.role.value, p.channel]
-    )
-    if not p.frame.is_exact_identity():
-        parts.append("frame")
-        for v in (p.frame.ex, p.frame.ey, p.frame.ez):
-            parts.extend(format_scalar(c) for c in v)
-    return " ".join(parts)
+    line = f"pulse {_axis_angle(p.axis_in_frame, p.alpha_pi)} {p.role.value} {p.channel}"
+    if p.frame.is_exact_identity():
+        return line
+    return line + " frame " + " ".join(format_scalar(c) for v in (p.frame.ex, p.frame.ey, p.frame.ez) for c in v)
 
 
-def _tokenize(line: str, words: list):
-    """The words of ``line`` (its ``split()``) with their 1-based start columns."""
-    out = []
-    pos = 0
-    for tok in words:
-        col = line.index(tok, pos)
-        out.append((tok, col + 1))
-        pos = col + len(tok)
-    return out
+_TOKEN_RE = re.compile(r"\S+")
 
 
-def _parse_scalar(tok: str, lineno: int, col: int):
+def _parse_scalar(tok: str, col: int, lineno: int):
     try:
         val = mpf(tok)
     except ValueError:
@@ -635,7 +607,7 @@ def _parse_scalar(tok: str, lineno: int, col: int):
 _FRACTION_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
-def _parse_fraction(tok: str, lineno: int, col: int) -> Fraction:
+def _parse_fraction(tok: str, col: int, lineno: int) -> Fraction:
     if not _FRACTION_RE.match(tok):
         raise DslError(f"bad rational angle {tok!r} (expected p/q)", lineno, col)
     try:
@@ -662,37 +634,28 @@ def parse(text: str) -> PulseSequence:
     target = None
     pulses = []
     name = ""
-    made = {}  # tokens after "pulse" -> the Pulse they built
-    frames = {}
+    made = {}  # words of a pulse line -> the Pulse they built
+    frames = {}  # the nine tokens of a frame block -> its FrameTriad
     shared = {}  # pulse value -> its one Pulse, closed under daggered()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if target is None and not name and raw.lstrip().startswith(_NAME_PREFIX):
             name = raw.lstrip()[len(_NAME_PREFIX):].strip()
             continue
         line = raw.split("#", 1)[0]
-        words = line.split()
+        words = tuple(line.split())
         if not words:
             continue
-        if words[0] == "pulse":
-            # A bad line never enters `made`, so only new lines need columns.
-            line_key = tuple(words[1:])
-            pulse = made.get(line_key)
-            if pulse is not None:
-                pulses.append(pulse)
-                continue
-        toks = _tokenize(line, words)
+        pulse = made.get(words)  # a bad line never enters `made`
+        if pulse is not None:
+            pulses.append(pulse)
+            continue
+        toks = [(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(line)]
         head, head_col = toks[0]
         if head == "target":
             if target is not None:
                 raise DslError("duplicate target line", lineno, head_col)
             if len(toks) != 5:
                 raise DslError("target needs axis (3 numbers) and angle p/q", lineno, head_col)
-            axis = tuple(_parse_scalar(t, lineno, c) for t, c in toks[1:4])
-            alpha = _parse_fraction(toks[4][0], lineno, toks[4][1])
-            try:
-                target = Gate(axis, alpha)
-            except (su2.InvalidAxisError, SequenceError) as exc:
-                raise DslError(str(exc), lineno, head_col) from None
         elif head == "pulse":
             if target is None:
                 raise DslError("pulse before target line", lineno, head_col)
@@ -702,40 +665,45 @@ def parse(text: str) -> PulseSequence:
                     lineno,
                     head_col,
                 )
-            axis = tuple(_parse_scalar(t, lineno, c) for t, c in toks[1:4])
-            alpha = _parse_fraction(toks[4][0], lineno, toks[4][1])
-            role_tok, role_col = toks[5]
-            try:
-                role = Role(role_tok)
-            except ValueError:
-                raise DslError(f"unknown role {role_tok!r}", lineno, role_col) from None
-            channel_tok, channel_col = toks[6]
-            frame = FrameTriad.identity()
-            if len(toks) == 17:
-                kw, kw_col = toks[7]
-                if kw != "frame":
-                    raise DslError(f"expected 'frame', got {kw!r}", lineno, kw_col)
-                key = tuple(t for t, _ in toks[8:17])
-                frame = frames.get(key)
-                if frame is None:
-                    nums = [_parse_scalar(t, lineno, c) for t, c in toks[8:17]]
-                    try:
-                        frame = FrameTriad(tuple(nums[0:3]), tuple(nums[3:6]), tuple(nums[6:9]))
-                    except SequenceError as exc:
-                        raise DslError(str(exc), lineno, kw_col) from None
-                    frames[key] = frame
-            try:
-                pulse = Pulse(frame, axis, alpha, role, channel_tok)
-            except su2.InvalidAxisError as exc:
-                raise DslError(str(exc), lineno, toks[1][1]) from None
-            except SequenceError as exc:  # the only check left is the channel's
-                raise DslError(str(exc), lineno, channel_col) from None
-            pulse = made[line_key] = shared.setdefault(pulse, pulse)
-            partner = pulse.daggered()
-            shared.setdefault(partner, partner)
-            pulses.append(pulse)
         else:
             raise DslError(f"unknown directive {head!r}", lineno, head_col)
+        axis = tuple(_parse_scalar(t, c, lineno) for t, c in toks[1:4])
+        alpha = _parse_fraction(*toks[4], lineno)
+        if head == "target":
+            try:
+                target = Gate(axis, alpha)
+            except su2.InvalidAxisError as exc:
+                raise DslError(str(exc), lineno, head_col) from None
+            continue
+        role_tok, role_col = toks[5]
+        try:
+            role = Role(role_tok)
+        except ValueError:
+            raise DslError(f"unknown role {role_tok!r}", lineno, role_col) from None
+        channel_tok, channel_col = toks[6]
+        frame = FrameTriad.identity()
+        if len(toks) == 17:
+            kw, kw_col = toks[7]
+            if kw != "frame":
+                raise DslError(f"expected 'frame', got {kw!r}", lineno, kw_col)
+            frame = frames.get(words[8:])
+            if frame is None:
+                nums = [_parse_scalar(t, c, lineno) for t, c in toks[8:17]]
+                try:
+                    frame = FrameTriad(tuple(nums[0:3]), tuple(nums[3:6]), tuple(nums[6:9]))
+                except SequenceError as exc:
+                    raise DslError(str(exc), lineno, kw_col) from None
+                frames[words[8:]] = frame
+        try:
+            pulse = Pulse(frame, axis, alpha, role, channel_tok)
+        except su2.InvalidAxisError as exc:
+            raise DslError(str(exc), lineno, toks[1][1]) from None
+        except SequenceError as exc:  # the only check left is the channel's
+            raise DslError(str(exc), lineno, channel_col) from None
+        pulse = made[words] = shared.setdefault(pulse, pulse)
+        partner = pulse.daggered()
+        shared.setdefault(partner, partner)
+        pulses.append(pulse)
     if target is None:
         raise DslError("missing target line", 1, 1)
     return PulseSequence(target, tuple(pulses), name=name)

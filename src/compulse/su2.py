@@ -170,21 +170,20 @@ def exp_pauli(vec: Iterable) -> Unitary:
 
 def _fixed_point(u: Unitary) -> tuple:
     """(w, x, y, z, e): signed integer mantissas of u's components, all
-    scaled to the smallest exponent e of a nonzero component."""
+    scaled to the smallest exponent e of the four.
+
+    mpmath stores zero as mantissa 0 and exponent 0.  A nonzero component
+    of magnitude at most 1 has exponent at most 0, so a zero sets the scale
+    only when every nonzero component exceeds 1; it then only appends zero
+    bits to exact integers, and the rounded product is the same.
+    """
     sw, w, ew, bw = u[0]._mpf_
     sx, x, ex, bx = u[1]._mpf_
     sy, y, ey, by = u[2]._mpf_
     sz, z, ez, bz = u[3]._mpf_
-    if not (w and x and y and z):
-        # mpmath stores 0, inf and nan with a zero mantissa; only 0 has bitcount 0.
-        if (bw and not w) or (bx and not x) or (by and not y) or (bz and not z):
-            raise ValueError(f"non-finite quaternion component in {u}")
-        if not (w or x or y or z):
-            return 0, 0, 0, 0, 0
-        # A zero takes a nonzero component's exponent, so it neither sets the
-        # scale nor needs a negative shift.
-        anchor = ew if w else ex if x else ey if y else ez
-        ew, ex, ey, ez = (ew if w else anchor), (ex if x else anchor), (ey if y else anchor), (ez if z else anchor)
+    # mpmath stores 0, inf and nan with a zero mantissa; only 0 has bitcount 0.
+    if not (w and x and y and z) and ((bw and not w) or (bx and not x) or (by and not y) or (bz and not z)):
+        raise ValueError(f"non-finite quaternion component in {u}")
     low = min(ew, ex, ey, ez)
     return (
         (-w if sw else w) << (ew - low),

@@ -9,6 +9,7 @@ from mpmath import fabs, mp, mpf, sqrt
 from compulse import su2
 from compulse.analysis import (
     _STENCIL_OFFSETS,
+    DEFAULT_GRID,
     MAX_SCALES,
     FitError,
     component_scan,
@@ -18,6 +19,7 @@ from compulse.analysis import (
     fit_points,
     format_sci,
     infidelity_table,
+    parse_grid,
     series_coefficient,
     target_vector_family,
     to_csv,
@@ -53,6 +55,9 @@ class TestDefaultScales:
         with pytest.raises(ValueError, match="finite bounds"):
             default_scales(lo, hi, 3)
 
+    def test_default_grid_is_the_default_scales(self):
+        assert default_scales() == parse_grid(DEFAULT_GRID)
+
     def test_point_limit(self):
         assert len(default_scales("1e-4", "1e-1", 3333)) == MAX_SCALES
         with pytest.raises(ValueError, match="limit"):
@@ -73,6 +78,15 @@ class TestComponentScan:
     def test_duplicate_scales_rejected(self):
         with pytest.raises(ValueError):
             component_scan(build_builtin("naive"), LinearOverRotation(1), [mpf("0.1"), mpf("0.1")])
+
+    def test_zero_scale_rejected(self):
+        with pytest.raises(ValueError, match="scan scales must be positive"):
+            component_scan(build_builtin("naive"), LinearOverRotation(1), [mpf("0.1"), 0])
+
+    def test_unknown_column_rejected(self):
+        scan = component_scan(build_builtin("naive"), LinearOverRotation(1), [mpf("0.1")])
+        with pytest.raises(ValueError, match="unknown column 'bogus'"):
+            scan.column("bogus")
 
     def test_branch_overflow_rows_flagged_not_dropped(self):
         model = CovariantVector.constant((mpf("0.9"), 0, 0))
@@ -254,6 +268,11 @@ class TestSeriesCoefficient:
         with working_digits(50):
             with pytest.raises(ValueError):
                 series_coefficient(build_builtin("naive"), target_vector_family(), {}, "z")
+
+    def test_rejects_unknown_component(self):
+        with working_digits(50):
+            with pytest.raises(ValueError, match="component must be x, y or z, got 'w'"):
+                series_coefficient(build_builtin("naive"), target_vector_family(), {"ez": 1}, "w")
 
 
 class TestXyErrorAxis:

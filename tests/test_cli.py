@@ -237,6 +237,11 @@ BAD_INPUTS = {
         "scan", "--seq", "b2", "--model", "model=linear eps=0.01", "--grid", "1e-4:2e-4:1000000000",
     ),
     "concat-too-deep": ("build", "--seq", "concat:XYZXYZXYZXYZX"),
+    "build-without-seq": ("build",),
+    "concat-without-axes": ("build", "--seq", "concat:"),
+    "model-key-without-value": ("simulate", "--seq", "naive", "--model", "model=linear eps"),
+    "orders-without-name": ("expand", "--seq", "pi3:X", "--family", "covariant", "--orders", "=1", "--component", "y"),
+    "start-two-orders": ("plan", "--start", "1,2", "--depth", "1"),
     "file-not-utf8": ("simulate", "--file", "{bad_utf8}", "--model", "model=linear eps=0.1"),
     "file-angle-too-long": ("simulate", "--file", "{long_angle}", "--model", "model=linear eps=0.1"),
     "deltas-perfect-regime": ("plan", "--start", "1,1,1", "--deltas", "1,1,1", "--depth", "2"),
@@ -255,6 +260,16 @@ BAD_INPUTS = {
 
 
 class TestBadInput:
+    @pytest.mark.parametrize(
+        "flags",
+        [("--start", "1,2,x"), ("--regime", "covariant", "--start", "1,1,1", "--deltas", "1,2,x")],
+        ids=["start", "deltas"],
+    )
+    def test_a_non_integer_order_is_named(self, capsys, flags):
+        code, out, err = run(capsys, "plan", *flags, "--depth", "1")
+        assert (code, out) == (2, "")
+        assert err == "compulse: bad order triple '1,2,x': orders are positive integers or inf, got 'x'\n"
+
     @pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
     def test_is_a_one_line_config_error(self, capsys, tmp_path, argv):
         bad_utf8 = tmp_path / "bad.txt"

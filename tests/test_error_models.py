@@ -315,6 +315,13 @@ class _ForwardOnlyModel(ErrorModel):
         return LinearOverRotation(mpf("0.1")).realize(pulse, scale)
 
 
+class TestDescribeUnlistedModel:
+    def test_a_model_outside_the_config_kinds_is_named_by_its_class(self):
+        model = _ForwardOnlyModel()
+        assert describe(model) == "_ForwardOnlyModel"
+        assert component_scan(naive(Gate(X, Fraction(1, 2))), model, [mpf("0.1")]).model == "_ForwardOnlyModel"
+
+
 class TestInvertModelConsistency:
     @pytest.mark.parametrize(
         "model",

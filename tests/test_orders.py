@@ -12,6 +12,7 @@ from compulse.orders import (
     OVERROTATION_DELTAS,
     OrderTriple,
     PlanningError,
+    apply_regime,
     correct_axis_dependent,
     correct_covariant,
     correct_perfect,
@@ -225,3 +226,19 @@ class TestParseOrder:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             parse_order("0")
+
+    @pytest.mark.parametrize("text", ["x", "1.5", ""])
+    def test_rejects_a_non_integer_by_name(self, text):
+        with pytest.raises(ValueError) as err:
+            parse_order(text)
+        assert str(err.value) == f"orders are positive integers or inf, got {text!r}"
+
+
+class TestBadArguments:
+    def test_unknown_regime(self):
+        with pytest.raises(ValueError, match="unknown regime 'bogus'"):
+            apply_regime(OrderTriple(1, 1, 1), "X", "bogus")
+
+    def test_unknown_axis(self):
+        with pytest.raises(ValueError, match="correction axis must be one of .*, got 'W'"):
+            correct_perfect(OrderTriple(1, 1, 1), "W")

@@ -1,7 +1,9 @@
+import hashlib
 import importlib.util
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,7 @@ from compulse import su2
 from compulse.cli import main
 from compulse.error_models import parse_model
 from compulse.precision import working_digits
-from compulse.sequences import Role, build_builtin, parse, parse_target, serialize
+from compulse.sequences import Role, SequenceError, build_builtin, parse, parse_target, serialize
 
 ROOT = Path(__file__).resolve().parent.parent
 ORDER_SCALING = ROOT / "scripts" / "order_scaling.py"
@@ -112,6 +114,22 @@ class TestEvaluateDigest:
         assert module.wrapped_digest(("pi3:Y", "pi5", "b2sym"), module.MODELS) == (
             "31fccdf9c2433b6ad1735c3b3994499e0dcadfcebdad6c8cb03efa843373db43"
         )
+
+    def test_written_text_keeps_its_pinned_bytes_and_reads_back(self):
+        # Every text the digest matrix writes, at 16 and 60 digits.  A change
+        # that alters the written format on purpose updates this hash and
+        # says so.
+        module = _load_evaluate_digest()
+        h = hashlib.sha256()
+        for digits, name, target in product((16, 60), module.NAMES, module.TARGETS):
+            with working_digits(digits):
+                try:
+                    text = serialize(build_builtin(name, parse_target(target)))
+                except SequenceError:  # the b family corrects rotations about x only
+                    continue
+                assert serialize(parse(text)) == text
+            h.update(text.encode())
+        assert h.hexdigest() == "7b2b7d2b9c5838155c751016a377c21a2482ca06808fdaadc93d3c8c6ca23fde"
 
     @pytest.mark.parametrize("digits", [16, 60])
     def test_a_respelled_file_loads_and_evaluates_like_its_canonical_text(self, digits):

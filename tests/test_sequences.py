@@ -954,6 +954,30 @@ class TestDsl:
             parse(text)
         assert (err.value.line, err.value.column) == (line, col)
 
+    _T = "target 1 0 0 1/2\n"
+    _PI3 = _T + "pulse 0 1 0 1/6 correction pi3 "
+
+    @pytest.mark.parametrize(
+        "text,line,col,message",
+        [
+            (_T + "pulse 1 0 x 1/2 target target", 2, 11, "bad number 'x'"),
+            (_T + "pulse 1 0 inf 1/2 target target", 2, 11, "non-finite number 'inf'"),
+            ("target 1 0 nan 1/2", 1, 12, "non-finite number 'nan'"),
+            (_T + "pulse 1 0 0 1/0 target target", 2, 13, "zero denominator"),
+            (_T + _T, 2, 1, "duplicate target line"),
+            (_PI3 + "frames 1 0 0 0 1 0 0 0 1", 2, 32, "expected 'frame', got 'frames'"),
+            (_PI3 + "frame 1 0 0 0 1 0 0 1 0", 2, 32, "not orthonormal"),
+            (_PI3 + "frame 1 0 0 0 1 0 0 0 -1", 2, 32, "not right-handed"),
+            (_PI3 + "frame 1 0 0 0 1 0 0 0 q", 2, 54, "bad number 'q'"),
+            ("target 1 1 0 1/2", 1, 1, "deviates from 1 beyond tolerance"),
+        ],
+    )
+    def test_each_error_path_reports_its_position_and_reason(self, text, line, col, message):
+        with pytest.raises(DslError) as err:
+            parse(text)
+        assert (err.value.line, err.value.column) == (line, col)
+        assert message in str(err.value)
+
     def test_rejects_bad_channel(self):
         text = "target 1.0 0.0 0.0 1/2\npulse 1.0 0.0 0.0 1/2 target radio\n"
         with pytest.raises(DslError):

@@ -77,6 +77,12 @@ class TestFromGenerator:
         assert oracles.max_abs_diff(oracles.to_matrix(u), m) < 1e-12
 
 
+class TestAsVec3:
+    def test_rejects_a_wrong_length(self):
+        with pytest.raises(ValueError, match="expected a 3-vector, got 2 components"):
+            su2.as_vec3((1, 2))
+
+
 class TestNamedAxes:
     def test_each_signed_axis_is_named_within_the_geometry_tolerance(self):
         assert list(su2.NAMED_AXES) == ["x", "y", "z", "-x", "-y", "-z"]

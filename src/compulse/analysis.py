@@ -6,6 +6,8 @@ magnitudes of the three directional trace components plus the infidelity.
 Fits exclude points below the precision floor 10**(2 - digits).  Series
 coefficients come from tensor-product central-difference stencils (five
 points per parameter, exact rational weights) and need extended precision.
+The infidelity table builds each reference sequence once per name and
+working precision and keeps it for later calls; it never hands one out.
 Numbers print through :func:`format_sci`: the stored binary value correctly
 rounded to the requested significant digits, ties away from zero, with a
 mantissa in [1, 10) whatever the working precision; zero prints as ``0e+00``,
@@ -14,6 +16,7 @@ and a non-finite value or fewer than one digit raises ValueError.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +28,7 @@ from mpmath import fabs, floor, log10, mp, mpf
 
 from . import error_models, su2
 from .error_models import AxisDependentPi3, CovariantVector, ErrorModel, LinearOverRotation, PerChannel
-from .precision import fit_floor, require_digits
+from .precision import fit_floor, parse_decimal, parse_integer, require_digits
 from .sequences import PulseSequence, build_builtin, evaluate
 from .su2 import BranchError
 
@@ -89,7 +92,7 @@ def parse_grid(spec: str) -> tuple:
     spec raises ``ValueError`` naming it and the reason."""
     try:
         lo, hi, per = spec.split(":")
-        lo, hi, per = mpf(lo), mpf(hi), int(per)
+        lo, hi, per = parse_decimal(lo), parse_decimal(hi), parse_integer(per)
     except ValueError:
         raise ValueError(f"bad --grid {spec!r}: expected lo:hi:per_decade") from None
     try:
@@ -363,17 +366,26 @@ TABLE_EPS = ("0.3", "0.1", "0.03", "0.01", "0.003", "0.001")
 TABLE_SEQUENCES = ("naive", "b2", "b4", "pi3:Y", "pi3Y∘b2sym", "pi3Y∘b4sym")
 
 
+@functools.lru_cache(maxsize=len(TABLE_SEQUENCES))
+def _table_sequence(name: str, prec: int) -> PulseSequence:
+    """The builtin ``name`` built at ``prec`` bits, kept for the table only."""
+    return build_builtin(name)
+
+
 def infidelity_table(eps_values: Sequence = TABLE_EPS, names: Sequence = TABLE_SEQUENCES) -> dict:
     """Infidelities of the reference sequences under linear over-rotation.
 
     Returns {(eps_string, name): infidelity}.  Needs >= 50 digits: the
-    smallest entries are around 1e-35.
+    smallest entries are around 1e-35.  Each sequence is built once per
+    name and working precision and kept for later calls, so asking for one
+    entry per call costs one evaluation; the kept sequences are never
+    handed out.
     """
     require_digits(50, "the infidelity table")
     model = LinearOverRotation(1)
     out = {}
     for name in names:
-        seq = build_builtin(name)
+        seq = _table_sequence(name, mp.prec)
         ideal = seq.ideal_unitary()
         for eps in eps_values:
             actual = evaluate(seq, model, mpf(eps))

@@ -31,7 +31,7 @@ from .analysis import (
     series_coefficient,
     to_csv,
 )
-from .precision import DEFAULT_DIGITS, ENV_DIGITS, PrecisionError, set_digits
+from .precision import DEFAULT_DIGITS, ENV_DIGITS, PrecisionError, parse_integer, set_digits
 from .sequences import DslError, SequenceError, build_builtin, evaluate, parse, parse_target, serialize
 from .su2 import BranchError, InvalidAxisError
 
@@ -79,7 +79,7 @@ def _parse_orders_spec(spec: str) -> dict:
         try:
             if not key:
                 raise ValueError
-            out[key] = int(val)
+            out[key] = parse_integer(val.strip())
         except ValueError:
             raise SequenceError(f"bad orders spec {spec!r}: expected name=power[,name=power...]") from None
     return out
@@ -288,7 +288,7 @@ def _digits(args) -> int:
     if raw is None:
         return DEFAULT_DIGITS
     try:
-        return int(raw)
+        return parse_integer(raw.strip())
     except ValueError:
         raise PrecisionError(f"{ENV_DIGITS}={raw!r} is not an integer number of digits") from None
 

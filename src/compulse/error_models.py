@@ -52,6 +52,7 @@ from typing import TYPE_CHECKING, Mapping, Optional, Tuple
 from mpmath import fabs, mp, mpf, nstr
 
 from . import su2
+from .precision import parse_decimal
 from .precision import unit_tolerance  # noqa: F401 -- benchmarks/test_tracer.py checks this alias
 from .su2 import NAMED_AXES, BranchError, Unitary, Vec3
 
@@ -322,7 +323,7 @@ def describe(model: Optional[ErrorModel]) -> str:
 
 def parse_number(text: str, key: str) -> mpf:
     try:
-        val = mpf(text)
+        val = parse_decimal(text)
     except ValueError:
         raise ModelConfigError(f"bad number {text!r} for {key}") from None
     if not mp.isfinite(val):

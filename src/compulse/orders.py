@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
+from .precision import parse_integer
 from .sequences import SequenceError, pulse_count
 from .su2 import LAB_AXES
 
@@ -40,7 +41,7 @@ def parse_order(text: str):
     if text in ("inf", "infinity", "∞"):
         return INFINITY
     try:
-        value = int(text)
+        value = parse_integer(text)
     except ValueError:
         raise ValueError(f"orders are positive integers or inf, got {text!r}") from None
     if value < 1:

@@ -4,10 +4,16 @@ All numeric kernels run on mpmath scalars whose precision is set once per
 run, in decimal digits.  Double precision corresponds to 16 digits; the
 infidelity table needs 50 or more because the smallest entries sit far
 below the double-precision cancellation floor.
+
+Numbers read from text are decimal numerals over ASCII digits, read at
+the working precision by :func:`parse_decimal`, or integer numerals read
+by :func:`parse_integer`; Python spellings such as ``3/5`` or ``1_0`` are
+refused.
 """
 
 from __future__ import annotations
 
+import re
 from contextlib import contextmanager
 
 from mpmath import mp, mpf
@@ -46,6 +52,32 @@ def working_digits(digits: int):
         yield
     finally:
         mp.dps = saved
+
+
+_DECIMAL = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?", re.ASCII)
+_INTEGER = re.compile(r"[+-]?\d+", re.ASCII)
+_NON_FINITE = ("inf", "+inf", "-inf", "nan")
+
+
+def parse_decimal(text: str) -> mpf:
+    """The value of a decimal numeral such as ``-0.5``, ``.5`` or ``1E+3``
+    at the working precision.
+
+    ``inf``, ``+inf``, ``-inf`` and ``nan`` (in any case) read as themselves,
+    so a caller can refuse them by name.  Any other text, such as ``3/5``,
+    ``1_0`` or non-ASCII digits, raises ValueError.
+    """
+    if _DECIMAL.fullmatch(text) or text.lower() in _NON_FINITE:
+        return mpf(text)
+    raise ValueError(f"not a decimal number: {text!r}")
+
+
+def parse_integer(text: str) -> int:
+    """The value of an optionally signed integer numeral over ASCII digits;
+    any other text, such as ``1_0`` or ``1.0``, raises ValueError."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 _UNIT_TOLERANCE = {}  # mp.prec -> 10**(3 - digits) rounded at that precision

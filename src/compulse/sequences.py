@@ -29,6 +29,7 @@ from typing import Iterable, Optional
 from mpmath import acos, cos, fabs, mp, mpf, nstr, sin
 
 from . import su2
+from .precision import parse_decimal
 from .su2 import GEOMETRY_TOL, LAB_AXES, Unitary, Vec3
 
 CHANNELS = ("target", "pi3", "perfect")
@@ -450,7 +451,7 @@ def _axis_label(axis: Vec3) -> str:
     return label if label in LAB_AXES else "(" + ",".join(nstr(a, 6) for a in axis) + ")"
 
 
-_TARGET_RE = re.compile(r"([xyz])-([+-]?\d*)pi(?:/(0*[1-9]\d*))?", re.IGNORECASE)
+_TARGET_RE = re.compile(r"([xyz])-([+-]?\d*)pi(?:/(0*[1-9]\d*))?", re.IGNORECASE | re.ASCII)
 
 
 def parse_target(spec: str) -> Gate:
@@ -596,7 +597,7 @@ _TOKEN_RE = re.compile(r"\S+")
 
 def _parse_scalar(tok: str, col: int, lineno: int):
     try:
-        val = mpf(tok)
+        val = parse_decimal(tok)
     except ValueError:
         raise DslError(f"bad number {tok!r}", lineno, col) from None
     if not mp.isfinite(val):
@@ -604,11 +605,11 @@ def _parse_scalar(tok: str, col: int, lineno: int):
     return val
 
 
-_FRACTION_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_FRACTION_RE = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
 
 
 def _parse_fraction(tok: str, col: int, lineno: int) -> Fraction:
-    if not _FRACTION_RE.match(tok):
+    if not _FRACTION_RE.fullmatch(tok):
         raise DslError(f"bad rational angle {tok!r} (expected p/q)", lineno, col)
     try:
         return Fraction(tok)

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from math import factorial
 
@@ -6,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import fabs, mp, mpf, sqrt
 
-from compulse import su2
+from compulse import analysis, su2
 from compulse.analysis import (
     _STENCIL_OFFSETS,
     DEFAULT_GRID,
     MAX_SCALES,
+    TABLE_EPS,
+    TABLE_SEQUENCES,
     FitError,
     component_scan,
     covariant_family,
@@ -27,7 +30,7 @@ from compulse.analysis import (
 )
 from compulse.error_models import CovariantVector, LinearOverRotation, ModelConfigError, PerChannel
 from compulse.precision import PrecisionError, working_digits
-from compulse.sequences import Gate, build_builtin, naive, pi3_correct
+from compulse.sequences import Gate, build_builtin, evaluate, naive, pi3_correct
 
 from oracles import DegenerateDirectionError, format_sci_decimal, xy_error_axis
 
@@ -337,3 +340,82 @@ class TestInfidelityTable:
             table = infidelity_table(eps_values=("0.1",), names=("naive", "b2"))
             assert fabs(table[("0.1", "naive")] - mpf("1.2e-2")) < mpf("1.2e-2") * mpf("0.05")
             assert fabs(table[("0.1", "b2")] - mpf("4.6e-6")) < mpf("4.6e-6") * mpf("0.05")
+
+    # SHA-256 of repr(sorted(infidelity_table().items())) at each precision:
+    # any change in how the table is computed must leave every bit alone.
+    PINS = {
+        60: "8daa696fa92b6a4b19d9819a1d87ced7ed53c92f154e03d89ec04935e3867f99",
+        80: "3df15ab6570cae241aa70a9ab10e677e2343599914eb5f2a84a70d193d081025",
+    }
+
+    @staticmethod
+    def _digest(table) -> str:
+        return hashlib.sha256(repr(sorted(table.items())).encode()).hexdigest()
+
+    @staticmethod
+    def _per_entry():
+        """One entry per call, in the order the reference benchmark asks."""
+        out = {}
+        for name in TABLE_SEQUENCES:
+            for eps in TABLE_EPS:
+                out.update(infidelity_table((eps,), (name,)))
+        return out
+
+    @pytest.mark.parametrize("digits", sorted(PINS))
+    def test_whole_table_bits_are_pinned(self, digits):
+        with working_digits(digits):
+            assert self._digest(infidelity_table()) == self.PINS[digits]
+
+    def test_per_entry_calls_give_the_pinned_table(self):
+        for digits in (60, 80, 60):
+            with working_digits(digits):
+                entries = self._per_entry()
+                whole = infidelity_table()
+                assert {k: v._mpf_ for k, v in entries.items()} == {k: v._mpf_ for k, v in whole.items()}
+                assert self._digest(entries) == self.PINS[digits]
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Names passed to build_builtin by the table, from an empty cache."""
+        names = []
+
+        def counting(name):
+            names.append(name)
+            return build_builtin(name)
+
+        monkeypatch.setattr(analysis, "build_builtin", counting)
+        analysis._table_sequence.cache_clear()
+        yield names
+        analysis._table_sequence.cache_clear()
+
+    @staticmethod
+    def _fresh(name, eps):
+        seq = build_builtin(name)
+        return su2.infidelity(seq.ideal_unitary(), evaluate(seq, LinearOverRotation(1), mpf(eps)))._mpf_
+
+    def test_each_sequence_is_built_once_per_precision(self, builds):
+        with working_digits(60):
+            self._per_entry()
+            assert sorted(builds) == sorted(TABLE_SEQUENCES)
+            self._per_entry()
+            assert len(builds) == len(TABLE_SEQUENCES)
+        with working_digits(80):
+            entries = self._per_entry()
+            assert len(builds) == 2 * len(TABLE_SEQUENCES)
+            assert {k: v._mpf_ for k, v in entries.items()} == {
+                (eps, name): self._fresh(name, eps) for name in TABLE_SEQUENCES for eps in TABLE_EPS
+            }
+
+    def test_more_names_than_kept_sequences(self, builds):
+        names = TABLE_SEQUENCES + ("pi3:X",)
+        with working_digits(60):
+            for _ in range(2):
+                table = infidelity_table(("0.1",), names)
+                assert {k: v._mpf_ for k, v in table.items()} == {("0.1", n): self._fresh(n, "0.1") for n in names}
+                assert analysis._table_sequence.cache_info().currsize <= len(TABLE_SEQUENCES)
+
+    def test_too_few_digits_fail_before_any_build(self, builds):
+        with working_digits(40):
+            with pytest.raises(PrecisionError):
+                infidelity_table(("0.1",), ("b4",))
+        assert builds == []

@@ -256,6 +256,16 @@ BAD_INPUTS = {
     "channels-nested-empty": ("simulate", "--seq", "pi3:Y", "--model", "model=channels target{channels}"),
     "channels-perfect": ("simulate", "--seq", "pi5", "--model", "model=channels perfect{linear eps=0.1}"),
     "channels-unknown": ("simulate", "--seq", "pi3:Y", "--model", "model=channels tagret{linear eps=0.1}"),
+    # numbers are decimal numerals over ASCII digits, not Python literals
+    "start-underscore": ("plan", "--start", "1_0,1,1", "--depth", "1"),
+    "orders-underscore": (
+        "expand", "--seq", "pi3:X", "--family", "covariant", "--orders", "ex=1_0", "--component", "y",
+    ),
+    "eps-fraction": ("simulate", "--seq", "b2", "--model", "model=linear eps=0.1", "--eps", "1/10"),
+    "model-underscore": ("simulate", "--seq", "b2", "--model", "model=linear eps=1_0e-2"),
+    "model-zero-denominator": ("simulate", "--seq", "b2", "--model", "model=linear eps=1/0"),
+    "grid-zero-denominator": ("scan", "--seq", "naive", "--model", "model=linear eps=0.1", "--grid", "1/0:1e-2:3"),
+    "target-non-ascii-digit": ("simulate", "--seq", "naive", "--target", "x-\u0663pi"),
 }
 
 
@@ -381,6 +391,16 @@ class TestPrecisionFlag:
         assert "COMPULSE_DIGITS" in err and "'abc'" in err
         # an explicit --digits wins over the environment
         code, _, _ = run(capsys, "--digits", "30", "plan", "--start", "1,1,1", "--depth", "2")
+        assert code == 0
+
+    def test_env_digits_are_an_ascii_integer(self, capsys, monkeypatch):
+        for raw in ("3_0", "\u0663\u0660", "30.0"):
+            monkeypatch.setenv("COMPULSE_DIGITS", raw)
+            code, out, err = run(capsys, "plan", "--start", "1,1,1", "--depth", "2")
+            assert (code, out) == (2, "")
+            assert err == f"compulse: COMPULSE_DIGITS={raw!r} is not an integer number of digits\n"
+        monkeypatch.setenv("COMPULSE_DIGITS", " 30 ")
+        code, _, _ = run(capsys, "plan", "--start", "1,1,1", "--depth", "2")
         assert code == 0
 
     def test_env_digits_sets_precision(self, capsys, monkeypatch):

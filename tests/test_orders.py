@@ -227,7 +227,7 @@ class TestParseOrder:
         with pytest.raises(ValueError):
             parse_order("0")
 
-    @pytest.mark.parametrize("text", ["x", "1.5", ""])
+    @pytest.mark.parametrize("text", ["x", "1.5", "", "1_0", "\u0663", "+-1"])
     def test_rejects_a_non_integer_by_name(self, text):
         with pytest.raises(ValueError) as err:
             parse_order(text)

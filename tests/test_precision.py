@@ -1,0 +1,34 @@
+import pytest
+from mpmath import mp, mpf
+
+from compulse.precision import parse_decimal, parse_integer, working_digits
+
+
+class TestParseDecimal:
+    @pytest.mark.parametrize("text", ["1", "-0.5", ".5", "5.", "1e-3", "1E+3", "+1", "007", "-0", "1e999999999999"])
+    def test_reads_decimal_numerals(self, text):
+        with working_digits(30):
+            assert parse_decimal(text) == mpf(text)
+
+    @pytest.mark.parametrize("text", ["inf", "+inf", "-inf", "nan", "INF", "NaN"])
+    def test_reads_non_finite_spellings_as_themselves(self, text):
+        assert not mp.isfinite(parse_decimal(text))
+
+    @pytest.mark.parametrize(
+        "text",
+        ["3/5", "1/0", "1_0", "1e1_0", "\u0661", "0x10", " 1", "1 ", "", ".", "e5", "1e", "1.e", "--1", "+nan"],
+    )
+    def test_refuses_anything_else(self, text):
+        with pytest.raises(ValueError):
+            parse_decimal(text)
+
+
+class TestParseInteger:
+    @pytest.mark.parametrize("text,value", [("0", 0), ("12", 12), ("+3", 3), ("-4", -4), ("007", 7)])
+    def test_reads_integer_numerals(self, text, value):
+        assert parse_integer(text) == value
+
+    @pytest.mark.parametrize("text", ["1_0", "\u0663", "1.0", "1e3", " 1", "", "+", "+-1", "inf"])
+    def test_refuses_anything_else(self, text):
+        with pytest.raises(ValueError):
+            parse_integer(text)

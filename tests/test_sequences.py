@@ -970,6 +970,12 @@ class TestDsl:
             (_PI3 + "frame 1 0 0 0 1 0 0 0 -1", 2, 32, "not right-handed"),
             (_PI3 + "frame 1 0 0 0 1 0 0 0 q", 2, 54, "bad number 'q'"),
             ("target 1 1 0 1/2", 1, 1, "deviates from 1 beyond tolerance"),
+            (_T + "pulse 3/5 4/5 0 1/6 correction pi3", 2, 7, "bad number '3/5'"),
+            (_T + "pulse 1_0 0 0 1/2 target target", 2, 7, "bad number '1_0'"),
+            (_T + "pulse 1 0 1/0 1/2 target target", 2, 11, "bad number '1/0'"),
+            (_T + "pulse 1 0 0x0 1/2 target target", 2, 11, "bad number '0x0'"),
+            ("target \u0661 0 0 1/2", 1, 8, "bad number '\u0661'"),
+            (_T + "pulse 1 0 0 \u0661/\u0662 target target", 2, 13, "bad rational angle"),
         ],
     )
     def test_each_error_path_reports_its_position_and_reason(self, text, line, col, message):

@@ -17,21 +17,21 @@ import sys
 
 from compulse.analysis import DEFAULT_GRID, TABLE_SEQUENCES, FitError, component_scan, fit_order, parse_grid, to_csv
 from compulse.error_models import LinearOverRotation
-from compulse.precision import PrecisionError, set_digits
+from compulse.precision import parse_integer, set_digits
 from compulse.sequences import build_builtin
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("outdir", nargs="?", default="scans")
-    ap.add_argument("--digits", type=int, default=60)
+    ap.add_argument("--digits", default="60")
     ap.add_argument("--grid", default=DEFAULT_GRID)
     args = ap.parse_args()
 
     try:
-        set_digits(args.digits)
-    except PrecisionError as exc:
-        ap.error(str(exc))
+        set_digits(parse_integer(args.digits))
+    except ValueError as exc:  # a PrecisionError included
+        ap.error(f"--digits: {exc}")
     try:
         grid = parse_grid(args.grid)
     except ValueError as exc:

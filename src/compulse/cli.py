@@ -85,6 +85,16 @@ def _parse_orders_spec(spec: str) -> dict:
     return out
 
 
+def _integer_flag(flag: str, text):
+    """The integer numeral ``text`` of ``flag``, or None when it is unset."""
+    if text is None:
+        return None
+    try:
+        return parse_integer(text)
+    except ValueError:
+        raise SequenceError(f"bad {flag} {text!r}: expected an integer") from None
+
+
 def _parse_triple(spec: str) -> orders.OrderTriple:
     parts = spec.split(",")
     if len(parts) != 3:
@@ -191,8 +201,8 @@ def cmd_plan(args) -> str:
         _parse_triple(args.start),
         regime=args.regime,
         deltas=deltas,
-        goal_min_order=args.goal,
-        depth=args.depth,
+        goal_min_order=_integer_flag("--goal", args.goal),
+        depth=_integer_flag("--depth", args.depth),
     )
     lines = [f"schedule  {','.join(result.schedule) or '(empty)'}"]
     for axis, triple in zip(("start",) + result.schedule, result.triples):
@@ -216,7 +226,6 @@ def _add_global_args(parser: argparse.ArgumentParser, top_level: bool) -> None:
         digits_default = out_default = argparse.SUPPRESS
     parser.add_argument(
         "--digits",
-        type=int,
         default=digits_default,
         help=f"working precision in decimal digits (default {DEFAULT_DIGITS}, env {ENV_DIGITS})",
     )
@@ -274,23 +283,24 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", required=True, help="order triple a,b,c (inf allowed)")
     p.add_argument("--deltas", help="covariant delta orders d,e,f (own frame; default 1,inf,inf)")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--goal", type=int, help="run until the minimum order reaches this")
-    group.add_argument("--depth", type=int, help="run exactly this many corrections")
+    group.add_argument("--goal", help="run until the minimum order reaches this")
+    group.add_argument("--depth", help="run exactly this many corrections")
 
     return parser
 
 
 def _digits(args) -> int:
-    """--digits, else $COMPULSE_DIGITS, else the default."""
-    if args.digits is not None:
-        return args.digits
-    raw = os.environ.get(ENV_DIGITS)
+    """--digits, else $COMPULSE_DIGITS, else the default; either source is
+    an integer numeral, surrounding blanks allowed."""
+    source, raw = "--digits", args.digits
     if raw is None:
-        return DEFAULT_DIGITS
+        source, raw = ENV_DIGITS, os.environ.get(ENV_DIGITS)
+        if raw is None:
+            return DEFAULT_DIGITS
     try:
         return parse_integer(raw.strip())
     except ValueError:
-        raise PrecisionError(f"{ENV_DIGITS}={raw!r} is not an integer number of digits") from None
+        raise PrecisionError(f"{source}={raw!r} is not an integer number of digits") from None
 
 
 def _bind_eps(argv) -> list:

@@ -252,12 +252,14 @@ class Gate:
 
     The gate keeps its one target pulse (identity frame, "target" channel),
     which :func:`naive` and :func:`pi5_sequence` apply and whose ideal
-    unitary is the gate's.
+    unitary is the gate's, and its conjugation frame at the last precision
+    asked for (see :meth:`frame`).
     """
 
     axis: Vec3
     alpha_pi: Fraction
     _pulse: Pulse = field(init=False, repr=False, compare=False)
+    _frame: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pulse = Pulse(FrameTriad.identity(), self.axis, self.alpha_pi, Role.TARGET, "target")
@@ -267,6 +269,17 @@ class Gate:
 
     def unitary(self) -> Unitary:
         return self._pulse.ideal_unitary()
+
+    def frame(self) -> FrameTriad:
+        """The lab axes rotated by the gate's unitary, the frame that
+        conjugates a pulse into the gate's frame.  Made once per ``mp.prec``
+        and kept as ``(prec, triad)``, so every level of a chain on this
+        gate shares one :class:`FrameTriad`."""
+        kept, prec = self._frame, mp.prec
+        if kept is None or kept[0] != prec:
+            kept = (prec, FrameTriad.from_unitary(self.unitary()))
+            object.__setattr__(self, "_frame", kept)
+        return kept[1]
 
 
 @dataclass(frozen=True)
@@ -325,9 +338,8 @@ def pi3_correct(inner: PulseSequence, axis: Iterable) -> PulseSequence:
     target gate's frame.  Pulse count obeys n -> 3n + 4.
     """
     axis = su2.unit_axis(su2.tighten_axis(axis))
-    u = inner.target.unitary()
     f_id = FrameTriad.identity()
-    f_u = FrameTriad.from_unitary(u)
+    f_u = inner.target.frame()
     sixth = Fraction(1, 6)
 
     c0 = Pulse(f_id, axis, sixth, Role.CORRECTION, "pi3")
@@ -350,9 +362,8 @@ def pi5_sequence(gate: Gate, perfect: bool = True) -> PulseSequence:
     them.
     """
     ch = "perfect" if perfect else "pi3"
-    u = gate.unitary()
     f_id = FrameTriad.identity()
-    f_u = FrameTriad.from_unitary(u)
+    f_u = gate.frame()
 
     def aux(frame, alpha_pi):
         return Pulse(frame, X_AXIS, Fraction(alpha_pi), Role.CORRECTION, ch)
@@ -574,22 +585,31 @@ def _axis_angle(axis: Vec3, alpha_pi: Fraction) -> str:
 
 
 def serialize(seq: PulseSequence) -> str:
+    """The sequence in the text format.  Each distinct pulse object is
+    formatted once and each distinct frame object's nine numbers once; a
+    repeated pulse or frame reuses its text."""
     lines = [f"# sequence: {seq.name}"] if seq.name else []
     lines.append("target " + _axis_angle(seq.target.axis, seq.target.alpha_pi))
     formatted = {}  # id(pulse) -> its line; seq.pulses keeps every id alive
+    frames = {}  # id(frame) -> its frame block, kept alive the same way
     for p in seq.pulses:
         line = formatted.get(id(p))
         if line is None:
-            line = formatted[id(p)] = _format_pulse(p)
+            line = formatted[id(p)] = _format_pulse(p, frames)
         lines.append(line)
     return "\n".join(lines) + "\n"
 
 
-def _format_pulse(p: Pulse) -> str:
+def _format_pulse(p: Pulse, frames: dict) -> str:
+    """The pulse line of ``p``; its frame block comes from ``frames``, an
+    ``id(frame)`` -> text dict that this call fills on a miss."""
     line = f"pulse {_axis_angle(p.axis_in_frame, p.alpha_pi)} {p.role.value} {p.channel}"
-    if p.frame.is_exact_identity():
-        return line
-    return line + " frame " + " ".join(format_scalar(c) for v in (p.frame.ex, p.frame.ey, p.frame.ez) for c in v)
+    f = p.frame
+    block = frames.get(id(f))
+    if block is None:
+        block = "" if f.is_exact_identity() else " frame " + " ".join(map(format_scalar, f.ex + f.ey + f.ez))
+        frames[id(f)] = block
+    return line + block
 
 
 _TOKEN_RE = re.compile(r"\S+")
@@ -630,27 +650,27 @@ def parse(text: str) -> PulseSequence:
     and pulses whose frame blocks have the same nine tokens share one
     :class:`FrameTriad`.  Dagger partners are linked by value: a pulse
     whose :meth:`Pulse.daggered` value is also in the file is linked to
-    that pulse.
+    that pulse.  A pulse line that repeats an earlier line exactly is
+    looked up as read, without splitting or reading its numbers again.
     """
     target = None
     pulses = []
     name = ""
-    made = {}  # words of a pulse line -> the Pulse they built
+    made = {}  # text of a pulse line -> the Pulse it built
     frames = {}  # the nine tokens of a frame block -> its FrameTriad
     shared = {}  # pulse value -> its one Pulse, closed under daggered()
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        pulse = made.get(raw)  # a bad line never enters `made`
+        if pulse is not None:
+            pulses.append(pulse)
+            continue
         if target is None and not name and raw.lstrip().startswith(_NAME_PREFIX):
             name = raw.lstrip()[len(_NAME_PREFIX):].strip()
             continue
         line = raw.split("#", 1)[0]
-        words = tuple(line.split())
-        if not words:
-            continue
-        pulse = made.get(words)  # a bad line never enters `made`
-        if pulse is not None:
-            pulses.append(pulse)
-            continue
         toks = [(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(line)]
+        if not toks:
+            continue
         head, head_col = toks[0]
         if head == "target":
             if target is not None:
@@ -687,21 +707,22 @@ def parse(text: str) -> PulseSequence:
             kw, kw_col = toks[7]
             if kw != "frame":
                 raise DslError(f"expected 'frame', got {kw!r}", lineno, kw_col)
-            frame = frames.get(words[8:])
+            frame_key = tuple(t for t, _ in toks[8:])
+            frame = frames.get(frame_key)
             if frame is None:
                 nums = [_parse_scalar(t, c, lineno) for t, c in toks[8:17]]
                 try:
                     frame = FrameTriad(tuple(nums[0:3]), tuple(nums[3:6]), tuple(nums[6:9]))
                 except SequenceError as exc:
                     raise DslError(str(exc), lineno, kw_col) from None
-                frames[words[8:]] = frame
+                frames[frame_key] = frame
         try:
             pulse = Pulse(frame, axis, alpha, role, channel_tok)
         except su2.InvalidAxisError as exc:
             raise DslError(str(exc), lineno, toks[1][1]) from None
         except SequenceError as exc:  # the only check left is the channel's
             raise DslError(str(exc), lineno, channel_col) from None
-        pulse = made[words] = shared.setdefault(pulse, pulse)
+        pulse = made[raw] = shared.setdefault(pulse, pulse)
         partner = pulse.daggered()
         shared.setdefault(partner, partner)
         pulses.append(pulse)

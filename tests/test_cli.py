@@ -266,6 +266,12 @@ BAD_INPUTS = {
     "model-zero-denominator": ("simulate", "--seq", "b2", "--model", "model=linear eps=1/0"),
     "grid-zero-denominator": ("scan", "--seq", "naive", "--model", "model=linear eps=0.1", "--grid", "1/0:1e-2:3"),
     "target-non-ascii-digit": ("simulate", "--seq", "naive", "--target", "x-\u0663pi"),
+    "digits-underscore": ("--digits", "3_0", "simulate", "--seq", "naive"),
+    "digits-full-width": ("simulate", "--seq", "naive", "--digits", "\uff13\uff10"),
+    "digits-decimal": ("build", "--seq", "naive", "--digits", "30.0"),
+    "depth-underscore": ("plan", "--start", "1,inf,inf", "--depth", "1_0"),
+    "goal-full-width": ("plan", "--start", "1,inf,inf", "--goal", "\uff13"),
+    "goal-decimal": ("plan", "--start", "1,inf,inf", "--goal", "3.0"),
 }
 
 
@@ -402,6 +408,16 @@ class TestPrecisionFlag:
         monkeypatch.setenv("COMPULSE_DIGITS", " 30 ")
         code, _, _ = run(capsys, "plan", "--start", "1,1,1", "--depth", "2")
         assert code == 0
+
+    def test_digits_flag_is_an_ascii_integer(self, capsys, monkeypatch):
+        monkeypatch.delenv("COMPULSE_DIGITS", raising=False)
+        for raw in ("3_0", "\uff13\uff10", "30.0"):
+            code, out, err = run(capsys, "--digits", raw, "plan", "--start", "1,1,1", "--depth", "2")
+            assert (code, out) == (2, "")
+            assert err == f"compulse: --digits={raw!r} is not an integer number of digits\n"
+        for raw in ("30", " 30 ", "+30"):
+            code, _, _ = run(capsys, "--digits", raw, "plan", "--start", "1,1,1", "--depth", "2")
+            assert code == 0
 
     def test_env_digits_sets_precision(self, capsys, monkeypatch):
         monkeypatch.setenv("COMPULSE_DIGITS", "50")

@@ -51,6 +51,14 @@ class TestOrderScaling:
         assert len(proc.stdout.splitlines()) == 6
         assert {p.name for p in (tmp_path / "out").iterdir()} == CSV_NAMES
 
+    @pytest.mark.parametrize("digits", ["5_0", "\uff15\uff10", "50.0", "8"])
+    def test_malformed_digits_is_a_usage_error(self, tmp_path, digits):
+        proc = run_order_scaling(tmp_path, "out", "--digits", digits)
+        assert proc.returncode == 2
+        assert "error: --digits: " in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_grid_is_a_usage_error(self, tmp_path):
         proc = run_order_scaling(tmp_path, "out", "--grid", "1e-3:1e-2")
         assert proc.returncode == 2

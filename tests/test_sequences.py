@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 from fractions import Fraction
 
@@ -15,8 +16,10 @@ from compulse.error_models import (
     ErrorModel,
     LinearOverRotation,
     PerChannel,
+    parse_model,
 )
 from compulse.precision import unit_tolerance, working_digits
+from compulse import sequences
 from compulse.sequences import (
     BUILTIN_NAMES,
     CHANNELS,
@@ -1021,3 +1024,88 @@ class TestDsl:
         seq = PulseSequence(X_PI, tuple(pulses))
         back = parse(serialize(seq))
         assert all(_pulses_identical(p, q) for p, q in zip(seq.pulses, back.pulses))
+
+
+# ---------------------------------------------------------------------------
+# The file flow: build at 16 digits, write, read and evaluate at 60
+
+
+# Depth-6 chains, one level deeper than the digest matrix: (spec, target,
+# bytes of the text written at 16 digits, its SHA-256, SHA-256 of the repr
+# of its 60-digit evaluation under linear over-rotation).  A change that
+# alters these bits on purpose updates the hashes and says so.
+DEEP_TEXTS = [
+    (
+        "concat:XZYYXZ", "x-pi", 153693,
+        "0e99f1c7d0d794f03fa9bdd9711ad30ef618be7d2ebdcbd81da3f8a70ae6e433",
+        "606648cd6b4b76a94487d7a8f623091ad26c269490e5f2a201a42cac5c1ad5f1",
+    ),
+    (
+        "concat:XZXYXY", "y-pi/2", 152237,
+        "c768dac47813cc4862727f538e5f50d77227c8f9fef83ab311880991df8f301a",
+        "a0bc1008271581138482ba8ab54edcecaf9d57cb950e907bc3bbfd2b81616011",
+    ),
+]
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _deep_text(spec="concat:XZYYXZ", target="x-pi") -> str:
+    with working_digits(16):
+        return serialize(build_builtin(spec, parse_target(target)))
+
+
+class TestFileFlow:
+    @pytest.mark.parametrize("spec,target,size,text_hash,result_hash", DEEP_TEXTS, ids=["x-pi", "y-pi/2"])
+    def test_deep_text_and_its_evaluation_keep_their_pinned_bits(
+        self, spec, target, size, text_hash, result_hash
+    ):
+        text = _deep_text(spec, target)
+        assert (len(text.encode("utf-8")), _sha256(text)) == (size, text_hash)
+        with working_digits(60):
+            result = evaluate(parse(text), parse_model("model=linear eps=0.05"), mpf(1))
+            assert _sha256(repr(result)) == result_hash
+
+    def test_a_build_derives_the_conjugation_frame_once(self, monkeypatch):
+        frames = _count_calls(monkeypatch, FrameTriad, "from_unitary")
+        gate = parse_target("x-pi")
+        with working_digits(16):
+            seq = build_builtin("concat:XZYYXZ", gate)
+            assert len(frames) == 1
+            # every level's conjugated pulses hold the gate's one frame
+            assert {id(p.frame) for p in seq.pulses if not p.frame.is_exact_identity()} == {id(gate.frame())}
+            build_builtin("concat:XZYYXZ", gate)
+            assert len(frames) == 1
+        with working_digits(60):
+            build_builtin("concat:XZYYXZ", gate)
+            assert len(frames) == 2
+            fresh = FrameTriad.from_unitary(gate.unitary())
+            kept = gate.frame()
+            bits = [[c._mpf_ for c in f.ex + f.ey + f.ez] for f in (kept, fresh)]
+            assert bits[0] == bits[1]
+
+    def test_pi5_uses_the_gate_frame(self, monkeypatch):
+        gate = parse_target("z-pi/2")
+        frame = gate.frame()
+        frames = _count_calls(monkeypatch, FrameTriad, "from_unitary")
+        seq = pi5_sequence(gate)
+        assert frames == []
+        assert {id(p.frame) for p in seq.pulses if not p.frame.is_exact_identity()} == {id(frame)}
+
+    def test_serialize_formats_each_pulse_and_frame_once(self, monkeypatch):
+        with working_digits(16):
+            seq = build_builtin("concat:XZYYXZ")
+            scalars = _count_calls(monkeypatch, sequences, "format_scalar")
+            serialize(seq)
+        # three per distinct pulse object (26), three for the target, nine per distinct frame (1)
+        assert len({id(p) for p in seq.pulses}) == 26
+        assert len(scalars) == 3 * 26 + 3 + 9 == 90
+
+    def test_parse_constructs_one_pulse_per_distinct_line(self, monkeypatch):
+        text = _deep_text()
+        constructed = _count_calls(monkeypatch, Pulse, "__post_init__")
+        with working_digits(60):
+            parse(text)
+        assert len(constructed) == 15

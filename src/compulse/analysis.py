@@ -4,8 +4,9 @@ coefficients by finite differences.
 Scans sweep a base error magnitude over a logarithmic grid and record the
 magnitudes of the three directional trace components plus the infidelity.
 Fits exclude points below the precision floor 10**(2 - digits).  Series
-coefficients come from tensor-product central-difference stencils (five
-points per parameter, exact rational weights) and need extended precision.
+coefficients of total order 1 to 3 come from tensor-product central-difference
+stencils (five points per parameter, exact rational weights) and need
+extended precision.
 The infidelity table builds each reference sequence once per name and
 working precision and keeps it for later calls; it never hands one out.
 Numbers print through :func:`format_sci`: the stored binary value correctly
@@ -25,6 +26,22 @@ from math import factorial
 from typing import Callable, Mapping, Optional, Sequence
 
 from mpmath import fabs, floor, log10, mp, mpf
+from mpmath.libmp import (
+    fhalf,
+    from_int,
+    ften,
+    mpf_add,
+    mpf_div,
+    mpf_ge,
+    mpf_ln2,
+    mpf_ln10,
+    mpf_lt,
+    mpf_mul,
+    mpf_pow_int,
+    round_ceiling,
+    round_floor,
+    to_int,
+)
 
 from . import error_models, su2
 from .error_models import AxisDependentPi3, CovariantVector, ErrorModel, LinearOverRotation, PerChannel
@@ -132,6 +149,11 @@ def component_scan(seq: PulseSequence, model: ErrorModel, scales: Sequence) -> S
 
 _LOG10_2 = math.log10(2)
 
+# Up to this binary exponent, building 10**|k| exactly is the faster way for
+# format_sci; beyond it, its cost grows superlinearly in |k| and intervals
+# bound |x| * 10**k instead.
+_EXACT_BITS = 1 << 14
+
 
 def format_sci(x, sig: int) -> str:
     """Scientific notation of ``x`` with a ``sig``-digit mantissa.
@@ -141,6 +163,8 @@ def format_sci(x, sig: int) -> str:
     does not depend on the working precision.  Only a non-mpf ``x`` is
     converted, at the working precision.  Zero prints as ``0e+00`` and
     ``None`` as ``nan``; ``sig < 1``, infinities and nan raise ValueError.
+    The cost grows with ``sig`` and the mantissa's length, and only with the
+    logarithm of the exponent.
     """
     if x is None:
         return "nan"
@@ -151,10 +175,22 @@ def format_sci(x, sig: int) -> str:
         if bc:  # mpmath stores inf and nan with a zero mantissa
             raise ValueError(f"cannot format {x}: not a finite number")
         return "0e+00"
-    # |x| = man * 2**exp lies in [2**(t - 1), 2**t) with t = exp + bc, so its
+    if abs(exp + bc) <= _EXACT_BITS:
+        q, e = _sci_exact(man, exp, sig)
+    else:
+        q, e = _sci_bounded(man, exp, sig)
+    digits = str(q)
+    mantissa = digits if sig == 1 else f"{digits[0]}.{digits[1:]}"
+    return f"{'-' if sign else ''}{mantissa}e{e:+03d}"
+
+
+def _sci_exact(man: int, exp: int, sig: int) -> tuple:
+    """(q, e): man * 2**exp correctly rounded to q * 10**(e - sig + 1), q of
+    ``sig`` digits, ties away from zero; exact integer arithmetic."""
+    # man * 2**exp lies in [2**(t - 1), 2**t) with t = exp + bc, so its
     # decimal exponent is e or e - 1 (the float floor is exact for |t| < 2**22).
-    e = math.floor((exp + bc) * _LOG10_2)
-    # num / den = |x| * 10**(sig - 1 - e), exactly
+    e = math.floor((exp + man.bit_length()) * _LOG10_2)
+    # num / den = man * 2**exp * 10**(sig - 1 - e), exactly
     num, den = (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
     shift = sig - 1 - e
     if shift >= 0:
@@ -170,9 +206,38 @@ def format_sci(x, sig: int) -> str:
         q += 1
         if q == 10 * low:  # rounded up to the next power of ten
             q, e = low, e + 1
-    digits = str(q)
-    mantissa = digits if sig == 1 else f"{digits[0]}.{digits[1:]}"
-    return f"{'-' if sign else ''}{mantissa}e{e:+03d}"
+    return q, e
+
+
+def _sci_bounded(man: int, exp: int, sig: int) -> tuple:
+    """(q, e) as :func:`_sci_exact` gives them, at any exponent: from lower and
+    upper bounds on y = man * 2**exp * 10**(sig - 1 - e), at a precision that
+    doubles until both bounds round to the same q and lie in
+    [10**(sig - 1), 10**sig).  An exact tie ends the loop once y is exact."""
+    bc, low = man.bit_length(), 10 ** (sig - 1)
+    x, lower, upper = (0, man, exp, bc), from_int(low), from_int(10 * low)
+    t = exp + bc
+    wp = t.bit_length() + 20  # e = floor(t * log10(2)), off by at most one
+    e = to_int(mpf_mul(from_int(t), mpf_div(mpf_ln2(wp), mpf_ln10(wp), wp), wp), round_floor)
+    prec = bc + 4 * sig + 64
+    while True:
+        k = sig - 1 - e
+        if k >= 0:
+            lo = mpf_mul(x, mpf_pow_int(ften, k, prec, round_floor), prec, round_floor)
+            hi = mpf_mul(x, mpf_pow_int(ften, k, prec, round_ceiling), prec, round_ceiling)
+        else:
+            lo = mpf_div(x, mpf_pow_int(ften, -k, prec, round_ceiling), prec, round_floor)
+            hi = mpf_div(x, mpf_pow_int(ften, -k, prec, round_floor), prec, round_ceiling)
+        if mpf_lt(hi, lower):
+            e -= 1
+            continue
+        if mpf_ge(lo, upper):
+            e += 1
+            continue
+        q = to_int(mpf_add(lo, fhalf, 0), round_floor)
+        if mpf_ge(lo, lower) and mpf_lt(hi, upper) and q == to_int(mpf_add(hi, fhalf, 0), round_floor):
+            return (low, e + 1) if q == 10 * low else (q, e)
+        prec *= 2
 
 
 def to_csv(scan: ScanResult) -> str:
@@ -291,8 +356,12 @@ _STENCILS = {
     1: tuple(map(Fraction, ("1/12", "-2/3", "0", "2/3", "-1/12"))),
     2: tuple(map(Fraction, ("-1/12", "4/3", "-5/2", "4/3", "-1/12"))),
     3: tuple(map(Fraction, ("-1/2", "1", "0", "-1", "1/2"))),
-    4: tuple(map(Fraction, ("1", "-4", "6", "-4", "1"))),
 }
+
+# At step h = 10**(-digits/4) a derivative of total order n divides rounding
+# errors of 10**-digits by h**n, leaving at most digits*(1 - n/4) correct
+# digits: none from order 4 on.
+_MAX_SERIES_ORDER = 3
 
 
 def _stencil_weights(k: int) -> tuple:
@@ -317,7 +386,8 @@ def series_coefficient(
     ``orders`` maps parameter names to powers, e.g. ``{"dy": 1, "ex": 1}``
     for the dy*ex cross term.  The mixed derivative at zero is computed by
     nested five-point central differences with step 10**(-digits/4) and
-    divided by the multi-index factorial.
+    divided by the multi-index factorial.  A total order above 3 raises
+    ModelConfigError: the step leaves no correct digit there.
     """
     require_digits(50, "series extraction")
     unknown = set(orders) - set(family.names)
@@ -330,6 +400,10 @@ def series_coefficient(
     total = sum(ks)
     if total == 0:
         raise error_models.ModelConfigError("at least one parameter must have positive order")
+    if total > _MAX_SERIES_ORDER:
+        raise error_models.ModelConfigError(
+            f"total derivative order {total} is above the limit {_MAX_SERIES_ORDER} that the stencils resolve"
+        )
     h = mpf(step) if step is not None else mpf(10) ** (-mpf(mp.dps) / 4)
 
     ideal = seq.ideal_unitary()

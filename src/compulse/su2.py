@@ -29,7 +29,12 @@ An axis is checked once, where it enters: :func:`tighten_axis` is the only
 acceptance check, to GEOMETRY_TOL at any precision.  :func:`unit_axis` is
 the rule for the unit axis at the working precision, and never raises.
 
-All values are immutable and all operations are pure functions.
+All values are immutable, and every operation returns the same result for
+the same arguments at the same working precision.  The one kept state is
+:func:`multiply`'s memo of integer forms: the form of the product it last
+returned and a table of recent left factors, both keyed by identity.  It is
+exact, so it never changes a result, and bounded: the table keeps at most
+64 forms and none wider than 4096 bits per component.
 """
 
 from __future__ import annotations
@@ -170,20 +175,28 @@ def exp_pauli(vec: Iterable) -> Unitary:
 
 def _fixed_point(u: Unitary) -> tuple:
     """(w, x, y, z, e): signed integer mantissas of u's components, all
-    scaled to the smallest exponent e of the four.
+    scaled to the smallest exponent e of the four (see :func:`_scaled`).
+    Raises ValueError when a component is inf or nan."""
+    rw, rx, ry, rz = u[0]._mpf_, u[1]._mpf_, u[2]._mpf_, u[3]._mpf_
+    # mpmath stores 0, inf and nan with a zero mantissa; only 0 has bitcount 0.
+    if not (rw[1] and rx[1] and ry[1] and rz[1]) and any(r[3] and not r[1] for r in (rw, rx, ry, rz)):
+        raise ValueError(f"non-finite quaternion component in {u}")
+    return _scaled(rw, rx, ry, rz)
+
+
+def _scaled(rw: tuple, rx: tuple, ry: tuple, rz: tuple) -> tuple:
+    """(w, x, y, z, e) from four finite raw mpf tuples: the signed integer
+    mantissas, all scaled to the smallest exponent e of the four.
 
     mpmath stores zero as mantissa 0 and exponent 0.  A nonzero component
     of magnitude at most 1 has exponent at most 0, so a zero sets the scale
     only when every nonzero component exceeds 1; it then only appends zero
     bits to exact integers, and the rounded product is the same.
     """
-    sw, w, ew, bw = u[0]._mpf_
-    sx, x, ex, bx = u[1]._mpf_
-    sy, y, ey, by = u[2]._mpf_
-    sz, z, ez, bz = u[3]._mpf_
-    # mpmath stores 0, inf and nan with a zero mantissa; only 0 has bitcount 0.
-    if not (w and x and y and z) and ((bw and not w) or (bx and not x) or (by and not y) or (bz and not z)):
-        raise ValueError(f"non-finite quaternion component in {u}")
+    sw, w, ew, _ = rw
+    sx, x, ex, _ = rx
+    sy, y, ey, _ = ry
+    sz, z, ez, _ = rz
     low = min(ew, ex, ey, ez)
     return (
         (-w if sw else w) << (ew - low),
@@ -226,6 +239,16 @@ def _rounded(man: int, exp: int, prec: int) -> tuple:
 _new = tuple.__new__
 _make = mp.make_mpf
 
+# multiply's memos of exact fixed-point forms.  A form is the exact value of
+# its factor, so a memo gives the same bits at every precision.  Each entry
+# holds its Unitary, so no id is reused while the entry stands.  The table
+# keeps at most _LEFT_BOUND forms of at most _LEFT_BITS bits per component:
+# components far apart in exponent make wide forms, which are not kept.
+_LEFT_BOUND = 64
+_LEFT_BITS = 1 << 12
+_left_forms: dict = {}  # id(a) -> (w, x, y, z, e, a) for recent left factors
+_last_form: tuple = (None, None)  # (the product last returned, its form)
+
 
 def multiply(a: Unitary, b: Unitary) -> Unitary:
     """The quaternion product a*b, each component correctly rounded.
@@ -235,19 +258,30 @@ def multiply(a: Unitary, b: Unitary) -> Unitary:
     rounded once at the working precision to nearest with ties to even:
     the same bits as libmp's ``from_man_exp`` with ``round_nearest``.
     Raises ValueError when a component of either factor is inf or nan.
+
+    A fold ``out = multiply(u, out)`` over a few distinct ``u`` unpacks each
+    factor once: the integer form of the product last returned, and of up to
+    ``_LEFT_BOUND`` recent left factors by identity, are kept and reused.
     """
-    w1, x1, y1, z1, ea = _fixed_point(a)
-    w2, x2, y2, z2, eb = _fixed_point(b)
+    global _last_form
+    left = _left_forms.get(id(a))
+    if left is None:
+        left = (*_fixed_point(a), a)
+        if max(map(int.bit_length, left[:4])) <= _LEFT_BITS:
+            if len(_left_forms) >= _LEFT_BOUND:
+                _left_forms.clear()
+            _left_forms[id(a)] = left
+    w1, x1, y1, z1, ea, _ = left
+    last, form = _last_form
+    w2, x2, y2, z2, eb = form if b is last else _fixed_point(b)
     e, prec = ea + eb, mp.prec
-    return _new(
-        Unitary,
-        (
-            _make(_rounded(w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2, e, prec)),
-            _make(_rounded(w1 * x2 + w2 * x1 - y1 * z2 + z1 * y2, e, prec)),
-            _make(_rounded(w1 * y2 + w2 * y1 - z1 * x2 + x1 * z2, e, prec)),
-            _make(_rounded(w1 * z2 + w2 * z1 - x1 * y2 + y1 * x2, e, prec)),
-        ),
-    )
+    rw = _rounded(w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2, e, prec)
+    rx = _rounded(w1 * x2 + w2 * x1 - y1 * z2 + z1 * y2, e, prec)
+    ry = _rounded(w1 * y2 + w2 * y1 - z1 * x2 + x1 * z2, e, prec)
+    rz = _rounded(w1 * z2 + w2 * z1 - x1 * y2 + y1 * x2, e, prec)
+    out = _new(Unitary, (_make(rw), _make(rx), _make(ry), _make(rz)))
+    _last_form = (out, _scaled(rw, rx, ry, rz))
+    return out
 
 
 def dagger(u: Unitary) -> Unitary:

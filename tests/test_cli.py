@@ -179,6 +179,16 @@ class TestExpand:
         val = float(out.split()[-1])
         assert abs(val - 2 * 3**0.5) < 1e-6
 
+    @pytest.mark.parametrize("orders", ["ex=3,ey=2", "ex=1,ey=4", "ey=2,ez=2"])
+    def test_a_total_order_above_three_exits_2_at_once(self, capsys, orders):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "--digits", "60", "expand", "--seq", "naive", "--target", "x-0pi",
+            "--family", "target-vector", "--orders", orders, "--component", "x",
+        )
+        assert (code, out) == (2, "") and "above the limit 3" in err
+        assert time.perf_counter() - start < 1
+
     def test_unknown_family(self, capsys):
         code, _, err = run(
             capsys, "--digits", "60", "expand", "--seq", "naive",
@@ -228,6 +238,10 @@ BAD_INPUTS = {
     "orders-unknown": ("expand", "--seq", "pi3:X", "--family", "covariant", "--orders", "zz=1", "--component", "y"),
     "orders-zero": ("expand", "--seq", "pi3:X", "--family", "covariant", "--orders", "ex=0", "--component", "y"),
     "orders-high": ("expand", "--seq", "pi3:X", "--family", "covariant", "--orders", "ex=5", "--component", "y"),
+    "orders-total-four": (
+        "expand", "--seq", "pi3:X", "--target", "z-pi", "--family", "target-vector",
+        "--orders", "ey=2,ez=2", "--component", "x",
+    ),
     "orders-repeated": (
         "expand", "--seq", "concat:X", "--target", "z-pi", "--family", "target-vector",
         "--orders", "ex=1,ex=2", "--component", "x",
@@ -435,6 +449,20 @@ class TestOutput:
         assert code == 0
         assert out == ""
         assert path.read_text(encoding="utf-8").startswith("epsilon,")
+
+    def test_huge_decimal_exponents_print_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(
+            capsys, "simulate", "--seq", "naive", "--target", "x-0pi", "--model", "model=vector dx=1e-3000000"
+        )
+        assert code == 0 and "cx          2.000000000000000e-3000000\n" in out
+        code, out, _ = run(
+            capsys, "scan", "--seq", "naive", "--model", "model=linear eps=0.1", "--grid", "1e99999990:1e100000000:1"
+        )
+        rows = out.splitlines()[1:]
+        assert code == 0 and len(rows) == 11
+        assert rows[0] == "1.000000000000000e+100000000,nan,nan,nan,nan"
+        assert time.perf_counter() - start < 1
 
     def test_digits_sixteen_and_sixty_agree_on_large_table_entries(self, capsys):
         # entries >= 1e-12 match to 2 significant figures across precisions

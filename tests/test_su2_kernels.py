@@ -7,7 +7,7 @@ error generator with their mpf formulas."""
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import log10, mp, mpf, sqrt
 from mpmath.libmp import from_man_exp, mpf_add, mpf_mul, mpf_neg, mpf_pos, round_nearest
@@ -92,10 +92,74 @@ class TestMultiplyRounding:
     @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
     def test_non_finite_component_raises(self, bad):
         u = Unitary(mpf(1), mpf(0), mpf(bad), mpf(0))
-        with pytest.raises(ValueError, match="non-finite"):
-            su2.multiply(u, su2.identity())
-        with pytest.raises(ValueError, match="non-finite"):
-            su2.multiply(su2.identity(), u)
+        for _ in range(3):
+            with pytest.raises(ValueError, match="non-finite"):
+                su2.multiply(u, su2.identity())
+            with pytest.raises(ValueError, match="non-finite"):
+                su2.multiply(su2.identity(), u)
+            with pytest.raises(ValueError, match="non-finite"):
+                su2.multiply(u, su2.multiply(su2.identity(), su2.identity()))
+        assert id(u) not in su2._left_forms
+
+
+class TestMultiplyMemos:
+    """multiply's kept fixed-point forms never show in a product."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from((16, 60, 200)),
+        st.sampled_from((16, 60, 200)),
+        st.integers(0, 2**32),
+        st.lists(st.tuples(st.integers(0, su2._LEFT_BOUND + 20), st.sampled_from(("last", "copy", "other"))),
+                 min_size=2, max_size=120),
+    )
+    def test_a_fold_has_the_oracle_bits(self, first, second, seed, steps):
+        # left factors from a pool wider than the table, two of them too wide
+        # to be kept; right factors the last product, a value-equal copy of
+        # it, or an unrelated quaternion; the precision changes halfway
+        rng = random.Random(seed)
+        with working_digits(200):
+            pool = [_random_quaternion(rng) for _ in range(su2._LEFT_BOUND + 19)]
+            pool += [Unitary(mpf(1), _exact(3, -2 * su2._LEFT_BITS), mpf(0), mpf(0)),
+                     Unitary(_exact(-5, 3 * su2._LEFT_BITS), mpf(0), mpf("0.5"), mpf(0))]
+        out = su2.identity()
+        half = len(steps) // 2
+        for digits, part in ((first, steps[:half]), (second, steps[half:])):
+            with working_digits(digits):
+                for index, right in part:
+                    b = {"last": out, "copy": Unitary(*out), "other": _random_quaternion(rng)}[right]
+                    out = su2.multiply(pool[index], b)
+                    assert _bits(out) == _bits(oracles.multiply_from_man_exp(pool[index], b))
+                    assert len(su2._left_forms) <= su2._LEFT_BOUND
+        assert id(pool[-1]) not in su2._left_forms and id(pool[-2]) not in su2._left_forms
+
+    def test_the_table_stays_within_its_bound(self):
+        rng = random.Random(11)
+        with working_digits(60):
+            factors = [_random_quaternion(rng) for _ in range(5 * su2._LEFT_BOUND)]
+            sizes = set()
+            for a in factors:
+                su2.multiply(a, a)
+                assert su2._left_forms[id(a)][5] is a
+                sizes.add(len(su2._left_forms))
+        assert max(sizes) == su2._LEFT_BOUND
+
+    def test_a_chain_evaluation_unpacks_each_distinct_factor_once(self, monkeypatch):
+        # 727 products over 22 distinct realized unitaries: at first 22 left
+        # factors and the identity are unpacked, then only the identity
+        seq = build_builtin("concat:XYYXY")
+        calls = []
+        unpack = su2._fixed_point
+        monkeypatch.setattr(su2, "_fixed_point", lambda u: calls.append(u) or unpack(u))
+        su2._left_forms.clear()
+        with working_digits(60):
+            counts = []
+            for _ in range(2):
+                calls.clear()
+                evaluate(seq, LinearOverRotation(1), mpf("0.01"))
+                counts.append(len(calls))
+        assert len(seq.pulses) == 727
+        assert counts == [23, 1]
 
 
 def _sums(p, q, r):

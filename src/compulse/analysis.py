@@ -92,7 +92,7 @@ DEFAULT_GRID = "1e-4:1e-1:9"
 
 def default_scales(lo="1e-4", hi="1e-1", per_decade: int = 9) -> tuple:
     """Logarithmic grid from hi down to lo, ``per_decade`` points per decade,
-    at most ``MAX_SCALES`` points."""
+    at most ``MAX_SCALES`` points, all distinct at the working precision."""
     lo, hi = mpf(lo), mpf(hi)
     if not (0 < lo < hi and mp.isfinite(hi)) or per_decade < 1:
         raise ValueError("need finite bounds 0 < lo < hi and at least one point per decade")
@@ -101,7 +101,10 @@ def default_scales(lo="1e-4", hi="1e-1", per_decade: int = 9) -> tuple:
     n = int(floor(decades * per_decade + mpf("0.5")))
     if n + 1 > MAX_SCALES:
         raise ValueError(f"grid of {n + 1} points exceeds the limit of {MAX_SCALES}")
-    return tuple(mpf(10) ** (top - mpf(k) / per_decade) for k in range(n + 1))
+    grid = tuple(mpf(10) ** (top - mpf(k) / per_decade) for k in range(n + 1))
+    if len(set(grid)) != len(grid):
+        raise ValueError(f"grid points are not distinct at {mp.dps} digits")
+    return grid
 
 
 def parse_grid(spec: str) -> tuple:
@@ -397,6 +400,9 @@ def series_coefficient(
     if idx is None:
         raise ValueError(f"component must be x, y or z, got {component!r}")
     ks = [int(orders.get(name, 0)) for name in family.names]
+    for name, k in zip(family.names, ks):
+        if k < 0:
+            raise error_models.ModelConfigError(f"power of {name} must be a non-negative integer, got {k}")
     total = sum(ks)
     if total == 0:
         raise error_models.ModelConfigError("at least one parameter must have positive order")

@@ -5,8 +5,9 @@ pulse applies the exact dagger of the corrupted forward pulse.  The base
 class holds that rule in one place: it realizes a dagger-role pulse as
 ``su2.dagger`` of the realization of its partner ``pulse.daggered()``
 (same frame and axis bits, negated generator angle), so subclasses only
-describe the corruption of forward pulses.  It also keeps a pulse on the
-"perfect" channel ideal under every model.  Each pulse keeps its last
+describe the corruption of forward pulses.  Each kind declares in
+``CHANNELS`` which channels it corrupts, and the base class keeps a pulse
+on any other channel at its ideal unitary.  Each pulse keeps its last
 realization, which a later call reuses when its model and scale are equal
 values (not only the same objects), so a dagger pair is corrupted once per
 model and scale value, and consecutive evaluations under models that agree
@@ -54,7 +55,7 @@ from mpmath import fabs, mp, mpf, nstr
 from . import su2
 from .precision import parse_decimal
 from .precision import unit_tolerance  # noqa: F401 -- benchmarks/test_tracer.py checks this alias
-from .su2 import NAMED_AXES, BranchError, Unitary, Vec3
+from .su2 import NAMED_AXES, Unitary, Vec3
 
 if TYPE_CHECKING:
     from .sequences import Pulse
@@ -79,18 +80,11 @@ def _poly_eval(coeffs: Coeffs, theta: mpf) -> mpf:
     return acc
 
 
-def _check_branch(offset: mpf) -> None:
-    # Vector-type error generators must stay on the principal branch so that
-    # log-based analysis can invert them.  Over-rotations are exempt: a
-    # rotation by (1+eps)*theta is well-defined for any offset, and the
-    # infidelity table needs offsets beyond pi/2 at its largest eps.
-    if fabs(offset) >= mp.pi / 2:
-        raise BranchError(f"error generator {offset} reaches pi/2: outside principal branch")
-
-
 @dataclass(frozen=True)
 class ErrorModel:
     """Base class; subclasses implement `_forward` on non-dagger pulses."""
+
+    CHANNELS = ("target", "pi3")  # the channels a kind corrupts; others stay ideal
 
     def realize(self, pulse: "Pulse", scale=1) -> Unitary:
         """The corrupted unitary actually applied for ``pulse``.
@@ -98,17 +92,17 @@ class ErrorModel:
         ``scale`` multiplies every model coefficient, so scans can sweep a
         base error magnitude with the model shape fixed.
 
-        A pulse on the "perfect" channel stays ideal under every model, in
-        a direct call as in an evaluation.  Any other forward pulse is
-        corrupted by ``_forward``; a dagger pulse gets the exact dagger of
-        its forward partner's realization.  The pulse's per-precision
-        record (see :meth:`Pulse.derived`) keeps the last realization,
-        perfect or not, and a call whose model and ``scale`` equal the kept
-        ones as values returns the stored unitary.  Models are immutable
-        values and ``scale`` enters only as ``mpf(scale)``, so equal values
-        fix the result.  A call with the very same two objects is answered
-        here; any other goes through the record.  A change of precision
-        drops the record and the realization with it.
+        A pulse on a channel outside the kind's ``CHANNELS`` stays ideal.
+        Any other forward pulse is corrupted by ``_forward``; a dagger pulse
+        gets the exact dagger of its forward partner's realization.  The
+        pulse's per-precision record (see :meth:`Pulse.derived`) keeps the
+        last realization, ideal or not, and a call whose model and
+        ``scale`` equal the kept ones as values returns the stored unitary.
+        Models are immutable values and ``scale`` enters only as
+        ``mpf(scale)``, so equal values fix the result.  A call with the
+        very same two objects is answered here; any other goes through the
+        record.  A change of precision drops the record and the realization
+        with it.
         """
         record = pulse._record
         if record is not None and record.prec == mp.prec:
@@ -125,7 +119,7 @@ class ErrorModel:
         kept = record.realized
         if kept is not None and (kept[0] is self or kept[0] == self) and (kept[1] is scale or kept[1] == scale):
             u = kept[2]
-        elif pulse.channel == "perfect":
+        elif pulse.channel not in self.CHANNELS:
             u = pulse.ideal_unitary()
         elif pulse.role.is_dagger:
             u = su2.dagger(self._realized(pulse.daggered(), scale))
@@ -180,13 +174,9 @@ class AxisOverRotation(ErrorModel):
             fixed[key] = _as_coeffs(coeffs)
         object.__setattr__(self, "per_axis", MappingProxyType(fixed))
 
-    def _coeffs_for(self, axis: Vec3, alpha: mpf) -> Coeffs:
-        if alpha < 0:
-            axis = tuple(-c for c in axis)
-        return self.per_axis.get(su2.axis_name(axis), self.coeffs)
-
     def _forward(self, pulse, axis, alpha, scale):
-        poly = _poly_eval(self._coeffs_for(axis, alpha), 2 * fabs(alpha))
+        signed = axis if alpha >= 0 else tuple(-c for c in axis)
+        poly = _poly_eval(self.per_axis.get(su2.axis_name(signed), self.coeffs), 2 * fabs(alpha))
         return _over_rotated(axis, alpha, scale * poly / 2)
 
 
@@ -222,18 +212,17 @@ class CovariantVector(ErrorModel):
 
     def _forward(self, pulse, axis, alpha, scale):
         lab = self._generator(pulse.frame, alpha, scale)
-        _check_branch(su2.vec_norm(lab))
         return su2.multiply(pulse.ideal_unitary(), su2.exp_pauli(lab))
 
 
 @dataclass(frozen=True)
 class AxisDependentPi3(ErrorModel):
-    """Additive over-rotation of correction pulses only, different for the
-    two conjugation classes: ``delta`` on unconjugated ("pi3" channel,
-    identity frame) pulses and ``delta_hat`` on conjugated ones.  Target
-    pulses pass through ideal; combine with another model via
-    :class:`PerChannel` for mixed simulations.
-    """
+    """Additive over-rotation of the "pi3" channel's correction pulses
+    only, different for the two conjugation classes: ``delta`` on
+    unconjugated (identity frame) pulses and ``delta_hat`` on conjugated
+    ones.  Combine with another model via :class:`PerChannel`."""
+
+    CHANNELS = ("pi3",)
 
     delta: mpf
     delta_hat: mpf
@@ -243,8 +232,6 @@ class AxisDependentPi3(ErrorModel):
         object.__setattr__(self, "delta_hat", mpf(self.delta_hat))
 
     def _forward(self, pulse, axis, alpha, scale):
-        if pulse.channel != "pi3":
-            return pulse.ideal_unitary()
         d = self.delta if pulse.frame.is_identity() else self.delta_hat
         return _over_rotated(axis, alpha, scale * d)
 
@@ -258,8 +245,8 @@ class PerChannel(ErrorModel):
 
     def __post_init__(self):
         for channel, model in self.models.items():
-            if channel not in ("target", "pi3"):
-                raise ModelConfigError(f"no model applies to channel {channel!r}, only to target and pi3")
+            if channel not in self.CHANNELS:
+                raise ModelConfigError(f"no model applies to channel {channel!r}, only to {' and '.join(self.CHANNELS)}")
             if not isinstance(model, ErrorModel) or isinstance(model, PerChannel):
                 raise ModelConfigError(f"channel {channel!r} needs a model of another kind, not {model!r}")
         object.__setattr__(self, "models", MappingProxyType(dict(self.models)))

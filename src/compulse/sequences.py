@@ -310,8 +310,8 @@ def total_angle(seq: PulseSequence) -> Fraction:
 def evaluate(seq: PulseSequence, model, scale=1) -> Unitary:
     """Multiply out the realized pulses.
 
-    ``model`` may be None for an all-ideal evaluation.  Pulses on channel
-    "perfect" stay ideal under every model (see :meth:`ErrorModel.realize`).
+    ``model`` may be None for an all-ideal evaluation.  Pulses on channels
+    outside a model's ``CHANNELS`` stay ideal (see :meth:`ErrorModel.realize`).
     To hold the pi/3 correction pulses ideal, pass
     ``PerChannel({"target": model})``.
     """

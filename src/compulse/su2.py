@@ -22,12 +22,12 @@ is a plain mpf expression, each operation rounded to nearest at the
 working precision; only :func:`rotation`'s phase guard reads a raw
 exponent.
 
-Every unitary made from an angle (ideal or corrupted pulse, target gate)
-comes from :func:`rotation`, which holds the one phase guard.
-
-An axis is checked once, where it enters: :func:`tighten_axis` is the only
-acceptance check, to GEOMETRY_TOL at any precision.  :func:`unit_axis` is
-the rule for the unit axis at the working precision, and never raises.
+Each kernel guards its own domain, and no caller checks it again:
+:func:`rotation` (every unitary made from an angle) the phase,
+:func:`exp_pauli` and :func:`log_pauli` the principal branch,
+:func:`multiply` finiteness, and :func:`tighten_axis` an axis where it
+enters, to GEOMETRY_TOL at any precision.  :func:`unit_axis` is the rule
+for the unit axis at the working precision, and never raises.
 
 All values are immutable, and every operation returns the same result for
 the same arguments at the same working precision.  The one kept state is
@@ -54,8 +54,8 @@ class InvalidAxisError(ValueError):
 
 
 class BranchError(ValueError):
-    """Error unitary outside the principal branch (w <= 0): too large to be a
-    'systematic small' error."""
+    """Error outside the principal branch (generator norm >= pi/2, w <= 0):
+    too large to be a 'systematic small' error."""
 
 
 class Unitary(NamedTuple):
@@ -164,9 +164,15 @@ def from_generator(axis: Iterable, alpha) -> Unitary:
 
 
 def exp_pauli(vec: Iterable) -> Unitary:
-    """exp(i*(vec . sigma)) for an arbitrary (small) generator vector."""
+    """exp(i*(vec . sigma)) for a generator vector on the principal branch:
+    a norm of pi/2 or more, as rounded, raises :class:`BranchError`, so
+    :func:`log_pauli` inverts every result.  Over-rotations come from
+    :func:`rotation` and are exempt: the infidelity table needs offsets
+    beyond pi/2 at its largest eps."""
     v = as_vec3(vec)
     m = vec_norm(v)
+    if m >= mp.pi / 2:
+        raise BranchError(f"error generator {m} reaches pi/2: outside principal branch")
     if m == 0:
         return identity()
     c, s = mp.cos_sin(m)

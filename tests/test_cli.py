@@ -1,3 +1,4 @@
+import hashlib
 import re
 import shlex
 import time
@@ -224,6 +225,9 @@ class TestPlan:
         assert "(4;4;4)" in out
 
 
+# 435 points within one part in 10**15 of 1: they collapse at 16 digits
+COLLAPSING_GRID = "1:1.000000000000001:1000000000000000000"
+
 BAD_INPUTS = {
     "eps": ("simulate", "--seq", "b2", "--model", "model=linear eps=0.1", "--eps", "abc"),
     "eps-minus-inf": ("simulate", "--seq", "b2", "--model", "model=linear eps=0.1", "--eps", "-inf"),
@@ -242,6 +246,12 @@ BAD_INPUTS = {
         "expand", "--seq", "pi3:X", "--target", "z-pi", "--family", "target-vector",
         "--orders", "ey=2,ez=2", "--component", "x",
     ),
+    "orders-negative": (
+        "expand", "--seq", "pi3:X", "--family", "covariant", "--orders", "ex=1,dy=-1", "--component", "y",
+    ),
+    "orders-negative-beside-a-second-order": (
+        "expand", "--seq", "pi3:X", "--family", "covariant", "--orders", "ex=2,dy=-1", "--component", "y",
+    ),
     "orders-repeated": (
         "expand", "--seq", "concat:X", "--target", "z-pi", "--family", "target-vector",
         "--orders", "ex=1,ex=2", "--component", "x",
@@ -249,6 +259,12 @@ BAD_INPUTS = {
     "grid-zero": ("scan", "--seq", "naive", "--model", "model=linear eps=0.1", "--grid", "1e-4:1e-1:0"),
     "grid-too-many-points": (
         "scan", "--seq", "b2", "--model", "model=linear eps=0.01", "--grid", "1e-4:2e-4:1000000000",
+    ),
+    "grid-not-distinct": (
+        "scan", "--seq", "naive", "--model", "model=linear eps=0.1", "--grid", COLLAPSING_GRID, "--digits", "16",
+    ),
+    "grid-not-distinct-fit": (
+        "fit", "--seq", "naive", "--model", "model=linear eps=0.1", "--grid", COLLAPSING_GRID, "--digits", "16",
     ),
     "concat-too-deep": ("build", "--seq", "concat:XYZXYZXYZXYZX"),
     "build-without-seq": ("build",),
@@ -319,6 +335,17 @@ class TestBadInput:
         code, _, err = run(capsys, *BAD_INPUTS[key])
         assert code == 2 and "limit" in err
         assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("key", ["orders-negative", "orders-negative-beside-a-second-order"])
+    def test_a_negative_power_is_named(self, capsys, key):
+        code, _, err = run(capsys, "--digits", "50", *BAD_INPUTS[key])
+        assert (code, err) == (2, "compulse: power of dy must be a non-negative integer, got -1\n")
+
+    @pytest.mark.parametrize("key", ["grid-not-distinct", "grid-not-distinct-fit"])
+    def test_a_grid_whose_points_collapse_is_refused_with_its_reason(self, capsys, key):
+        code, _, err = run(capsys, *BAD_INPUTS[key])
+        want = f"compulse: bad --grid {COLLAPSING_GRID!r}: grid points are not distinct at 16 digits\n"
+        assert (code, err) == (2, want)
 
     def test_over_rotation_beyond_the_precision_is_a_domain_error_at_once(self, capsys, tmp_path):
         start = time.perf_counter()
@@ -551,14 +578,34 @@ def readme_commands():
     return [line for line in lines if line.startswith("compulse ")]
 
 
+# SHA-256 of the bytes each README example writes (its --out or redirect
+# file, else stdout), in README order: the table, build, three simulates
+# (linear, poly, channels with vector and axisdep), scan, fit, expand and
+# plan.  A change that alters one of these outputs on purpose updates its
+# hash and says so.
+README_OUTPUT_SHA256 = (
+    "c29345eb3181529a764d23b73ccd3d1a2f289a6ae5b321c4c5465a96656ebb22",
+    "0050cacca1dc05d5daa17f99a89bd6c0472f7e2b81843ca01e7cd6c59af26db7",
+    "9c835bcb540c3e00b777e33d75c8c6cba3556ff4cbb63a8c477a68ef34f2ffe2",
+    "a51e286d56965a6c065685fc85d904b74bac372513a10493c81a5c3489b14c1e",
+    "0ca05ee33aba9ca480ac3b06e7e36779125ab659b033d88e655dd3ea055f503d",
+    "dbee683b804a35ef0f3d0c48b5a0e7af018a123701b7e92b9311ac5ce34f4c7e",
+    "1060bf8137409bd0993682db308eb5231357543495c158ff9012f49fc8293add",
+    "f645da99155154c59dd7f89b304903966d5f96b91bbfcf09da50a2de1f36699d",
+    "332544b4811c16b79302f005ec5a51b17021f5205eb31bfe7a3aed5a84ef4a11",
+)
+
+
 class TestReadmeExamples:
     def test_every_cli_example_runs(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         commands = readme_commands()
-        assert len(commands) >= 8
-        for line in commands:
+        assert len(commands) == len(README_OUTPUT_SHA256)
+        for line, want in zip(commands, README_OUTPUT_SHA256):
             argv = shlex.split(line)[1:]
             if len(argv) > 2 and argv[-2] == ">":
                 argv[-2] = "--out"
-            code, _, err = run(capsys, *argv)
+            code, out, err = run(capsys, *argv)
             assert code == 0, (line, err)
+            written = Path(argv[argv.index("--out") + 1]).read_bytes() if "--out" in argv else out.encode()
+            assert hashlib.sha256(written).hexdigest() == want, line

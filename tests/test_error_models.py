@@ -278,6 +278,10 @@ class TestPerChannel:
         with pytest.raises(ModelConfigError):
             PerChannel(models)
 
+    def test_the_perfect_channel_is_refused_by_name(self):
+        with pytest.raises(ModelConfigError, match=r"^no model applies to channel 'perfect', only to target and pi3$"):
+            PerChannel({"perfect": LinearOverRotation(mpf("0.1"))})
+
     def test_models_are_read_only(self):
         given = {"target": LinearOverRotation(mpf("0.1"))}
         model = PerChannel(given)
@@ -285,6 +289,35 @@ class TestPerChannel:
         assert set(model.models) == {"target"}
         with pytest.raises(TypeError):
             model.models["pi3"] = LinearOverRotation(mpf("0.2"))
+
+
+_EVERY_KIND = {
+    "linear": LinearOverRotation(mpf("0.1")),
+    "poly": AxisOverRotation((0, mpf("0.1")), {"y": (mpf("0.2"),)}),
+    "vector": CovariantVector.constant((mpf("0.01"), mpf("0.02"), mpf("-0.03"))),
+    "axisdep": AxisDependentPi3(mpf("0.01"), mpf("0.02")),
+    "channels": PerChannel({"target": LinearOverRotation(mpf("0.1")), "pi3": AxisDependentPi3(mpf("0.01"), 0)}),
+}
+_OUTSIDE_CHANNELS = [(kind, role, "perfect") for kind in _EVERY_KIND for role in Role] + [
+    ("axisdep", Role.TARGET, "target"),
+    ("axisdep", Role.TARGET_DAGGER, "target"),
+]
+
+
+class TestChannelsOutsideAKind:
+    @pytest.mark.parametrize("digits", [16, 60])
+    @pytest.mark.parametrize("kind,role,channel", _OUTSIDE_CHANNELS)
+    def test_a_pulse_outside_the_kinds_channels_realizes_to_its_ideal_bits(self, digits, kind, role, channel):
+        model = _EVERY_KIND[kind]
+        assert channel not in model.CHANNELS
+        frame = FrameTriad.from_unitary(su2.from_generator((mpf("0.6"), mpf("0.8"), 0), mpf("0.3")))
+        with working_digits(digits):
+            forward_role = role.partner if role.is_dagger else role
+            forward = make_pulse((0, mpf("0.6"), mpf("0.8")), Fraction(1, 3), forward_role, channel, frame)
+            pulse = forward.daggered() if role.is_dagger else forward
+            for p in (pulse.daggered(), pulse):  # the partner first, then the pulse itself
+                for scale in (1, mpf("0.5")):
+                    assert [c._mpf_ for c in model.realize(p, scale)] == [c._mpf_ for c in p.ideal_unitary()]
 
 
 class TestOverRotationCovariance:

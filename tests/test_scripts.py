@@ -84,6 +84,14 @@ class TestOrderScaling:
         assert proc.stderr.endswith(f"error: {reason}")
         assert not (tmp_path / "out").exists()
 
+    def test_a_grid_whose_points_collapse_is_a_usage_error(self, tmp_path):
+        # 435 points within one part in 10**15 of 1 are not distinct at 16 digits
+        grid = "1:1.000000000000001:1000000000000000000"
+        proc = run_order_scaling(tmp_path, "out", "--digits", "16", "--grid", grid)
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr
+        assert proc.stderr.endswith(f"error: bad --grid {grid!r}: grid points are not distinct at 16 digits\n")
+        assert not (tmp_path / "out").exists()
+
 
 def _load_evaluate_digest():
     spec = importlib.util.spec_from_file_location("evaluate_digest", EVALUATE_DIGEST)

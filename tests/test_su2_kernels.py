@@ -13,7 +13,7 @@ from mpmath import log10, mp, mpf, sqrt
 from mpmath.libmp import from_man_exp, mpf_add, mpf_mul, mpf_neg, mpf_pos, round_nearest
 
 from compulse import su2
-from compulse.error_models import AxisDependentPi3, CovariantVector, LinearOverRotation, PerChannel, _check_branch
+from compulse.error_models import AxisDependentPi3, CovariantVector, LinearOverRotation, PerChannel
 from compulse.precision import working_digits
 from compulse.sequences import BUILTIN_NAMES, FrameTriad, build_builtin, evaluate
 from compulse.su2 import Unitary
@@ -443,16 +443,25 @@ class TestVectorKernelsBitIdentical:
             assert beyond == {False, True}  # axes inside and beyond the working tolerance
 
     def test_branch_bound(self, digits):
+        # generators whose rounded norm is one ulp below, at and one ulp
+        # above the rounded pi/2, along and against the lab axes, and oblique
+        # ones whose norm rounds near those
         with working_digits(digits):
-            _, man, exp, _ = (mp.pi / 2)._mpf_
-            for m in (man - 1, man, man + 1):
-                offset = mp.make_mpf(from_man_exp(m, exp))
-                try:
-                    _check_branch(offset)
-                    raised = False
-                except su2.BranchError:
-                    raised = True
-                assert raised == (offset >= mp.pi / 2)
+            half_pi = mp.pi / 2
+            _, man, exp, _ = half_pi._mpf_
+            edges = [mp.make_mpf(from_man_exp(m, exp)) for m in (man - 1, man, man + 1)]
+            norms = []
+            for c in edges:
+                oblique = ((c * 3 / 5, c * 4 / 5, 0), (-c / 3, c * 2 / 3, c * 2 / 3))
+                for vec in ((c, 0, 0), (0, -c, 0), (0, 0, c)) + oblique:
+                    norm = su2.vec_norm(su2.as_vec3(vec))
+                    norms.append(norm)
+                    if norm >= half_pi:
+                        with pytest.raises(su2.BranchError, match=r"reaches pi/2: outside principal branch$"):
+                            su2.exp_pauli(vec)
+                    else:
+                        assert _bits(su2.exp_pauli(vec)) == _bits(_exp_pauli_ref(vec))
+            assert set(edges) <= set(norms)
 
 
 @pytest.mark.parametrize("model", _CHAIN_MODELS, ids=["linear", "vector_axisdep"])

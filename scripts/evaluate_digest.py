@@ -6,10 +6,11 @@ The hash covers ``repr(evaluate(...))`` for every builtin plus two
 error scales, both as built and after a text round trip, at 16 and 60
 digits and for a 16-digit build evaluated at 60.  It also covers
 ``pi3_correct`` applied at 60 digits, about each lab axis, to those
-sequences built at 16 digits on x-pi, z-pi and a tilted target, and the
-60-digit infidelity table and four series coefficients.  Two checkouts
-that print the same hash give bit-identical results on all of them, which
-is how a change meant to be a pure speed-up shows that it is one.
+sequences built at 16 digits on the target pulses of x-pi, z-pi and a
+tilted axis, and the 60-digit infidelity table and four series
+coefficients.  Two checkouts that print the same hash give bit-identical
+results on all of them, which is how a change meant to be a pure speed-up
+shows that it is one.
 
 Usage: evaluate_digest.py
 """
@@ -26,7 +27,6 @@ from compulse.error_models import parse_model
 from compulse.precision import working_digits
 from compulse.sequences import (
     BUILTIN_NAMES,
-    Gate,
     SequenceError,
     build_builtin,
     evaluate,
@@ -34,6 +34,7 @@ from compulse.sequences import (
     parse_target,
     pi3_correct,
     serialize,
+    target_pulse,
 )
 from compulse.su2 import LAB_AXES, BranchError
 
@@ -96,15 +97,16 @@ def _results(seq, models):
 
 def wrapped_digest(names, models) -> str:
     """SHA-256 over ``repr(evaluate(...))`` of ``pi3_correct`` applied at 60
-    digits, about each lab axis, to ``names`` built at 16 digits on x-pi,
-    z-pi and a tilted target, under ``models`` x SCALES.
+    digits, about each lab axis, to ``names`` built at 16 digits on the
+    target pulses of x-pi, z-pi and a rotation by 2pi/3 about the tilted
+    axis (2, 1, 2)/3, under ``models`` x SCALES.
 
     The correction makes the daggers of the 16-digit inner pulses at 60
     digits.  Builtins that reject a target are skipped.
     """
     h = hashlib.sha256()
     with working_digits(16):
-        tilted = Gate((mpf(2) / 3, mpf(1) / 3, mpf(2) / 3), Fraction(1, 3))
+        tilted = target_pulse((mpf(2) / 3, mpf(1) / 3, mpf(2) / 3), Fraction(1, 3))
         targets = (parse_target("x-pi"), parse_target("z-pi"), tilted)
     for name, target in product(names, targets):
         with working_digits(16):

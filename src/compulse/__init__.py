@@ -24,7 +24,6 @@ from .su2 import (
 from .sequences import (
     DslError,
     FrameTriad,
-    Gate,
     Pulse,
     PulseSequence,
     Role,
@@ -40,6 +39,7 @@ from .sequences import (
     pi5_sequence,
     serialize,
     symmetrize,
+    target_pulse,
     total_angle,
 )
 from .error_models import (

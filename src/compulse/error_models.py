@@ -66,10 +66,15 @@ class ModelConfigError(ValueError):
     """Malformed or out-of-range error-model configuration."""
 
 
-def _as_coeffs(coeffs) -> Coeffs:
+def _as_coeffs(coeffs, name: str) -> Coeffs:
+    """``coeffs`` (one number or a non-empty sequence) as a tuple of mpf;
+    ``name`` is the config key it came from."""
     if isinstance(coeffs, (int, float, str, mpf)):
         coeffs = (coeffs,)
-    return tuple(mpf(c) for c in coeffs)
+    coeffs = tuple(mpf(c) for c in coeffs)
+    if not coeffs:
+        raise ModelConfigError(f"{name} needs at least one coefficient")
+    return coeffs
 
 
 def _poly_eval(coeffs: Coeffs, theta: mpf) -> mpf:
@@ -166,12 +171,12 @@ class AxisOverRotation(ErrorModel):
     per_axis: Mapping[str, Coeffs] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _as_coeffs(self.coeffs))
+        object.__setattr__(self, "coeffs", _as_coeffs(self.coeffs, "coeffs"))
         fixed = {}
         for key, coeffs in self.per_axis.items():
             if key not in NAMED_AXES:
                 raise ModelConfigError(f"unknown axis name {key!r}")
-            fixed[key] = _as_coeffs(coeffs)
+            fixed[key] = _as_coeffs(coeffs, key)
         object.__setattr__(self, "per_axis", MappingProxyType(fixed))
 
     def _forward(self, pulse, axis, alpha, scale):
@@ -196,7 +201,7 @@ class CovariantVector(ErrorModel):
 
     def __post_init__(self):
         for name in ("dx", "dy", "dz"):
-            object.__setattr__(self, name, _as_coeffs(getattr(self, name)))
+            object.__setattr__(self, name, _as_coeffs(getattr(self, name), name))
 
     @staticmethod
     def constant(vec) -> "CovariantVector":
@@ -248,7 +253,8 @@ class PerChannel(ErrorModel):
             if channel not in self.CHANNELS:
                 raise ModelConfigError(f"no model applies to channel {channel!r}, only to {' and '.join(self.CHANNELS)}")
             if not isinstance(model, ErrorModel) or isinstance(model, PerChannel):
-                raise ModelConfigError(f"channel {channel!r} needs a model of another kind, not {model!r}")
+                named = describe(model) if isinstance(model, ErrorModel) else repr(model)
+                raise ModelConfigError(f"channel {channel!r} needs a model of another kind, not {named}")
         object.__setattr__(self, "models", MappingProxyType(dict(self.models)))
 
     def realize(self, pulse, scale=1):

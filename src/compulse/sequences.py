@@ -9,13 +9,15 @@ Conventions that prevent the classic factor-of-2 and ordering bugs:
 * Pulse lists are in application (time) order: first entry is applied
   first.  Written operator products read right to left, so builders that
   start from an operator expression reverse it.
-* Every builder's output evaluates, under the all-zero error model, to its
-  declared target gate; the test suite enforces this for each builder.
+* A sequence's target is a pulse (see :func:`target_pulse`), the naive
+  gate.  Every builder's output evaluates, under the all-zero error model,
+  to its ideal unitary; the test suite enforces this for each builder.
 
 A pulse carries a frame triad (its local axes in lab coordinates).  The
 frame both fixes the lab rotation axis and transports vector-type errors,
 which is what makes a conjugated correction pulse carry the conjugated
-error by construction.
+error by construction.  The target pulse's conjugation frame (see
+:meth:`Pulse.conjugation_frame`) conjugates a correction into the target.
 """
 
 from __future__ import annotations
@@ -150,13 +152,15 @@ def _frac_to_radians(f: Fraction) -> mpf:
 
 
 class _Derived:
-    """A pulse's unit lab axis, radians, ideal unitary (made on first use) and
-    last realization (model, scale, unitary), all at precision ``prec``."""
+    """A pulse's unit lab axis, radians, ideal unitary and conjugation frame
+    (each made on first use) and last realization (model, scale, unitary),
+    all at precision ``prec``."""
 
-    __slots__ = ("prec", "axis", "alpha", "ideal", "realized")
+    __slots__ = ("prec", "axis", "alpha", "ideal", "frame", "realized")
 
     def __init__(self, prec: int, axis: Vec3, alpha: mpf):
-        self.prec, self.axis, self.alpha, self.ideal, self.realized = prec, axis, alpha, None, None
+        self.prec, self.axis, self.alpha = prec, axis, alpha
+        self.ideal = self.frame = self.realized = None
 
 
 @dataclass(frozen=True)
@@ -169,14 +173,15 @@ class Pulse:
     error-model channel ("target", "pi3", or "perfect").
 
     Everything the pulse derives at the working precision (unit lab axis,
-    radians, ideal unitary and last realization) sits in one record that
-    :meth:`derived` drops when ``mp.prec`` changes.  The dagger partner is
-    made once, from this pulse's frame and exact axis bits, and links back
-    at every precision: ``p.daggered().daggered() is p``.  An error model
-    realizes a dagger pulse through that partner (see
-    :meth:`ErrorModel.realize`), so :func:`evaluate` corrupts each dagger
-    pair of a built chain or a parsed file (which :func:`parse` loads as
-    shared, linked pulses) once per model and scale value.
+    radians, ideal unitary, conjugation frame and last realization) sits in
+    one record that :meth:`derived` drops when ``mp.prec`` changes.  The
+    dagger partner is made once, from this pulse's frame and exact axis
+    bits, and links back at every precision: ``p.daggered().daggered() is
+    p``.  It derives its own record, the same axis bits and the negated
+    angle.  An error model realizes a dagger pulse through that partner
+    (see :meth:`ErrorModel.realize`), so :func:`evaluate` corrupts each
+    dagger pair of a built chain or a parsed file (which :func:`parse`
+    loads as shared, linked pulses) once per model and scale value.
     """
 
     frame: FrameTriad
@@ -198,19 +203,12 @@ class Pulse:
         return self.derived().axis
 
     def derived(self) -> _Derived:
-        """The record of this pulse at the working precision.  A linked
-        dagger partner with a record at this precision lends its unit axis
-        and negated angle: the same bits, since the two share frame and
-        axis bits."""
+        """The record of this pulse at the working precision, made afresh
+        when ``mp.prec`` changes."""
         record, prec = self._record, mp.prec
         if record is None or record.prec != prec:
-            partner = self._dagger
-            twin = None if partner is None else partner._record
-            if twin is not None and twin.prec == prec:
-                record = _Derived(prec, twin.axis, -twin.alpha)
-            else:
-                axis = su2.unit_axis(self.frame.map(self.axis_in_frame))
-                record = _Derived(prec, axis, _frac_to_radians(self.alpha_pi))
+            axis = su2.unit_axis(self.frame.map(self.axis_in_frame))
+            record = _Derived(prec, axis, _frac_to_radians(self.alpha_pi))
             object.__setattr__(self, "_record", record)
         return record
 
@@ -227,6 +225,15 @@ class Pulse:
         if record.ideal is None:
             record.ideal = su2.rotation(record.axis, record.alpha)
         return record.ideal
+
+    def conjugation_frame(self) -> FrameTriad:
+        """The lab axes rotated by this pulse's ideal unitary: the frame that
+        conjugates a pulse into this one's.  Kept in the record, so every
+        level of a chain on one target shares one :class:`FrameTriad`."""
+        record = self.derived()
+        if record.frame is None:
+            record.frame = FrameTriad.from_unitary(self.ideal_unitary())
+        return record.frame
 
     def forward(self) -> "Pulse":
         """The non-dagger partner (self if already a forward pulse)."""
@@ -246,47 +253,17 @@ class Pulse:
         return partner
 
 
-@dataclass(frozen=True)
-class Gate:
-    """Ideal target rotation: unit axis and generator angle in units of pi.
-
-    The gate keeps its one target pulse (identity frame, "target" channel),
-    which :func:`naive` and :func:`pi5_sequence` apply and whose ideal
-    unitary is the gate's, and its conjugation frame at the last precision
-    asked for (see :meth:`frame`).
-    """
-
-    axis: Vec3
-    alpha_pi: Fraction
-    _pulse: Pulse = field(init=False, repr=False, compare=False)
-    _frame: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        pulse = Pulse(FrameTriad.identity(), self.axis, self.alpha_pi, Role.TARGET, "target")
-        object.__setattr__(self, "axis", pulse.axis_in_frame)
-        object.__setattr__(self, "alpha_pi", pulse.alpha_pi)
-        object.__setattr__(self, "_pulse", pulse)
-
-    def unitary(self) -> Unitary:
-        return self._pulse.ideal_unitary()
-
-    def frame(self) -> FrameTriad:
-        """The lab axes rotated by the gate's unitary, the frame that
-        conjugates a pulse into the gate's frame.  Made once per ``mp.prec``
-        and kept as ``(prec, triad)``, so every level of a chain on this
-        gate shares one :class:`FrameTriad`."""
-        kept, prec = self._frame, mp.prec
-        if kept is None or kept[0] != prec:
-            kept = (prec, FrameTriad.from_unitary(self.unitary()))
-            object.__setattr__(self, "_frame", kept)
-        return kept[1]
+def target_pulse(axis: Iterable, alpha_pi) -> Pulse:
+    """The target rotation as a pulse: identity frame, "target" channel,
+    generator angle ``alpha_pi`` in units of pi."""
+    return Pulse(FrameTriad.identity(), axis, alpha_pi, Role.TARGET, "target")
 
 
 @dataclass(frozen=True)
 class PulseSequence:
-    """Time-ordered pulses realizing a target gate (first in list = first applied)."""
+    """Time-ordered pulses realizing a target pulse (first in list = first applied)."""
 
-    target: Gate
+    target: Pulse
     pulses: tuple
     name: str = ""
 
@@ -294,7 +271,7 @@ class PulseSequence:
         object.__setattr__(self, "pulses", tuple(self.pulses))
 
     def ideal_unitary(self) -> Unitary:
-        return self.target.unitary()
+        return self.target.ideal_unitary()
 
     def pulse_counts(self) -> tuple:
         """(# target-role pulses, # correction-role pulses)."""
@@ -326,8 +303,8 @@ def evaluate(seq: PulseSequence, model, scale=1) -> Unitary:
 # Builders
 
 
-def naive(gate: Gate) -> PulseSequence:
-    return PulseSequence(gate, (gate._pulse,), name="naive")
+def naive(t: Pulse) -> PulseSequence:
+    return PulseSequence(t, (t,), name="naive")
 
 
 def pi3_correct(inner: PulseSequence, axis: Iterable) -> PulseSequence:
@@ -335,11 +312,11 @@ def pi3_correct(inner: PulseSequence, axis: Iterable) -> PulseSequence:
 
     Time order: C0^ inner Ct inner^ C0 inner Ct^, where C0 is the pi/3
     rotation about ``axis`` and Ct is the same pulse conjugated into the
-    target gate's frame.  Pulse count obeys n -> 3n + 4.
+    target's conjugation frame.  Pulse count obeys n -> 3n + 4.
     """
     axis = su2.unit_axis(su2.tighten_axis(axis))
     f_id = FrameTriad.identity()
-    f_u = inner.target.frame()
+    f_u = inner.target.conjugation_frame()
     sixth = Fraction(1, 6)
 
     c0 = Pulse(f_id, axis, sixth, Role.CORRECTION, "pi3")
@@ -350,7 +327,7 @@ def pi3_correct(inner: PulseSequence, axis: Iterable) -> PulseSequence:
     return PulseSequence(inner.target, pulses, name=f"pi3({_axis_label(axis)})∘{inner.name or 'seq'}")
 
 
-def pi5_sequence(gate: Gate, perfect: bool = True) -> PulseSequence:
+def pi5_sequence(t: Pulse, perfect: bool = True) -> PulseSequence:
     """Five-application correction with 3pi/5 and -pi/5 auxiliary rotations.
 
     The raw product leaves an exact residual rotation about the auxiliary
@@ -363,12 +340,11 @@ def pi5_sequence(gate: Gate, perfect: bool = True) -> PulseSequence:
     """
     ch = "perfect" if perfect else "pi3"
     f_id = FrameTriad.identity()
-    f_u = gate.frame()
+    f_u = t.conjugation_frame()
 
     def aux(frame, alpha_pi):
         return Pulse(frame, X_AXIS, Fraction(alpha_pi), Role.CORRECTION, ch)
 
-    t = gate._pulse
     td = t.daggered()
     pulses = (
         aux(f_id, Fraction(-2, 5)),  # compensates the residual 4pi/5 rotation
@@ -382,7 +358,7 @@ def pi5_sequence(gate: Gate, perfect: bool = True) -> PulseSequence:
         aux(f_id, Fraction(3, 10)),
         t,
     )
-    return PulseSequence(gate, pulses, name="pi5")
+    return PulseSequence(t, pulses, name="pi5")
 
 
 def _phase_blocks(name: str, theta_pi, span: int, layout: tuple) -> PulseSequence:
@@ -396,14 +372,13 @@ def _phase_blocks(name: str, theta_pi, span: int, layout: tuple) -> PulseSequenc
     theta_pi = Fraction(theta_pi)
     if abs(theta_pi) > span:
         raise SequenceError(f"{name} needs |theta| <= {span}*pi for a real correction phase")
-    gate = Gate(X_AXIS, theta_pi / 2)
+    t = target_pulse(X_AXIS, theta_pi / 2)
     phi = acos(-mpf(theta_pi.numerator) / theta_pi.denominator / span)
     made = {}
     for k, alpha_pi in set(layout):
         axis = (cos(k * phi), sin(k * phi), mpf(0))
         made[k, alpha_pi] = Pulse(FrameTriad.identity(), axis, alpha_pi, Role.CORRECTION, "target")
-    pulses = naive(gate).pulses + tuple(made[entry] for entry in layout)
-    return PulseSequence(gate, pulses, name=name)
+    return PulseSequence(t, (t, *(made[entry] for entry in layout)), name=name)
 
 
 # b2's correction block, (phi, pi) (3*phi, 2*pi) (phi, pi) as rotations;
@@ -445,7 +420,7 @@ def symmetrize(seq: PulseSequence) -> PulseSequence:
         and head.channel == "target"
         and head.frame.is_exact_identity()
         and head.alpha_pi == seq.target.alpha_pi
-        and su2.axes_match(head.axis_in_frame, seq.target.axis)
+        and su2.axes_match(head.axis_in_frame, seq.target.axis_in_frame)
     )
     if not target_like or not all(p.role == Role.CORRECTION for p in rest):
         raise SequenceError("symmetrize expects a target pulse followed by a correction block")
@@ -465,9 +440,9 @@ def _axis_label(axis: Vec3) -> str:
 _TARGET_RE = re.compile(r"([xyz])-([+-]?\d*)pi(?:/(0*[1-9]\d*))?", re.IGNORECASE | re.ASCII)
 
 
-def parse_target(spec: str) -> Gate:
-    """Gate descriptor ``<axis>-[+|-][<p>]pi[/<q>]`` with q >= 1, e.g. "x-pi",
-    "z-pi/2", "y--3pi/4".
+def parse_target(spec: str) -> Pulse:
+    """The target pulse of a descriptor ``<axis>-[+|-][<p>]pi[/<q>]`` with
+    q >= 1, e.g. "x-pi", "z-pi/2", "y--3pi/4".
 
     The angle is the signed rotation angle, so "x-pi" is a pi pulse about x.
     """
@@ -479,16 +454,17 @@ def parse_target(spec: str) -> Gate:
         rotation = Fraction(int(p + "1" if p in ("", "+", "-") else p), int(q or 1))
     except ValueError:  # no match, or digits beyond Python's int-string limit
         raise SequenceError(f"bad target {spec!r}: expected <axis>-[+|-][<p>]pi[/<q>] with q >= 1") from None
-    return Gate(LAB_AXES[axis.upper()], rotation / 2)
+    return target_pulse(LAB_AXES[axis.upper()], rotation / 2)
 
 
 def _about_x(builder, sym: bool = False):
     """Base builder for a b2/b4 compensator, which corrects rotations about x."""
     label = builder.__name__ + "sym" * sym
 
-    def build(target: Gate) -> PulseSequence:
-        if su2.axis_name(target.axis) != "x":
-            raise SequenceError(f"{label} corrects rotations about x; got axis {_axis_label(target.axis)}")
+    def build(target: Pulse) -> PulseSequence:
+        axis = target.axis_in_frame
+        if su2.axis_name(axis) != "x":
+            raise SequenceError(f"{label} corrects rotations about x; got axis {_axis_label(axis)}")
         seq = builder(2 * target.alpha_pi)
         return symmetrize(seq) if sym else seq
 
@@ -507,7 +483,7 @@ def pulse_count(levels: int, base: int = 1) -> int:
 MAX_PULSES = pulse_count(12)
 
 # Every builtin in listing order: name -> (base builder taking the target
-# gate, pi/3 correction axes applied after it, leftmost innermost).
+# pulse, pi/3 correction axes applied after it, leftmost innermost).
 _BUILTINS = {
     "naive": (naive, ""),
     **{f"pi3:{a}": (naive, a) for a in LAB_AXES},
@@ -542,8 +518,8 @@ def _resolve(name: str) -> tuple:
     return row[0], row[1] + axes.upper()
 
 
-def build_builtin(name: str, target: Optional[Gate] = None) -> PulseSequence:
-    """Construct the builtin ``name`` for a target gate (default: pi pulse
+def build_builtin(name: str, target: Optional[Pulse] = None) -> PulseSequence:
+    """Construct the builtin ``name`` for a target pulse (default: pi pulse
     about x).  The result carries ``name``.
 
     ``concat:<AXES>[:<base>]`` chains pi/3 corrections (leftmost axis
@@ -552,7 +528,7 @@ def build_builtin(name: str, target: Optional[Gate] = None) -> PulseSequence:
     ``concat:XY:pi3:x`` builds ``concat:XXY``.
     """
     if target is None:
-        target = Gate(X_AXIS, Fraction(1, 2))
+        target = target_pulse(X_AXIS, Fraction(1, 2))
     base, axes = _resolve(name)
     seq = base(target)
     flat = pulse_count(len(axes), len(seq.pulses))
@@ -589,7 +565,7 @@ def serialize(seq: PulseSequence) -> str:
     formatted once and each distinct frame object's nine numbers once; a
     repeated pulse or frame reuses its text."""
     lines = [f"# sequence: {seq.name}"] if seq.name else []
-    lines.append("target " + _axis_angle(seq.target.axis, seq.target.alpha_pi))
+    lines.append("target " + _axis_angle(seq.target.axis_in_frame, seq.target.alpha_pi))
     formatted = {}  # id(pulse) -> its line; seq.pulses keeps every id alive
     frames = {}  # id(frame) -> its frame block, kept alive the same way
     for p in seq.pulses:
@@ -692,7 +668,7 @@ def parse(text: str) -> PulseSequence:
         alpha = _parse_fraction(*toks[4], lineno)
         if head == "target":
             try:
-                target = Gate(axis, alpha)
+                target = target_pulse(axis, alpha)
             except su2.InvalidAxisError as exc:
                 raise DslError(str(exc), lineno, head_col) from None
             continue

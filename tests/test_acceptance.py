@@ -41,17 +41,17 @@ from compulse.orders import (
 )
 from compulse.precision import set_digits, working_digits
 from compulse.sequences import (
-    Gate,
     build_builtin,
     evaluate,
     naive,
     pi3_correct,
     pi5_sequence,
+    target_pulse,
     total_angle,
 )
 
 INF = INFINITY
-Z_PI = Gate((0, 0, 1), Fraction(1, 2))
+Z_PI = target_pulse((0, 0, 1), Fraction(1, 2))
 
 DIGITS = 60
 GRID = None  # filled per test after set_digits
@@ -217,7 +217,7 @@ def test_criterion_4_series_coefficients():
 
 def test_criterion_5_five_application_sequence():
     grid = default_scales("1e-4", "1e-2", 9)
-    gate = Gate((0, 0, 1), Fraction(1, 4))  # pi/2 pulse about z
+    gate = target_pulse((0, 0, 1), Fraction(1, 4))  # pi/2 pulse about z
 
     seq = pi5_sequence(gate, perfect=True)
     ideal = seq.ideal_unitary()

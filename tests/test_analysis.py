@@ -33,12 +33,12 @@ from compulse.analysis import (
 )
 from compulse.error_models import CovariantVector, LinearOverRotation, ModelConfigError, PerChannel
 from compulse.precision import PrecisionError, working_digits
-from compulse.sequences import Gate, build_builtin, evaluate, naive, pi3_correct
+from compulse.sequences import build_builtin, evaluate, naive, pi3_correct, target_pulse
 
 from oracles import DegenerateDirectionError, format_sci_decimal, xy_error_axis
 
 X = (1, 0, 0)
-Z_PI = Gate((0, 0, 1), Fraction(1, 2))
+Z_PI = target_pulse((0, 0, 1), Fraction(1, 2))
 
 
 class TestDefaultScales:

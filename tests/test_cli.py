@@ -341,6 +341,10 @@ class TestBadInput:
         code, _, err = run(capsys, "--digits", "50", *BAD_INPUTS[key])
         assert (code, err) == (2, "compulse: power of dy must be a non-negative integer, got -1\n")
 
+    def test_a_nested_channels_model_is_named_by_its_config_text(self, capsys):
+        code, _, err = run(capsys, *BAD_INPUTS["channels-nested-empty"])
+        assert (code, err) == (2, "compulse: channel 'target' needs a model of another kind, not channels\n")
+
     @pytest.mark.parametrize("key", ["grid-not-distinct", "grid-not-distinct-fit"])
     def test_a_grid_whose_points_collapse_is_refused_with_its_reason(self, capsys, key):
         code, _, err = run(capsys, *BAD_INPUTS[key])

@@ -21,7 +21,7 @@ from compulse.error_models import (
 )
 from compulse.analysis import component_scan
 from compulse.precision import unit_tolerance, working_digits
-from compulse.sequences import FrameTriad, Gate, Pulse, Role, naive
+from compulse.sequences import FrameTriad, Pulse, Role, naive, target_pulse
 
 import oracles
 from oracles import invert_model_consistency
@@ -89,7 +89,7 @@ class TestOverRotationBound:
     @pytest.mark.parametrize("digits", [16, 60])
     def test_scan_flags_the_row(self, digits):
         with working_digits(digits):
-            seq = naive(Gate(X, Fraction(1, 2)))
+            seq = naive(target_pulse(X, Fraction(1, 2)))
             rows = component_scan(seq, LinearOverRotation(1), ["1e-3", "1e999999999999"]).rows
         # rows run from the largest scale down
         assert rows[0].error and rows[0].infidelity is None
@@ -352,7 +352,7 @@ class TestDescribeUnlistedModel:
     def test_a_model_outside_the_config_kinds_is_named_by_its_class(self):
         model = _ForwardOnlyModel()
         assert describe(model) == "_ForwardOnlyModel"
-        assert component_scan(naive(Gate(X, Fraction(1, 2))), model, [mpf("0.1")]).model == "_ForwardOnlyModel"
+        assert component_scan(naive(target_pulse(X, Fraction(1, 2))), model, [mpf("0.1")]).model == "_ForwardOnlyModel"
 
 
 class TestInvertModelConsistency:
@@ -500,6 +500,20 @@ class TestParseModel:
             parse_model("model=axisdep delta=0.4 deltahat=0.002")
         parse_model("model=axisdep delta=0.1 deltahat=0.01")  # ratio 0.1 allowed
         parse_model("model=axisdep delta=0 deltahat=0.01")  # zero escapes the check
+
+    @pytest.mark.parametrize(
+        "make, key",
+        [
+            (lambda: AxisOverRotation(()), "coeffs"),
+            (lambda: AxisOverRotation((0,), per_axis={"x": ()}), "x"),
+            (lambda: CovariantVector((), (0,), (0,)), "dx"),
+            (lambda: CovariantVector((0,), (0,), ()), "dz"),
+        ],
+    )
+    def test_an_empty_coefficient_list_is_refused(self, make, key):
+        # describe would print it as "coeffs=", which parse_model refuses
+        with pytest.raises(ModelConfigError, match=f"^{key} needs at least one coefficient$"):
+            make()
 
     def test_describe_round_trips_through_parse(self):
         for text in (

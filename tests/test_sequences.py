@@ -27,7 +27,6 @@ from compulse.sequences import (
     Z_AXIS,
     DslError,
     FrameTriad,
-    Gate,
     Pulse,
     PulseSequence,
     Role,
@@ -45,6 +44,7 @@ from compulse.sequences import (
     pulse_count,
     serialize,
     symmetrize,
+    target_pulse,
     total_angle,
 )
 
@@ -54,8 +54,8 @@ X = (1, 0, 0)
 Y = (0, 1, 0)
 Z = (0, 0, 1)
 
-X_PI = Gate(X, Fraction(1, 2))
-Z_PI = Gate(Z, Fraction(1, 2))
+X_PI = target_pulse(X, Fraction(1, 2))
+Z_PI = target_pulse(Z, Fraction(1, 2))
 
 
 def assert_sound(seq, tol=None):
@@ -91,11 +91,12 @@ class TestPulseDagger:
                 assert [c._mpf_ for c in q.axis_in_frame] == [c._mpf_ for c in p.axis_in_frame]
 
 
-class TestGateAndTarget:
+class TestTarget:
     def test_parse_target_pi_pulse(self):
-        g = parse_target("x-pi")
-        assert g.alpha_pi == Fraction(1, 2)
-        assert g.axis == (1, 0, 0)
+        t = parse_target("x-pi")
+        assert t.alpha_pi == Fraction(1, 2)
+        assert t.axis_in_frame == (1, 0, 0)
+        assert (t.frame, t.role, t.channel) == (FrameTriad.identity(), Role.TARGET, "target")
 
     def test_parse_target_fractions(self):
         assert parse_target("z-pi/2").alpha_pi == Fraction(1, 4)
@@ -119,7 +120,7 @@ class TestGateAndTarget:
         # The tilted axis stored at 16 digits is off unit by more than the
         # 60-digit tolerance; the target derives its axis as a pulse does.
         with working_digits(16):
-            gate = Gate(tuple(mpf(c) / 3 for c in (2, 1, 2)), Fraction(1, 3))
+            gate = target_pulse(tuple(mpf(c) / 3 for c in (2, 1, 2)), Fraction(1, 3))
             seq = build_builtin("pi3:Z", gate)
         for digits in (16, 60):
             with working_digits(digits):
@@ -131,18 +132,38 @@ class TestGateAndTarget:
     def test_unitary_is_remade_when_precision_changes(self):
         axis = tuple(mpf(c) / 3 for c in (2, 1, 2))
         with working_digits(16):
-            gate, fresh = Gate(axis, Fraction(1, 3)), Gate(axis, Fraction(1, 3))
-            low = gate.unitary()
-            assert gate.unitary() is low
+            t, fresh = target_pulse(axis, Fraction(1, 3)), target_pulse(axis, Fraction(1, 3))
+            low = t.ideal_unitary()
+            assert t.ideal_unitary() is low
         with working_digits(60):
-            high = gate.unitary()
-            assert high == fresh.unitary()
+            high = t.ideal_unitary()
+            assert high == fresh.ideal_unitary()
             assert high != low
+
+    @pytest.mark.parametrize(
+        "name, positions",
+        [("naive", [0]), ("b2", [0]), ("b4", [0]), ("pi3:X", [1, 5]), ("pi5", [1, 5, 9])],
+    )
+    def test_target_pulse_is_applied_as_itself_with_one_frame_per_precision(self, name, positions):
+        with working_digits(16):
+            seq = build_builtin(name)
+            t = seq.target
+            assert t == parse_target("x-pi")
+            assert [i for i, p in enumerate(seq.pulses) if p is t] == positions
+            low = t.conjugation_frame()
+            assert t.conjugation_frame() is low is t.derived().frame
+            record = t.derived()
+        with working_digits(60):
+            assert t.derived() is not record
+            high = t.conjugation_frame()
+            assert high is not low and t.conjugation_frame() is high is t.derived().frame
+            assert high == FrameTriad.from_unitary(t.ideal_unitary())
 
 
 class TestPi3Correct:
     def test_level1_sound_for_various_targets(self):
-        for gate in (X_PI, Z_PI, Gate(Y, Fraction(1, 4)), Gate(oracles.unit_vector((1, 1, 1)), Fraction(1, 3))):
+        tilted = target_pulse(oracles.unit_vector((1, 1, 1)), Fraction(1, 3))
+        for gate in (X_PI, Z_PI, target_pulse(Y, Fraction(1, 4)), tilted):
             for axis in (X, Y, Z):
                 assert_sound(pi3_correct(naive(gate), axis))
 
@@ -171,7 +192,7 @@ class TestPi3Correct:
 
     def test_conjugated_pulses_carry_target_frame(self):
         seq = pi3_correct(naive(Z_PI), X)
-        u = Z_PI.unitary()
+        u = Z_PI.ideal_unitary()
         f_u = FrameTriad.from_unitary(u)
         conjugated = [p for p in seq.pulses if not p.role.is_target and not p.frame.is_exact_identity()]
         assert len(conjugated) == 2
@@ -231,7 +252,7 @@ class TestPi3Correct:
 
 class TestPi5:
     def test_zero_error_equals_target(self):
-        for gate in (Z_PI, Gate(Z, Fraction(1, 4)), X_PI):
+        for gate in (Z_PI, target_pulse(Z, Fraction(1, 4)), X_PI):
             assert_sound(pi5_sequence(gate))
 
     def test_five_target_applications(self):
@@ -644,16 +665,15 @@ class TestDaggerPairSharing:
             p = Pulse(frame, oracles.unit_vector(axis), alpha_pi, role, "pi3")
         with working_digits(derive):
             q = p.daggered()
-            first, second = (q, p) if partner_first else (p, q)
-            lent = first.derived()
-            assert second.derived().axis is lent.axis
-            for pulse in (first, second):
+            for pulse in (q, p) if partner_first else (p, q):
                 record = pulse.derived()
                 lab = oracles.frame_map_expr(pulse.frame, pulse.axis_in_frame)
                 want_axis = oracles.unit_axis_expr(lab)
                 want_alpha = mp.pi * pulse.alpha_pi.numerator / pulse.alpha_pi.denominator
                 assert [c._mpf_ for c in record.axis] == [c._mpf_ for c in want_axis]
                 assert record.alpha._mpf_ == want_alpha._mpf_
+            assert [c._mpf_ for c in q.derived().axis] == [c._mpf_ for c in p.derived().axis]
+            assert q.derived().alpha._mpf_ == (-p.derived().alpha)._mpf_
 
     @pytest.mark.parametrize(
         "line, linked",
@@ -716,7 +736,7 @@ def _axis_entry_outcomes(axis, frame_scale) -> dict:
             f"target 1 0 0 1/2\npulse {text} 1/6 correction pi3 frame {f} 0 0 0 {f} 0 0 0 {f}\n"
         ),
         "Pulse": lambda: PulseSequence(X_PI, (Pulse(frame, axis, Fraction(1, 6), Role.CORRECTION, "pi3"),)),
-        "Gate": lambda: naive(Gate(axis, Fraction(1, 2))),
+        "target_pulse": lambda: naive(target_pulse(axis, Fraction(1, 2))),
         "pi3_correct": lambda: pi3_correct(naive(X_PI), axis),
         "from_generator": lambda: su2.from_generator(axis, mpf("0.3")),
     }
@@ -847,7 +867,7 @@ class TestDsl:
         seq = build_builtin(name)
         back = parse(serialize(seq))
         assert back.target.alpha_pi == seq.target.alpha_pi
-        assert back.target.axis == seq.target.axis
+        assert back.target.axis_in_frame == seq.target.axis_in_frame
         assert len(back.pulses) == len(seq.pulses)
         assert all(_pulses_identical(p, q) for p, q in zip(seq.pulses, back.pulses))
 
@@ -859,7 +879,7 @@ class TestDsl:
 
     def test_round_trip_at_extended_precision(self):
         with working_digits(60):
-            seq = build_builtin("pi3:Z", Gate(oracles.unit_vector((2, 1, 2)), Fraction(1, 3)))
+            seq = build_builtin("pi3:Z", target_pulse(oracles.unit_vector((2, 1, 2)), Fraction(1, 3)))
             back = parse(serialize(seq))
             assert all(_pulses_identical(p, q) for p, q in zip(seq.pulses, back.pulses))
 
@@ -1070,27 +1090,29 @@ class TestFileFlow:
 
     def test_a_build_derives_the_conjugation_frame_once(self, monkeypatch):
         frames = _count_calls(monkeypatch, FrameTriad, "from_unitary")
-        gate = parse_target("x-pi")
+        t = parse_target("x-pi")
         with working_digits(16):
-            seq = build_builtin("concat:XZYYXZ", gate)
+            seq = build_builtin("concat:XZYYXZ", t)
             assert len(frames) == 1
-            # every level's conjugated pulses hold the gate's one frame
-            assert {id(p.frame) for p in seq.pulses if not p.frame.is_exact_identity()} == {id(gate.frame())}
-            build_builtin("concat:XZYYXZ", gate)
+            # every level's conjugated pulses hold the target's one frame
+            assert {id(p.frame) for p in seq.pulses if not p.frame.is_exact_identity()} == {
+                id(t.conjugation_frame())
+            }
+            build_builtin("concat:XZYYXZ", t)
             assert len(frames) == 1
         with working_digits(60):
-            build_builtin("concat:XZYYXZ", gate)
+            build_builtin("concat:XZYYXZ", t)
             assert len(frames) == 2
-            fresh = FrameTriad.from_unitary(gate.unitary())
-            kept = gate.frame()
+            fresh = FrameTriad.from_unitary(t.ideal_unitary())
+            kept = t.conjugation_frame()
             bits = [[c._mpf_ for c in f.ex + f.ey + f.ez] for f in (kept, fresh)]
             assert bits[0] == bits[1]
 
-    def test_pi5_uses_the_gate_frame(self, monkeypatch):
-        gate = parse_target("z-pi/2")
-        frame = gate.frame()
+    def test_pi5_uses_the_target_conjugation_frame(self, monkeypatch):
+        t = parse_target("z-pi/2")
+        frame = t.conjugation_frame()
         frames = _count_calls(monkeypatch, FrameTriad, "from_unitary")
-        seq = pi5_sequence(gate)
+        seq = pi5_sequence(t)
         assert frames == []
         assert {id(p.frame) for p in seq.pulses if not p.frame.is_exact_identity()} == {id(frame)}
 

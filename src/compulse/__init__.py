@@ -23,6 +23,7 @@ from .su2 import (
 )
 from .sequences import (
     DslError,
+    FrameOf,
     FrameTriad,
     Pulse,
     PulseSequence,

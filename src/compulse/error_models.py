@@ -17,8 +17,8 @@ Over-rotation amounts are functions of the unsigned rotation angle
 ``theta = 2*|alpha|`` (polynomials here, degree-bounded for
 reproducibility); the generator offset is ``eps(theta)/2`` with the sign
 of the generator.  Vector-type errors right-multiply the ideal pulse by
-``exp(i*(F.delta).sigma)`` where F is the pulse's frame triad, which makes
-a conjugated pulse carry the conjugated error automatically.
+``exp(i*(F.delta).sigma)`` where F is the pulse's frame at the working
+precision, which makes a conjugated pulse carry the conjugated error.
 
 Config strings (see :func:`parse_model`)::
 
@@ -225,7 +225,8 @@ class AxisDependentPi3(ErrorModel):
     """Additive over-rotation of the "pi3" channel's correction pulses
     only, different for the two conjugation classes: ``delta`` on
     unconjugated (identity frame) pulses and ``delta_hat`` on conjugated
-    ones.  Combine with another model via :class:`PerChannel`."""
+    ones, as the frame's numbers tell (so a frame conjugated into x-0pi
+    counts as identity).  Combine with another model via :class:`PerChannel`."""
 
     CHANNELS = ("pi3",)
 

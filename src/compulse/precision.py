@@ -45,13 +45,13 @@ def require_digits(digits: int, what: str) -> None:
 
 @contextmanager
 def working_digits(digits: int):
-    """Temporarily switch precision (mainly for tests and oracles)."""
-    saved = mp.dps
+    """Temporarily switch precision; the caller's ``mp.prec`` comes back exactly."""
+    saved = mp.prec
     set_digits(digits)
     try:
         yield
     finally:
-        mp.dps = saved
+        mp.prec = saved
 
 
 _DECIMAL = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?", re.ASCII)

@@ -13,11 +13,12 @@ Conventions that prevent the classic factor-of-2 and ordering bugs:
   gate.  Every builder's output evaluates, under the all-zero error model,
   to its ideal unitary; the test suite enforces this for each builder.
 
-A pulse carries a frame triad (its local axes in lab coordinates).  The
-frame both fixes the lab rotation axis and transports vector-type errors,
-which is what makes a conjugated correction pulse carry the conjugated
-error by construction.  The target pulse's conjugation frame (see
-:meth:`Pulse.conjugation_frame`) conjugates a correction into the target.
+A pulse carries a frame (its local axes in lab coordinates): a
+:class:`FrameTriad`, or a :class:`FrameOf` reference to the pulse whose
+conjugation frame it is.  The frame both fixes the lab rotation axis and
+transports vector-type errors, so a conjugated correction carries the
+conjugated error by construction.  Builders conjugate a correction by
+reference to the target, so its frame is derived at evaluation precision.
 """
 
 from __future__ import annotations
@@ -125,11 +126,6 @@ class FrameTriad:
             return v
         return tuple(x * a + y * b + z * c for a, b, c in zip(self.ex, self.ey, self.ez))
 
-    def is_exact_identity(self) -> bool:
-        return (
-            self.ex == (1, 0, 0) and self.ey == (0, 1, 0) and self.ez == (0, 0, 1)
-        )
-
     def is_identity(self) -> bool:
         if self is _IDENTITY_FRAME:
             return True
@@ -145,6 +141,20 @@ def _det3(a: Vec3, b: Vec3, c: Vec3):
 
 
 _IDENTITY_FRAME = FrameTriad(X_AXIS, Y_AXIS, Z_AXIS)
+
+
+@dataclass(frozen=True)
+class FrameOf:
+    """``pulse.conjugation_frame()`` at the working precision, read through
+    a reference; equal for equal pulses."""
+
+    pulse: "Pulse"
+
+    def map(self, v: Iterable) -> Vec3:
+        return self.pulse.conjugation_frame().map(v)
+
+    def is_identity(self) -> bool:
+        return self.pulse.conjugation_frame().is_identity()
 
 
 def _frac_to_radians(f: Fraction) -> mpf:
@@ -184,7 +194,7 @@ class Pulse:
     loads as shared, linked pulses) once per model and scale value.
     """
 
-    frame: FrameTriad
+    frame: "FrameTriad | FrameOf"
     axis_in_frame: Vec3
     alpha_pi: Fraction
     role: Role
@@ -228,8 +238,8 @@ class Pulse:
 
     def conjugation_frame(self) -> FrameTriad:
         """The lab axes rotated by this pulse's ideal unitary: the frame that
-        conjugates a pulse into this one's.  Kept in the record, so every
-        level of a chain on one target shares one :class:`FrameTriad`."""
+        conjugates a pulse into this one's.  Kept in the record, so each
+        :class:`FrameOf` reference reads one triad per precision."""
         record = self.derived()
         if record.frame is None:
             record.frame = FrameTriad.from_unitary(self.ideal_unitary())
@@ -311,16 +321,14 @@ def pi3_correct(inner: PulseSequence, axis: Iterable) -> PulseSequence:
     """Wrap a sequence in the seven-slot pi/3 correction about ``axis``.
 
     Time order: C0^ inner Ct inner^ C0 inner Ct^, where C0 is the pi/3
-    rotation about ``axis`` and Ct is the same pulse conjugated into the
-    target's conjugation frame.  Pulse count obeys n -> 3n + 4.
+    rotation about ``axis`` and Ct is the same pulse in the frame
+    ``FrameOf(inner.target)``.  Pulse count obeys n -> 3n + 4.
     """
     axis = su2.unit_axis(su2.tighten_axis(axis))
-    f_id = FrameTriad.identity()
-    f_u = inner.target.conjugation_frame()
     sixth = Fraction(1, 6)
 
-    c0 = Pulse(f_id, axis, sixth, Role.CORRECTION, "pi3")
-    ct = Pulse(f_u, axis, sixth, Role.CORRECTION, "pi3")
+    c0 = Pulse(FrameTriad.identity(), axis, sixth, Role.CORRECTION, "pi3")
+    ct = Pulse(FrameOf(inner.target), axis, sixth, Role.CORRECTION, "pi3")
     inner_dagger = tuple(p.daggered() for p in reversed(inner.pulses))
 
     pulses = (c0.daggered(), *inner.pulses, ct, *inner_dagger, c0, *inner.pulses, ct.daggered())
@@ -336,11 +344,11 @@ def pi5_sequence(t: Pulse, perfect: bool = True) -> PulseSequence:
     with the target at zero error without touching the state-fidelity
     scaling.  With ``perfect`` the auxiliary rotations sit on the
     "perfect" channel; otherwise on "pi3" so an error model can reach
-    them.
+    them.  Conjugated ones are in the frame ``FrameOf(t)``.
     """
     ch = "perfect" if perfect else "pi3"
     f_id = FrameTriad.identity()
-    f_u = t.conjugation_frame()
+    f_u = FrameOf(t)
 
     def aux(frame, alpha_pi):
         return Pulse(frame, X_AXIS, Fraction(alpha_pi), Role.CORRECTION, ch)
@@ -361,18 +369,19 @@ def pi5_sequence(t: Pulse, perfect: bool = True) -> PulseSequence:
     return PulseSequence(t, pulses, name="pi5")
 
 
-def _phase_blocks(name: str, theta_pi, span: int, layout: tuple) -> PulseSequence:
-    """A ``theta`` rotation about x followed in time by correction pulses
-    about xy-plane axes, with cos(phi) = -theta/(span*pi).
+def _phase_blocks(name: str, t: Pulse, span: int, layout: tuple) -> PulseSequence:
+    """The target pulse ``t``, a ``theta`` rotation about x, followed in time
+    by correction pulses about xy-plane axes, with cos(phi) = -theta/(span*pi).
 
     ``layout`` lists each correction pulse as (phase multiple k, generator
     angle in units of pi); its axis sits at phase k*phi.  Repeated entries
     share one :class:`Pulse`.
     """
-    theta_pi = Fraction(theta_pi)
+    if su2.axis_name(t.axis_in_frame) != "x":
+        raise SequenceError(f"{name} corrects rotations about x; got axis {_axis_label(t.axis_in_frame)}")
+    theta_pi = 2 * t.alpha_pi
     if abs(theta_pi) > span:
         raise SequenceError(f"{name} needs |theta| <= {span}*pi for a real correction phase")
-    t = target_pulse(X_AXIS, theta_pi / 2)
     phi = acos(-mpf(theta_pi.numerator) / theta_pi.denominator / span)
     made = {}
     for k, alpha_pi in set(layout):
@@ -387,22 +396,22 @@ _B2_BLOCK = ((1, Fraction(1, 2)), (3, Fraction(1)), (1, Fraction(1, 2)))
 _B4_LAYOUT = _B2_BLOCK * 4 + ((1, Fraction(-1)), (-1, Fraction(-2)), (1, Fraction(-1))) + _B2_BLOCK * 4
 
 
-def b2(theta_pi: Fraction = Fraction(1)) -> PulseSequence:
-    """Second-order compensation of a ``theta`` rotation about x (BB1 family).
+def b2(t: Pulse) -> PulseSequence:
+    """Second-order compensation of ``t``, a ``theta`` rotation about x.
 
     Correction pulses rotate about xy-plane axes at phases phi and 3*phi
-    with cos(phi) = -theta/(4*pi); the target pulse comes first in time.
+    with cos(phi) = -theta/(4*pi); ``t`` itself comes first in time.
     """
-    return _phase_blocks("b2", theta_pi, 4, _B2_BLOCK)
+    return _phase_blocks("b2", t, 4, _B2_BLOCK)
 
 
-def b4(theta_pi: Fraction = Fraction(1)) -> PulseSequence:
-    """Fourth-order compensation of a ``theta`` rotation about x.
+def b4(t: Pulse) -> PulseSequence:
+    """Fourth-order compensation of ``t``, a ``theta`` rotation about x.
 
-    27 correction pulses: two palindromic four-fold blocks around a
-    negative-angle middle block, phases from cos(phi) = -theta/(24*pi).
+    ``t``, then 27 correction pulses: two palindromic four-fold blocks
+    around a negative-angle middle block, cos(phi) = -theta/(24*pi).
     """
-    return _phase_blocks("b4", theta_pi, 24, _B4_LAYOUT)
+    return _phase_blocks("b4", t, 24, _B4_LAYOUT)
 
 
 def symmetrize(seq: PulseSequence) -> PulseSequence:
@@ -418,7 +427,7 @@ def symmetrize(seq: PulseSequence) -> PulseSequence:
     target_like = (
         head.role == Role.TARGET
         and head.channel == "target"
-        and head.frame.is_exact_identity()
+        and head.frame == FrameTriad.identity()
         and head.alpha_pi == seq.target.alpha_pi
         and su2.axes_match(head.axis_in_frame, seq.target.axis_in_frame)
     )
@@ -457,20 +466,6 @@ def parse_target(spec: str) -> Pulse:
     return target_pulse(LAB_AXES[axis.upper()], rotation / 2)
 
 
-def _about_x(builder, sym: bool = False):
-    """Base builder for a b2/b4 compensator, which corrects rotations about x."""
-    label = builder.__name__ + "sym" * sym
-
-    def build(target: Pulse) -> PulseSequence:
-        axis = target.axis_in_frame
-        if su2.axis_name(axis) != "x":
-            raise SequenceError(f"{label} corrects rotations about x; got axis {_axis_label(axis)}")
-        seq = builder(2 * target.alpha_pi)
-        return symmetrize(seq) if sym else seq
-
-    return build
-
-
 def pulse_count(levels: int, base: int = 1) -> int:
     """Length after ``levels`` pi/3 corrections onto ``base`` pulses: n -> 3n + 4,
     in closed form."""
@@ -488,12 +483,12 @@ _BUILTINS = {
     "naive": (naive, ""),
     **{f"pi3:{a}": (naive, a) for a in LAB_AXES},
     "pi5": (pi5_sequence, ""),
-    "b2": (_about_x(b2), ""),
-    "b4": (_about_x(b4), ""),
-    "b2sym": (_about_x(b2, sym=True), ""),
-    "b4sym": (_about_x(b4, sym=True), ""),
-    "pi3Y∘b2sym": (_about_x(b2, sym=True), "Y"),
-    "pi3Y∘b4sym": (_about_x(b4, sym=True), "Y"),
+    "b2": (b2, ""),
+    "b4": (b4, ""),
+    "b2sym": (lambda t: symmetrize(b2(t)), ""),
+    "b4sym": (lambda t: symmetrize(b4(t)), ""),
+    "pi3Y∘b2sym": (lambda t: symmetrize(b2(t)), "Y"),
+    "pi3Y∘b4sym": (lambda t: symmetrize(b4(t)), "Y"),
 }
 BUILTIN_NAMES = tuple(_BUILTINS)
 
@@ -544,7 +539,7 @@ def build_builtin(name: str, target: Optional[Pulse] = None) -> PulseSequence:
 #
 #   # sequence: <name>
 #   target <nx> <ny> <nz> <p>/<q>
-#   pulse <nx> <ny> <nz> <p>/<q> <role> <channel> [frame <9 numbers>]
+#   pulse <nx> <ny> <nz> <p>/<q> <role> <channel> [frame target | frame <9 numbers>]
 #
 # Scalars are written with dps + 4 digits: dps decimal digits do not always
 # pin down a value of mp.prec bits, and four more do, so a written number
@@ -561,31 +556,31 @@ def _axis_angle(axis: Vec3, alpha_pi: Fraction) -> str:
 
 
 def serialize(seq: PulseSequence) -> str:
-    """The sequence in the text format.  Each distinct pulse object is
-    formatted once and each distinct frame object's nine numbers once; a
-    repeated pulse or frame reuses its text."""
+    """The sequence in the text format, each distinct pulse object formatted
+    once.  ``FrameOf(seq.target)`` is written ``frame target``, and any
+    other frame but the identity as nine numbers at the working precision."""
     lines = [f"# sequence: {seq.name}"] if seq.name else []
     lines.append("target " + _axis_angle(seq.target.axis_in_frame, seq.target.alpha_pi))
     formatted = {}  # id(pulse) -> its line; seq.pulses keeps every id alive
-    frames = {}  # id(frame) -> its frame block, kept alive the same way
     for p in seq.pulses:
         line = formatted.get(id(p))
         if line is None:
-            line = formatted[id(p)] = _format_pulse(p, frames)
+            line = formatted[id(p)] = _format_pulse(p, seq.target)
         lines.append(line)
     return "\n".join(lines) + "\n"
 
 
-def _format_pulse(p: Pulse, frames: dict) -> str:
-    """The pulse line of ``p``; its frame block comes from ``frames``, an
-    ``id(frame)`` -> text dict that this call fills on a miss."""
+def _format_pulse(p: Pulse, target: Pulse) -> str:
+    """The pulse line of ``p`` in a sequence whose target is ``target``."""
     line = f"pulse {_axis_angle(p.axis_in_frame, p.alpha_pi)} {p.role.value} {p.channel}"
     f = p.frame
-    block = frames.get(id(f))
-    if block is None:
-        block = "" if f.is_exact_identity() else " frame " + " ".join(map(format_scalar, f.ex + f.ey + f.ez))
-        frames[id(f)] = block
-    return line + block
+    if isinstance(f, FrameOf):
+        if f.pulse == target:
+            return line + " frame target"
+        f = f.pulse.conjugation_frame()
+    if f == FrameTriad.identity():
+        return line
+    return line + " frame " + " ".join(map(format_scalar, f.ex + f.ey + f.ez))
 
 
 _TOKEN_RE = re.compile(r"\S+")
@@ -622,18 +617,16 @@ def parse(text: str) -> PulseSequence:
     """Parse the line-oriented sequence format; errors carry line and column.
 
     Pulse lines that load to equal values (``1`` and ``1.0`` alike, whatever
-    the spacing or trailing comment) load as one shared :class:`Pulse`,
-    and pulses whose frame blocks have the same nine tokens share one
-    :class:`FrameTriad`.  Dagger partners are linked by value: a pulse
-    whose :meth:`Pulse.daggered` value is also in the file is linked to
-    that pulse.  A pulse line that repeats an earlier line exactly is
+    the spacing or trailing comment) load as one shared :class:`Pulse`;
+    ``frame target`` reads as ``FrameOf(target)``.  Dagger partners are
+    linked by value: a pulse whose :meth:`Pulse.daggered` value is also in
+    the file is linked to that pulse.  A pulse line that repeats an earlier line exactly is
     looked up as read, without splitting or reading its numbers again.
     """
     target = None
     pulses = []
     name = ""
     made = {}  # text of a pulse line -> the Pulse it built
-    frames = {}  # the nine tokens of a frame block -> its FrameTriad
     shared = {}  # pulse value -> its one Pulse, closed under daggered()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         pulse = made.get(raw)  # a bad line never enters `made`
@@ -656,12 +649,8 @@ def parse(text: str) -> PulseSequence:
         elif head == "pulse":
             if target is None:
                 raise DslError("pulse before target line", lineno, head_col)
-            if len(toks) not in (7, 17):
-                raise DslError(
-                    "pulse needs axis, angle, role, channel and optionally 'frame' + 9 numbers",
-                    lineno,
-                    head_col,
-                )
+            if len(toks) < 7:
+                raise DslError("pulse needs axis, angle, role, channel and optionally a frame", lineno, head_col)
         else:
             raise DslError(f"unknown directive {head!r}", lineno, head_col)
         axis = tuple(_parse_scalar(t, c, lineno) for t, c in toks[1:4])
@@ -678,20 +667,7 @@ def parse(text: str) -> PulseSequence:
         except ValueError:
             raise DslError(f"unknown role {role_tok!r}", lineno, role_col) from None
         channel_tok, channel_col = toks[6]
-        frame = FrameTriad.identity()
-        if len(toks) == 17:
-            kw, kw_col = toks[7]
-            if kw != "frame":
-                raise DslError(f"expected 'frame', got {kw!r}", lineno, kw_col)
-            frame_key = tuple(t for t, _ in toks[8:])
-            frame = frames.get(frame_key)
-            if frame is None:
-                nums = [_parse_scalar(t, c, lineno) for t, c in toks[8:17]]
-                try:
-                    frame = FrameTriad(tuple(nums[0:3]), tuple(nums[3:6]), tuple(nums[6:9]))
-                except SequenceError as exc:
-                    raise DslError(str(exc), lineno, kw_col) from None
-                frames[frame_key] = frame
+        frame = _parse_frame(toks[7:], target, lineno) if len(toks) > 7 else FrameTriad.identity()
         try:
             pulse = Pulse(frame, axis, alpha, role, channel_tok)
         except su2.InvalidAxisError as exc:
@@ -705,3 +681,21 @@ def parse(text: str) -> PulseSequence:
     if target is None:
         raise DslError("missing target line", 1, 1)
     return PulseSequence(target, tuple(pulses), name=name)
+
+
+def _parse_frame(toks: list, target: Pulse, lineno: int):
+    """The frame of a pulse line from its (token, column) pairs after the channel."""
+    (kw, kw_col), rest = toks[0], toks[1:]
+    if kw != "frame":
+        raise DslError(f"expected 'frame', got {kw!r}", lineno, kw_col)
+    if rest and rest[0][0] == "target":
+        if len(rest) > 1:
+            raise DslError(f"unexpected {rest[1][0]!r} after 'frame target'", lineno, rest[1][1])
+        return FrameOf(target)
+    if len(rest) != 9:
+        raise DslError("'frame' needs 'target' or 9 numbers", lineno, kw_col)
+    nums = [_parse_scalar(t, c, lineno) for t, c in rest]
+    try:
+        return FrameTriad(tuple(nums[0:3]), tuple(nums[3:6]), tuple(nums[6:9]))
+    except SequenceError as exc:
+        raise DslError(str(exc), lineno, kw_col) from None

@@ -17,8 +17,9 @@ expressions.
 decimal through the standard library's ``decimal``, sharing no code with
 ``analysis.format_sci``.  The quaternion helpers at the end
 (:func:`norm`, :func:`unit_vector`, :func:`conjugate_frame`,
-:func:`phase_opt_trace_distance`, :func:`xy_error_axis`) are built on the
-library's kernels; no library code needs them.
+:func:`phase_opt_trace_distance`, :func:`axis_distance`,
+:func:`xy_error_axis`) are built on the library's kernels; no library code
+needs them.
 """
 
 from decimal import ROUND_HALF_UP, Context, Decimal, Inexact, localcontext
@@ -212,6 +213,16 @@ def phase_opt_trace_distance(ideal, actual) -> mpf:
     """
     v = su2.error_unitary(ideal, actual)
     return 2 * su2.vec_norm((v.x, v.y, v.z))
+
+
+def axis_distance(ideal, actual, axis) -> mpf:
+    """D_a = |v x a|^2 for the vector part v of the error quaternion
+    ideal^dagger * actual and a unit lab axis a: 1 - |<a| ideal^dagger
+    actual |a>|^2 on the +1 eigenstate |a> of a.sigma."""
+    v = su2.error_unitary(ideal, actual)
+    a = su2.as_vec3(axis)
+    cross = (v.y * a[2] - v.z * a[1], v.z * a[0] - v.x * a[2], v.x * a[1] - v.y * a[0])
+    return sum(c * c for c in cross)
 
 
 class DegenerateDirectionError(ValueError):

@@ -99,7 +99,7 @@ class TestBuildSimulate:
         code, out, err = run(capsys, "build", "--seq", "pi3Y∘b2sym", "--target", "y-pi")
         assert code == 2
         assert out == ""
-        assert err == "compulse: b2sym corrects rotations about x; got axis Y\n"
+        assert err == "compulse: b2 corrects rotations about x; got axis Y\n"
 
     def test_seq_and_file_are_exclusive(self, capsys, tmp_path):
         path = tmp_path / "s.txt"
@@ -589,7 +589,7 @@ def readme_commands():
 # hash and says so.
 README_OUTPUT_SHA256 = (
     "c29345eb3181529a764d23b73ccd3d1a2f289a6ae5b321c4c5465a96656ebb22",
-    "0050cacca1dc05d5daa17f99a89bd6c0472f7e2b81843ca01e7cd6c59af26db7",
+    "2af8f73d033d718fc59b67d7933e257652206a0451703c18d20661b4bebb38e8",
     "9c835bcb540c3e00b777e33d75c8c6cba3556ff4cbb63a8c477a68ef34f2ffe2",
     "a51e286d56965a6c065685fc85d904b74bac372513a10493c81a5c3489b14c1e",
     "0ca05ee33aba9ca480ac3b06e7e36779125ab659b033d88e655dd3ea055f503d",

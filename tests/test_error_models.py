@@ -21,7 +21,17 @@ from compulse.error_models import (
 )
 from compulse.analysis import component_scan
 from compulse.precision import unit_tolerance, working_digits
-from compulse.sequences import FrameTriad, Pulse, Role, naive, target_pulse
+from compulse.sequences import (
+    FrameOf,
+    FrameTriad,
+    Pulse,
+    Role,
+    build_builtin,
+    evaluate,
+    naive,
+    parse_target,
+    target_pulse,
+)
 
 import oracles
 from oracles import invert_model_consistency
@@ -245,6 +255,20 @@ class TestAxisDependentPi3:
         p = Pulse(FrameTriad.from_unitary(u), Y, Fraction(1, 6), Role.CORRECTION, "pi3")
         want = su2.from_generator(su2.rotate_vector(u, Y), pi / 6 + mpf("0.02"))
         assert q_close(model.realize(p), want)
+
+    @pytest.mark.parametrize("target,conjugated", [("x-0pi", False), ("x-2pi", False), ("x-pi", True)])
+    def test_a_reference_to_the_target_is_classed_by_its_frame_numbers(self, target, conjugated):
+        # A FrameOf whose target frame is numerically the identity (a 0 or
+        # 2pi target) gets delta, like an unconjugated pulse.
+        t = parse_target(target)
+        ct = Pulse(FrameOf(t), Y, Fraction(1, 6), Role.CORRECTION, "pi3")
+        assert ct.frame.is_identity() is not conjugated
+        model = AxisDependentPi3(mpf("0.01"), mpf("0.02"))
+        delta = mpf("0.02") if conjugated else mpf("0.01")
+        assert q_close(model.realize(ct), su2.from_generator(ct.derived().axis, pi / 6 + delta))
+        seq = build_builtin("pi3:Y", t)
+        plain = AxisDependentPi3(mpf("0.01"), mpf("0.01"))
+        assert (evaluate(seq, model) == evaluate(seq, plain)) is not conjugated
 
     def test_leaves_target_channel_ideal(self):
         model = AxisDependentPi3(mpf("0.01"), mpf("0.02"))

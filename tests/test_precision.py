@@ -4,6 +4,19 @@ from mpmath import mp, mpf
 from compulse.precision import parse_decimal, parse_integer, working_digits
 
 
+class TestWorkingDigits:
+    @pytest.mark.parametrize("prec", [200, 333, 54])
+    def test_restores_a_precision_no_whole_number_of_digits_sets(self, prec):
+        mp.prec = prec
+        with working_digits(60):
+            assert mp.dps == 60
+        assert mp.prec == prec
+        with pytest.raises(ZeroDivisionError):
+            with working_digits(30):
+                1 / 0
+        assert mp.prec == prec
+
+
 class TestParseDecimal:
     @pytest.mark.parametrize("text", ["1", "-0.5", ".5", "5.", "1e-3", "1E+3", "+1", "007", "-0", "1e999999999999"])
     def test_reads_decimal_numerals(self, text):

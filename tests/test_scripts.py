@@ -7,14 +7,23 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from mpmath import mp
+from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp
 
 from compulse import su2
 from compulse.cli import main
 from compulse.error_models import parse_model
 from compulse.precision import working_digits
-from compulse.sequences import Role, SequenceError, build_builtin, parse, parse_target, serialize
+from compulse.sequences import (
+    BUILTIN_NAMES,
+    Role,
+    SequenceError,
+    build_builtin,
+    evaluate,
+    parse,
+    parse_target,
+    serialize,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 ORDER_SCALING = ROOT / "scripts" / "order_scaling.py"
@@ -118,17 +127,30 @@ class TestEvaluateDigest:
         monkeypatch.setattr(su2, "multiply", _flipping(su2.multiply))
         assert wrapped_digest(self.NAMES, self.MODELS) != want
 
-    def test_results_keep_their_pinned_bits(self):
-        # All five model kinds, dagger pairs, the text round trip and a
-        # 16-digit build evaluated at 60.  A change that alters result bits
-        # on purpose updates these hashes and says so.
+    # All five model kinds, dagger pairs and the text round trip.  A change
+    # that alters result bits on purpose updates these hashes and says so.
+    PINNED = ("pi3:Y", "pi5", "b2sym", "pi3Y∘b2sym", "concat:ZZY:b2sym")
+
+    def test_results_at_one_precision_keep_their_pinned_bits(self):
+        # Built, written, read and evaluated at one precision.
         module = _load_evaluate_digest()
-        names = ("pi3:Y", "pi5", "b2sym", "pi3Y∘b2sym", "concat:ZZY:b2sym")
-        assert module.digest(names, module.MODELS, (16, 60)) == (
-            "a3b9698d9abd5f67c5576323b85c96944df4775ff2a7c0e411ae9c4a7a516be4"
+        assert module.digest(self.PINNED, module.MODELS, (16,)) == (
+            "28d6883e05999a3f6fef06ec1a127a7901d1980bc4bda0ad9936dfe5e1d5152a"
+        )
+        assert module.digest(self.PINNED, module.MODELS, (60,)) == (
+            "49d87cf700723fdeaca235c9811d3c40980ce995c13428f4e2cc12ef8af916b9"
+        )
+
+    def test_results_across_precisions_keep_their_pinned_bits(self):
+        # A 16-digit build evaluated at 60, and pi3_correct at 60 digits
+        # around 16-digit builds.  Conjugated pulses refer to their target,
+        # so their frames are derived at 60 digits.
+        module = _load_evaluate_digest()
+        assert module.digest(self.PINNED, module.MODELS, (16, 60)) == (
+            "44d1b4a0b5eb82fb2521034ec9e3f7aa00553e513a5bd0bc6bb0bce0974755a0"
         )
         assert module.wrapped_digest(("pi3:Y", "pi5", "b2sym"), module.MODELS) == (
-            "31fccdf9c2433b6ad1735c3b3994499e0dcadfcebdad6c8cb03efa843373db43"
+            "0f3c740af2f1b88e669c51a2c609e68a69700885443db179c50e6346af7e9076"
         )
 
     def test_written_text_keeps_its_pinned_bytes_and_reads_back(self):
@@ -145,7 +167,7 @@ class TestEvaluateDigest:
                     continue
                 assert serialize(parse(text)) == text
             h.update(text.encode())
-        assert h.hexdigest() == "7b2b7d2b9c5838155c751016a377c21a2482ca06808fdaadc93d3c8c6ca23fde"
+        assert h.hexdigest() == "954ab19849c7451cd24e7ebcb73450f4f3b6f35b97f5aa2c7e5e7f8e84a0532d"
 
     @pytest.mark.parametrize("digits", [16, 60])
     def test_a_respelled_file_loads_and_evaluates_like_its_canonical_text(self, digits):
@@ -161,9 +183,52 @@ class TestEvaluateDigest:
                 assert list(module._results(other, models)) == list(module._results(canonical, models))
 
 
+# The b2/b4 family: its xy-plane correction axes are still rounded at the
+# build precision (ROADMAP item 6, second step).
+B_FAMILY = ("b2", "b4", "b2sym", "b4sym", "pi3Y∘b2sym", "pi3Y∘b4sym", "concat:ZZY:b2sym")
+LEAK_NAMES = BUILTIN_NAMES + ("concat:XY", "concat:XYZXY", "concat:ZZY:b2sym")
+LEAK_TARGETS = ("x-pi", "x-pi/2", "z-pi", "y-3pi/4")
+LEAK_MODELS = (
+    "model=linear eps=0.01",
+    "model=vector dx=0.01;dy=-0.004,0.002;dz=0.003",
+    "model=axisdep delta=0.01 deltahat=0.02",
+)
+
+
+def _leaks(names) -> list:
+    """(name, target, model) where ``names`` built at 16 digits and evaluated
+    at 60 differ from the 60-digit build, under LEAK_MODELS; builtins that
+    reject a target are skipped."""
+    leaks = []
+    for name, target in product(names, LEAK_TARGETS):
+        with working_digits(16):
+            try:
+                low = build_builtin(name, parse_target(target))
+            except SequenceError:  # the b family corrects rotations about x only
+                continue
+        with working_digits(60):
+            high = build_builtin(name, parse_target(target))
+            for config in LEAK_MODELS:
+                model = parse_model(config)
+                if evaluate(low, model, mpf(1)) != evaluate(high, model, mpf(1)):
+                    leaks.append((name, target, config))
+    return leaks
+
+
+class TestBuildPrecision:
+    @pytest.mark.parametrize("name", [n for n in LEAK_NAMES if n not in B_FAMILY])
+    def test_a_16_digit_build_evaluates_at_60_like_a_60_digit_build(self, name):
+        assert _leaks([name]) == []
+
+    @pytest.mark.xfail(strict=True, reason="b2/b4 axes are rounded at build precision (ROADMAP item 6)")
+    def test_the_b_family_evaluates_at_60_like_a_60_digit_build(self):
+        assert _leaks(B_FAMILY) == []
+
+
 def _respell_dagger_lines(text: str) -> str:
     """``text`` with every number of its dagger pulse lines spelled with one
-    more decimal zero ("1" as "1.0", "0.25e-3" as "0.250e-3")."""
+    more decimal zero ("1" as "1.0", "0.25e-3" as "0.250e-3"); a
+    ``frame target`` block is kept."""
 
     def respell(tok):
         mantissa, e, exponent = tok.partition("e")
@@ -174,7 +239,8 @@ def _respell_dagger_lines(text: str) -> str:
         words = line.split()
         if words[0] == "pulse" and Role(words[5]).is_dagger:
             words[1:4] = map(respell, words[1:4])
-            words[8:] = map(respell, words[8:])
+            if words[8:9] != ["target"]:
+                words[8:] = map(respell, words[8:])
         lines.append(" ".join(words))
     return "\n".join(lines) + "\n"
 

@@ -26,6 +26,7 @@ from compulse.sequences import (
     MAX_PULSES,
     Z_AXIS,
     DslError,
+    FrameOf,
     FrameTriad,
     Pulse,
     PulseSequence,
@@ -190,15 +191,17 @@ class TestPi3Correct:
         assert all(p.channel == "pi3" for p in seq.pulses if not p.role.is_target)
         assert all(p.alpha_pi in (Fraction(1, 6), Fraction(-1, 6)) for p in seq.pulses if not p.role.is_target)
 
-    def test_conjugated_pulses_carry_target_frame(self):
+    def test_conjugated_pulses_refer_to_the_target(self):
         seq = pi3_correct(naive(Z_PI), X)
-        u = Z_PI.ideal_unitary()
-        f_u = FrameTriad.from_unitary(u)
-        conjugated = [p for p in seq.pulses if not p.role.is_target and not p.frame.is_exact_identity()]
-        assert len(conjugated) == 2
-        for p in conjugated:
-            for got_v, want_v in zip((p.frame.ex, p.frame.ey, p.frame.ez), (f_u.ex, f_u.ey, f_u.ez)):
-                assert all(fabs(a - b) <= mpf("1e-15") for a, b in zip(got_v, want_v))
+        conjugated = [p for p in seq.pulses if isinstance(p.frame, FrameOf)]
+        assert len(conjugated) == 2 and all(p.frame.pulse is Z_PI for p in conjugated)
+        assert all(p.frame == FrameTriad.identity() for p in seq.pulses if not isinstance(p.frame, FrameOf))
+        for digits in (16, 60):
+            with working_digits(digits):
+                f_u = FrameTriad.from_unitary(Z_PI.ideal_unitary())
+                for p in conjugated:
+                    assert p.frame.map(p.axis_in_frame) == f_u.map(p.axis_in_frame)
+                    assert p.derived().axis == su2.unit_axis(f_u.map(p.axis_in_frame))
 
     def test_deep_chain_shares_pulse_objects(self):
         seq = build_builtin("concat:XYZXYZXYZX")
@@ -270,60 +273,69 @@ class TestPi5:
 
 class TestB2B4:
     def test_b2_zero_error(self):
-        assert_sound(b2())
+        assert_sound(b2(X_PI))
 
     def test_b4_zero_error(self):
-        assert_sound(b4())
+        assert_sound(b4(X_PI))
 
     def test_b2_total_angle_five_pi(self):
-        assert total_angle(b2()) == Fraction(5)
+        assert total_angle(b2(X_PI)) == Fraction(5)
 
     def test_b4_total_angle_fortyone_pi(self):
-        assert total_angle(b4()) == Fraction(41)
+        assert total_angle(b4(X_PI)) == Fraction(41)
 
     def test_b2_infidelity_at_tenth(self):
         with working_digits(60):
-            seq = b2()
+            seq = b2(X_PI)
             got = su2.infidelity(seq.ideal_unitary(), evaluate(seq, LinearOverRotation(1), mpf("0.1")))
             assert fabs(got - mpf("4.6e-6")) < mpf("4.6e-6") * mpf("0.05")
 
     def test_b4_infidelity_at_hundredth_needs_extended_precision(self):
         with working_digits(60):
-            seq = b4()
+            seq = b4(X_PI)
             got = su2.infidelity(seq.ideal_unitary(), evaluate(seq, LinearOverRotation(1), mpf("0.01")))
             assert fabs(got - mpf("1.7e-19")) < mpf("1.7e-19") * mpf("0.05")
 
     def test_b2_correction_phase(self):
         # cos(phi) = -1/4 for a pi rotation
-        seq = b2()
+        seq = b2(X_PI)
         corr = seq.pulses[1]
         assert fabs(corr.axis_in_frame[0] + Fraction(1, 4)) < mpf("1e-15")
 
     def test_b4_pulse_count(self):
-        assert len(b4().pulses) == 28
+        assert len(b4(X_PI).pulses) == 28
 
     def test_general_angle_is_sound(self):
-        assert_sound(b2(Fraction(1, 2)))
-        assert_sound(b4(Fraction(3, 2)))
+        assert_sound(b2(target_pulse(X, Fraction(1, 4))))
+        assert_sound(b4(target_pulse(X, Fraction(3, 4))))
 
     @pytest.mark.parametrize("theta", [Fraction(1), Fraction(3, 2), Fraction(-7, 3)])
     def test_correction_layouts(self, theta):
         block = [(1, Fraction(1, 2)), (3, Fraction(1)), (1, Fraction(1, 2))]
         middle = [(1, Fraction(-1)), (-1, Fraction(-2)), (1, Fraction(-1))]
-        assert correction_layout(b2(theta), 4) == block
-        assert correction_layout(b4(theta), 24) == block * 4 + middle + block * 4
+        t = target_pulse(X, theta / 2)
+        assert correction_layout(b2(t), 4) == block
+        assert correction_layout(b4(t), 24) == block * 4 + middle + block * 4
 
     def test_repeated_layout_entries_share_a_pulse(self):
-        assert len({id(p) for p in b2().pulses}) == 3
-        assert len({id(p) for p in b4().pulses}) == 5
+        assert len({id(p) for p in b2(X_PI).pulses}) == 3
+        assert len({id(p) for p in b4(X_PI).pulses}) == 5
 
     def test_phase_bounds(self):
-        assert_sound(b2(4))
-        assert_sound(b4(24))
+        assert_sound(b2(target_pulse(X, 2)))
+        assert_sound(b4(target_pulse(X, 12)))
         with pytest.raises(SequenceError, match="b2 needs"):
-            b2(5)
+            b2(target_pulse(X, Fraction(5, 2)))
         with pytest.raises(SequenceError, match="b4 needs"):
-            b4(25)
+            b4(target_pulse(X, Fraction(25, 2)))
+
+    def test_the_caller_target_is_the_head_pulse_and_the_target(self):
+        t = parse_target("x-pi/2")
+        for seq in (b2(t), b4(t), build_builtin("b2sym", t), build_builtin("concat:XY:b2sym", t)):
+            assert seq.target is t
+        assert b2(t).pulses[0] is t and b4(t).pulses[0] is t
+        with pytest.raises(SequenceError, match="b2 corrects rotations about x; got axis Z"):
+            b2(Z_PI)
 
 
 def correction_layout(seq, span):
@@ -336,7 +348,7 @@ def correction_layout(seq, span):
     assert head.role == Role.TARGET and head.alpha_pi == seq.target.alpha_pi
     out = []
     for p in rest:
-        assert p.role == Role.CORRECTION and p.channel == "target" and p.frame.is_exact_identity()
+        assert p.role == Role.CORRECTION and p.channel == "target" and p.frame == FrameTriad.identity()
         ks = [
             k for k in (1, 3, -1)
             if all(fabs(a - b) < mpf("1e-12") for a, b in zip(p.axis_in_frame, (mp.cos(k * phi), mp.sin(k * phi), 0)))
@@ -348,19 +360,19 @@ def correction_layout(seq, span):
 
 class TestSymmetrize:
     def test_zero_error_preserved(self):
-        assert_sound(symmetrize(b2()))
-        assert_sound(symmetrize(b4()))
+        assert_sound(symmetrize(b2(X_PI)))
+        assert_sound(symmetrize(b4(X_PI)))
 
     def test_total_angle_unchanged(self):
-        assert total_angle(symmetrize(b2())) == Fraction(5)
-        assert total_angle(symmetrize(b4())) == Fraction(41)
+        assert total_angle(symmetrize(b2(X_PI))) == Fraction(5)
+        assert total_angle(symmetrize(b4(X_PI))) == Fraction(41)
 
     def test_half_pulses_bracket_the_block(self):
-        seq = symmetrize(b2())
+        seq = symmetrize(b2(X_PI))
         assert seq.pulses[0].alpha_pi == Fraction(1, 4)
         assert seq.pulses[-1].alpha_pi == Fraction(1, 4)
         assert seq.pulses[0].role == Role.TARGET and seq.pulses[-1].role == Role.TARGET
-        assert len(seq.pulses) == len(b2().pulses) + 1
+        assert len(seq.pulses) == len(b2(X_PI).pulses) + 1
 
     def test_rejects_non_b_family(self):
         with pytest.raises(SequenceError):
@@ -847,17 +859,13 @@ class TestRegistry:
 # Text format
 
 
-def _frames_equal(a, b):
-    return a.ex == b.ex and a.ey == b.ey and a.ez == b.ez
-
-
 def _pulses_identical(p, q):
     return (
         p.alpha_pi == q.alpha_pi
         and p.role == q.role
         and p.channel == q.channel
         and p.axis_in_frame == q.axis_in_frame
-        and _frames_equal(p.frame, q.frame)
+        and p.frame == q.frame
     )
 
 
@@ -896,13 +904,27 @@ class TestDsl:
         assert parse(text).name == "first"
         assert parse("target 1 0 0 1/2\n# sequence: late\n").name == ""
 
-    def test_parse_shares_frames_and_matches_built_pulses(self):
-        seq = build_builtin("concat:XYZ")
-        back = parse(serialize(seq))
+    def test_frame_target_reads_back_as_a_reference_to_the_parsed_target(self):
+        seq = build_builtin("concat:XYZ", parse_target("y-3pi/4"))
+        text = serialize(seq)
+        back = parse(text)
         assert back.pulses == seq.pulses
-        distinct = {(p.frame.ex, p.frame.ey, p.frame.ez) for p in seq.pulses}
-        assert len({id(p.frame) for p in back.pulses}) == len(distinct) > 1
-        assert all(p.frame is FrameTriad.identity() for p in back.pulses if p.frame.is_exact_identity())
+        referring = [p for p in back.pulses if isinstance(p.frame, FrameOf)]
+        assert len(referring) == text.count(" frame target\n") > 0
+        assert all(p.frame.pulse is back.target for p in referring)
+        assert all(p.frame is FrameTriad.identity() for p in back.pulses if not isinstance(p.frame, FrameOf))
+        assert serialize(back) == text
+
+    def test_a_reference_to_another_pulse_is_written_as_its_nine_numbers(self):
+        other = parse_target("z-pi/2")
+        p = Pulse(FrameOf(other), Y, Fraction(1, 6), Role.CORRECTION, "pi3")
+        for digits in (16, 60):
+            with working_digits(digits):
+                text = serialize(PulseSequence(X_PI, (p,)))
+                assert "frame target" not in text
+                (q,) = parse(text).pulses
+                assert q.frame == other.conjugation_frame()
+                assert q.derived().axis == p.derived().axis
 
     def test_identical_pulse_lines_load_as_one_pulse(self):
         text = serialize(build_builtin("concat:XZXYXY", parse_target("y-pi/2")))
@@ -992,6 +1014,11 @@ class TestDsl:
             (_PI3 + "frame 1 0 0 0 1 0 0 1 0", 2, 32, "not orthonormal"),
             (_PI3 + "frame 1 0 0 0 1 0 0 0 -1", 2, 32, "not right-handed"),
             (_PI3 + "frame 1 0 0 0 1 0 0 0 q", 2, 54, "bad number 'q'"),
+            (_PI3 + "frame", 2, 32, "'frame' needs 'target' or 9 numbers"),
+            (_PI3 + "frame targets", 2, 32, "'frame' needs 'target' or 9 numbers"),
+            (_PI3 + "frame 1 0 0 0 1 0 0 0", 2, 32, "'frame' needs 'target' or 9 numbers"),
+            (_PI3 + "frame target 1", 2, 45, "unexpected '1' after 'frame target'"),
+            (_PI3 + "frame target target", 2, 45, "unexpected 'target' after 'frame target'"),
             ("target 1 1 0 1/2", 1, 1, "deviates from 1 beyond tolerance"),
             (_T + "pulse 3/5 4/5 0 1/6 correction pi3", 2, 7, "bad number '3/5'"),
             (_T + "pulse 1_0 0 0 1/2 target target", 2, 7, "bad number '1_0'"),
@@ -1053,17 +1080,19 @@ class TestDsl:
 # Depth-6 chains, one level deeper than the digest matrix: (spec, target,
 # bytes of the text written at 16 digits, its SHA-256, SHA-256 of the repr
 # of its 60-digit evaluation under linear over-rotation).  A change that
-# alters these bits on purpose updates the hashes and says so.
+# alters these bits on purpose updates the hashes and says so.  The
+# evaluation hashes are those of the 60-digit builds, since the conjugated
+# pulses are written "frame target", not as 16-digit numbers.
 DEEP_TEXTS = [
     (
-        "concat:XZYYXZ", "x-pi", 153693,
-        "0e99f1c7d0d794f03fa9bdd9711ad30ef618be7d2ebdcbd81da3f8a70ae6e433",
-        "606648cd6b4b76a94487d7a8f623091ad26c269490e5f2a201a42cac5c1ad5f1",
+        "concat:XZYYXZ", "x-pi", 98365,
+        "fe7990feaba6deab310c3a55960f2d54864cdd154c12fc6bcfa65b83de79b567",
+        "6ce7be71d08c7a34a9b440c2479fbf71179093a94890686fd2ac979a693001b8",
     ),
     (
-        "concat:XZXYXY", "y-pi/2", 152237,
-        "c768dac47813cc4862727f538e5f50d77227c8f9fef83ab311880991df8f301a",
-        "a0bc1008271581138482ba8ab54edcecaf9d57cb950e907bc3bbfd2b81616011",
+        "concat:XZXYXY", "y-pi/2", 98365,
+        "137344ae2397220be7cd4513db69e572eaa087b9c54f525e5ec69454579bc347",
+        "180ce60c5a670878f013b6e3beab625806483b9ce3c11c51201f334efada2bc5",
     ),
 ]
 
@@ -1085,45 +1114,49 @@ class TestFileFlow:
         text = _deep_text(spec, target)
         assert (len(text.encode("utf-8")), _sha256(text)) == (size, text_hash)
         with working_digits(60):
-            result = evaluate(parse(text), parse_model("model=linear eps=0.05"), mpf(1))
+            model = parse_model("model=linear eps=0.05")
+            result = evaluate(parse(text), model, mpf(1))
             assert _sha256(repr(result)) == result_hash
+            # the 16-digit text holds no frame numbers: it evaluates like a 60-digit build
+            assert result == evaluate(build_builtin(spec, parse_target(target)), model, mpf(1))
 
-    def test_a_build_derives_the_conjugation_frame_once(self, monkeypatch):
+    def test_evaluation_derives_the_conjugation_frame_once_per_precision(self, monkeypatch):
         frames = _count_calls(monkeypatch, FrameTriad, "from_unitary")
         t = parse_target("x-pi")
+        model = parse_model("model=vector dx=0.01;dy=0.02")
         with working_digits(16):
             seq = build_builtin("concat:XZYYXZ", t)
-            assert len(frames) == 1
-            # every level's conjugated pulses hold the target's one frame
-            assert {id(p.frame) for p in seq.pulses if not p.frame.is_exact_identity()} == {
-                id(t.conjugation_frame())
-            }
-            build_builtin("concat:XZYYXZ", t)
+            # a build derives no frame: every level's conjugated pulses refer to t
+            assert frames == []
+            assert all(p.frame.pulse is t for p in seq.pulses if isinstance(p.frame, FrameOf))
+            evaluate(seq, model)
+            evaluate(build_builtin("concat:XZYYXZ", t), model)
             assert len(frames) == 1
         with working_digits(60):
-            build_builtin("concat:XZYYXZ", t)
+            evaluate(seq, model)
             assert len(frames) == 2
             fresh = FrameTriad.from_unitary(t.ideal_unitary())
             kept = t.conjugation_frame()
             bits = [[c._mpf_ for c in f.ex + f.ey + f.ez] for f in (kept, fresh)]
             assert bits[0] == bits[1]
 
-    def test_pi5_uses_the_target_conjugation_frame(self, monkeypatch):
+    def test_pi5_refers_to_its_target(self, monkeypatch):
         t = parse_target("z-pi/2")
-        frame = t.conjugation_frame()
         frames = _count_calls(monkeypatch, FrameTriad, "from_unitary")
         seq = pi5_sequence(t)
         assert frames == []
-        assert {id(p.frame) for p in seq.pulses if not p.frame.is_exact_identity()} == {id(frame)}
+        conjugated = [p for p in seq.pulses if isinstance(p.frame, FrameOf)]
+        assert len(conjugated) == 2 and all(p.frame.pulse is t for p in conjugated)
 
-    def test_serialize_formats_each_pulse_and_frame_once(self, monkeypatch):
+    def test_serialize_formats_each_pulse_once(self, monkeypatch):
         with working_digits(16):
             seq = build_builtin("concat:XZYYXZ")
             scalars = _count_calls(monkeypatch, sequences, "format_scalar")
             serialize(seq)
-        # three per distinct pulse object (26), three for the target, nine per distinct frame (1)
+        # three per distinct pulse object (26) and three for the target; a
+        # frame is "frame target", with no numbers
         assert len({id(p) for p in seq.pulses}) == 26
-        assert len(scalars) == 3 * 26 + 3 + 9 == 90
+        assert len(scalars) == 3 * 26 + 3 == 81
 
     def test_parse_constructs_one_pulse_per_distinct_line(self, monkeypatch):
         text = _deep_text()

@@ -317,6 +317,20 @@ class TestStateFidelityError:
             want = 1 - abs(amp) ** 2
             assert abs(got - want) < 1e-12
 
+    def test_is_the_distance_about_x(self):
+        # D_a = 1 - |<a|V|a>|^2 on the +1 eigenstate |a> of a.sigma; the
+        # state fidelity error is D_x, bit for bit
+        rng = np.random.default_rng(12)
+        eigenstates = {X: [1, 1], Y: [1, 1j], Z: [1, 0]}
+        for _ in range(25):
+            ideal, actual = random_quaternion(rng), random_quaternion(rng)
+            assert state_fidelity_error(ideal, actual) == oracles.axis_distance(ideal, actual, X)
+            v = oracles.to_matrix(ideal).conj().T @ oracles.to_matrix(actual)
+            for axis, state in eigenstates.items():
+                ket = np.array(state, dtype=complex) / np.linalg.norm(state)
+                want = 1 - abs(ket.conj() @ v @ ket) ** 2
+                assert abs(float(oracles.axis_distance(ideal, actual, axis)) - want) < 1e-12
+
 
 class TestPhaseOptTraceDistance:
     def test_zero_for_equal(self):

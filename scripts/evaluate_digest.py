@@ -1,16 +1,20 @@
 #!/usr/bin/env python3
-"""Print one SHA-256 over the exact results of a fixed evaluation matrix.
+"""Print SHA-256 hashes over the exact results of a fixed evaluation matrix.
 
-The hash covers ``repr(evaluate(...))`` for every builtin plus two
+The matrix covers ``repr(evaluate(...))`` for every builtin plus two
 ``concat:`` chains, on three targets, under five error models, at three
 error scales, both as built and after a text round trip, at 16 and 60
 digits and for a 16-digit build evaluated at 60.  It also covers
 ``pi3_correct`` applied at 60 digits, about each lab axis, to those
 sequences built at 16 digits on the target pulses of x-pi, z-pi and a
 tilted axis, and the 60-digit infidelity table and four series
-coefficients.  Two checkouts that print the same hash give bit-identical
-results on all of them, which is how a change meant to be a pure speed-up
-shows that it is one.
+coefficients.
+
+One labelled hash is printed per part of the matrix (see PARTS), and the
+hash over all of it on the last line.  Two checkouts that print the same
+last line give bit-identical results on all of them, which is how a change
+meant to be a pure speed-up shows that it is one; the part lines show
+which results a change that alters bits on purpose touched.
 
 Usage: evaluate_digest.py
 """
@@ -59,6 +63,17 @@ SERIES = (
 )
 
 
+# (build digits, evaluation digits) of each part of digest(NAMES, MODELS,
+# (16, 60)), and the labels that main prints for it and the other parts
+PARTS = {
+    (16, 16): "built, written and evaluated at 16 digits",
+    (60, 60): "built, written and evaluated at 60 digits",
+    (16, 60): "built and written at 16 digits, evaluated at 60",
+    "wrapped": "pi3_correct at 60 digits around 16-digit builds",
+    "table": "60-digit infidelity table and series coefficients",
+}
+
+
 def digest(names, models, digits) -> str:
     """SHA-256 over ``repr(evaluate(...))`` for ``names`` x TARGETS x
     ``models`` x SCALES, for the built sequence and its parsed text.
@@ -68,6 +83,14 @@ def digest(names, models, digits) -> str:
     skipped; an evaluation that raises hashes as the exception's repr.
     """
     h = hashlib.sha256()
+    for _, result in _evaluations(names, models, digits):
+        h.update(result)
+    return h.hexdigest()
+
+
+def _evaluations(names, models, digits):
+    """((build digits, evaluation digits), result) for each result that
+    :func:`digest` hashes, in its order."""
     for build_digits, name, target in product(sorted(digits), names, TARGETS):
         with working_digits(build_digits):
             try:
@@ -80,8 +103,7 @@ def digest(names, models, digits) -> str:
                 parsed = [parse_model(config) for config in models]
                 for s in (seq, parse(text)):
                     for result in _results(s, parsed):
-                        h.update(result)
-    return h.hexdigest()
+                        yield (build_digits, eval_digits), result
 
 
 def _results(seq, models):
@@ -122,16 +144,31 @@ def wrapped_digest(names, models) -> str:
     return h.hexdigest()
 
 
-def main() -> int:
-    h = hashlib.sha256(digest(NAMES, MODELS, (16, 60)).encode())
-    h.update(wrapped_digest(NAMES, MODELS).encode())
+def _table_results():
+    """``repr`` of the 60-digit infidelity table and of each SERIES coefficient."""
     with working_digits(60):
-        h.update(repr(sorted(analysis.infidelity_table().items())).encode())
+        yield repr(sorted(analysis.infidelity_table().items())).encode()
         seq = build_builtin("pi3:X", parse_target("z-pi"))
         for family, orders, component in SERIES:
             coefficient = analysis.series_coefficient(seq, analysis.FAMILIES[family](), orders, component)
-            h.update(repr(coefficient).encode())
-    print(h.hexdigest())
+            yield repr(coefficient).encode()
+
+
+def main() -> int:
+    parts = {key: hashlib.sha256() for key in PARTS}
+    mixed = hashlib.sha256()  # equals digest(NAMES, MODELS, (16, 60))
+    for key, result in _evaluations(NAMES, MODELS, (16, 60)):
+        parts[key].update(result)
+        mixed.update(result)
+    # The whole matrix: the mixed digest, then what the last two parts hash.
+    whole = hashlib.sha256(mixed.hexdigest().encode())
+    rest = [("wrapped", wrapped_digest(NAMES, MODELS).encode())] + [("table", r) for r in _table_results()]
+    for key, data in rest:
+        parts[key].update(data)
+        whole.update(data)
+    for key, label in PARTS.items():
+        print(f"{parts[key].hexdigest()}  {label}")
+    print(whole.hexdigest())
     return 0
 
 

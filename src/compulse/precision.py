@@ -80,15 +80,10 @@ def parse_integer(text: str) -> int:
     return int(text)
 
 
-_UNIT_TOLERANCE = {}  # mp.prec -> 10**(3 - digits) rounded at that precision
-
-
 def unit_tolerance() -> mpf:
-    """Tolerance 10**(3 - digits) for norm and soundness checks."""
-    tol = _UNIT_TOLERANCE.get(mp.prec)
-    if tol is None:
-        tol = _UNIT_TOLERANCE[mp.prec] = mpf(10) ** (3 - mp.dps)
-    return tol
+    """Tolerance 10**(3 - digits) of the tests' norm and soundness checks; no
+    library code calls it (geometry has one tolerance, su2.GEOMETRY_TOL)."""
+    return mpf(10) ** (3 - mp.dps)
 
 
 def fit_floor() -> mpf:

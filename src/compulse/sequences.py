@@ -180,7 +180,8 @@ class Pulse:
     ``alpha_pi`` is the generator angle in units of pi (exact rational);
     the applied rotation angle is ``2*alpha_pi*pi``.  Dagger roles carry
     the negated generator of their forward partner.  ``channel`` names the
-    error-model channel ("target", "pi3", or "perfect").
+    error-model channel ("target", "pi3", or "perfect").  ``axis_in_frame``
+    keeps the axis as given; only :meth:`derived` makes it unit.
 
     Everything the pulse derives at the working precision (unit lab axis,
     radians, ideal unitary, conjugation frame and last realization) sits in
@@ -254,7 +255,8 @@ class Pulse:
         first use with this pulse's frame and exact axis bits."""
         partner = self._dagger
         if partner is None:
-            # this pulse's fields are validated already: no __post_init__
+            # no __post_init__: its conversion would round an axis made at
+            # another precision to the working one
             partner = object.__new__(Pulse)
             partner.__dict__.update(
                 vars(self), alpha_pi=-self.alpha_pi, role=self.role.partner, _record=None, _dagger=self
@@ -322,12 +324,12 @@ def pi3_correct(inner: PulseSequence, axis: Iterable) -> PulseSequence:
 
     Time order: C0^ inner Ct inner^ C0 inner Ct^, where C0 is the pi/3
     rotation about ``axis`` and Ct is the same pulse in the frame
-    ``FrameOf(inner.target)``.  Pulse count obeys n -> 3n + 4.
+    ``FrameOf(inner.target)``, both keeping ``axis`` as given.  Pulse
+    count obeys n -> 3n + 4.
     """
-    axis = su2.unit_axis(su2.tighten_axis(axis))
     sixth = Fraction(1, 6)
-
     c0 = Pulse(FrameTriad.identity(), axis, sixth, Role.CORRECTION, "pi3")
+    axis = c0.axis_in_frame  # the accepted axis, as given
     ct = Pulse(FrameOf(inner.target), axis, sixth, Role.CORRECTION, "pi3")
     inner_dagger = tuple(p.daggered() for p in reversed(inner.pulses))
 
@@ -616,6 +618,9 @@ _NAME_PREFIX = "# sequence:"
 def parse(text: str) -> PulseSequence:
     """Parse the line-oriented sequence format; errors carry line and column.
 
+    Lines end at a line feed only: a carriage return, form feed or Unicode
+    line separator is whitespace, and one leading byte-order mark is dropped.
+
     Pulse lines that load to equal values (``1`` and ``1.0`` alike, whatever
     the spacing or trailing comment) load as one shared :class:`Pulse`;
     ``frame target`` reads as ``FrameOf(target)``.  Dagger partners are
@@ -628,7 +633,7 @@ def parse(text: str) -> PulseSequence:
     name = ""
     made = {}  # text of a pulse line -> the Pulse it built
     shared = {}  # pulse value -> its one Pulse, closed under daggered()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").split("\n"), start=1):
         pulse = made.get(raw)  # a bad line never enters `made`
         if pulse is not None:
             pulses.append(pulse)

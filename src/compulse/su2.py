@@ -26,8 +26,10 @@ Each kernel guards its own domain, and no caller checks it again:
 :func:`rotation` (every unitary made from an angle) the phase,
 :func:`exp_pauli` and :func:`log_pauli` the principal branch,
 :func:`multiply` finiteness, and :func:`tighten_axis` an axis where it
-enters, to GEOMETRY_TOL at any precision.  :func:`unit_axis` is the rule
-for the unit axis at the working precision, and never raises.
+enters, to GEOMETRY_TOL at any precision.  GEOMETRY_TOL is the one
+tolerance of geometry: an accepted axis is kept as given, and
+:func:`unit_axis` makes it unit at the working precision with one
+division by its norm.
 
 All values are immutable, and every operation returns the same result for
 the same arguments at the same working precision.  The one kept state is
@@ -44,7 +46,7 @@ from typing import Iterable, NamedTuple, Optional
 from mpmath import atan2, fabs, mp, mpf, nstr, sqrt
 from mpmath.libmp import fzero
 
-from .precision import unit_tolerance
+from .precision import unit_tolerance  # noqa: F401 -- benchmarks/test_tracer.py checks this alias
 
 Vec3 = tuple  # 3 scalars
 
@@ -74,9 +76,6 @@ class ErrorVector(NamedTuple):
     ey: mpf
     ez: mpf
 
-    def norm(self) -> mpf:
-        return sqrt(self.ex**2 + self.ey**2 + self.ez**2)
-
 
 def as_vec3(v: Iterable) -> Vec3:
     out = tuple(mpf(c) for c in v)
@@ -89,10 +88,6 @@ def vec_norm(v: Vec3) -> mpf:
     """sqrt(x*x + y*y + z*z), each operation rounded at the working precision."""
     x, y, z = v
     return sqrt(x * x + y * y + z * z)
-
-
-def _divided(v: Vec3, n: mpf) -> Vec3:
-    return (v[0] / n, v[1] / n, v[2] / n)
 
 
 # Tolerance of stored geometry (pulse axes, frame triads, named-axis
@@ -116,28 +111,26 @@ def axis_name(v: Iterable) -> Optional[str]:
 
 
 def tighten_axis(axis: Iterable) -> Vec3:
-    """Accept a stored unit axis and renormalize it only when needed.
+    """Accept a stored axis and return its components unchanged.
 
     The one acceptance check: a norm off 1 by more than GEOMETRY_TOL, at
     any precision, raises, so a sequence written at 16 digits still
-    evaluates at 60.  Within the working-precision tolerance the bits are
-    left untouched, keeping same-precision round trips exact.
+    evaluates at 60.  An accepted axis is never rescaled, so a stored
+    pulse holds exactly the numbers it was given.
     """
     v = as_vec3(axis)
     n = vec_norm(v)
-    dev = fabs(n - 1)
-    if dev > GEOMETRY_TOL:
+    if fabs(n - 1) > GEOMETRY_TOL:
         raise InvalidAxisError(f"axis norm {n} deviates from 1 beyond tolerance")
-    return _divided(v, n) if dev > unit_tolerance() else v
+    return v
 
 
 def unit_axis(axis: Iterable) -> Vec3:
-    """``axis`` over its norm, and over the new norm as well when the first
-    is off 1 beyond the working-precision tolerance; never raises."""
-    v = as_vec3(axis)
+    """``axis`` over its norm, one correctly rounded division per component
+    at the working precision: unit to a few ulps for any nonzero axis."""
+    x, y, z = v = as_vec3(axis)
     n = vec_norm(v)
-    u = _divided(v, n)
-    return _divided(u, vec_norm(u)) if fabs(n - 1) > unit_tolerance() else u
+    return (x / n, y / n, z / n)
 
 
 def identity() -> Unitary:

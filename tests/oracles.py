@@ -157,16 +157,11 @@ def frame_map_expr(frame, v) -> tuple:
 
 
 def unit_axis_expr(v) -> tuple:
-    """The unit axis of ``v`` in mpf arithmetic: ``v`` over its norm, and
-    that over its own norm when the first norm is off 1 by more than
-    10**(3 - digits) (the rule of ``su2.unit_axis``)."""
+    """The unit axis of ``v`` in mpf arithmetic: ``v`` over its norm, one
+    division per component (the rule of ``su2.unit_axis``)."""
     x, y, z = (mpf(c) for c in v)
     n = sqrt(x * x + y * y + z * z)
-    x, y, z = x / n, y / n, z / n
-    if fabs(n - 1) > mpf(10) ** (3 - mp.dps):
-        m = sqrt(x * x + y * y + z * z)
-        x, y, z = x / m, y / m, z / m
-    return x, y, z
+    return x / n, y / n, z / n
 
 
 def covariant_generator_expr(model, frame, alpha, scale) -> tuple:

@@ -228,6 +228,26 @@ class TestPlan:
 # 435 points within one part in 10**15 of 1: they collapse at 16 digits
 COLLAPSING_GRID = "1:1.000000000000001:1000000000000000000"
 
+# Lines end at line feeds only.  Each file has the typo 'targe' on its
+# third line, counted in line feeds, so it fails at line 3, column 17.
+_T = "target 1 0 0 1/2"
+_P = "pulse 1 0 0 1/2 target target"
+_TYPO = "pulse 1 0 0 1/2 targe target\n"
+LINE_FEED_FILES = {
+    "comment_line_separator": f"{_T}  # note\u2028see below\n{_P}\n{_TYPO}",
+    "comment_form_feed": f"{_T}\n{_P}  # note\fsee below\n{_TYPO}",
+    "byte_order_mark": f"\ufeff{_T}\n{_P}\n{_TYPO}",
+    "crlf": f"{_T}\r\n{_P}\r\n{_TYPO}",
+}
+
+# The --file arguments that BAD_INPUTS spell as {key}, by their bytes
+BAD_FILES = {
+    "not_utf8": b"target 1 0 0 1/2\n\xff\n",
+    # an angle beyond Python's int-string limit
+    "angle_too_long": b"target 1 0 0 1/2\npulse 1 0 0 " + b"1" * 4401 + b"/2 target target\n",
+    **{key: text.encode("utf-8") for key, text in LINE_FEED_FILES.items()},
+}
+
 BAD_INPUTS = {
     "eps": ("simulate", "--seq", "b2", "--model", "model=linear eps=0.1", "--eps", "abc"),
     "eps-minus-inf": ("simulate", "--seq", "b2", "--model", "model=linear eps=0.1", "--eps", "-inf"),
@@ -272,8 +292,10 @@ BAD_INPUTS = {
     "model-key-without-value": ("simulate", "--seq", "naive", "--model", "model=linear eps"),
     "orders-without-name": ("expand", "--seq", "pi3:X", "--family", "covariant", "--orders", "=1", "--component", "y"),
     "start-two-orders": ("plan", "--start", "1,2", "--depth", "1"),
-    "file-not-utf8": ("simulate", "--file", "{bad_utf8}", "--model", "model=linear eps=0.1"),
-    "file-angle-too-long": ("simulate", "--file", "{long_angle}", "--model", "model=linear eps=0.1"),
+    **{
+        f"file-{key.replace('_', '-')}": ("simulate", "--file", "{" + key + "}", "--model", "model=linear eps=0.1")
+        for key in ("not_utf8", "angle_too_long", *LINE_FEED_FILES)
+    },
     "deltas-perfect-regime": ("plan", "--start", "1,1,1", "--deltas", "1,1,1", "--depth", "2"),
     "deltas-axisdep-regime": ("plan", "--regime", "axisdep", "--start", "1,1,1", "--deltas", "1,1,1", "--depth", "2"),
     "channels-text-outside-blocks": (
@@ -305,6 +327,18 @@ BAD_INPUTS = {
 }
 
 
+def _with_bad_files(tmp_path, argv) -> list:
+    """``argv`` with each {key} of BAD_FILES replaced by a file holding its bytes."""
+    out = []
+    for arg in argv:
+        key = arg[1:-1] if arg.startswith("{") else None
+        if key in BAD_FILES:
+            arg = tmp_path / key
+            arg.write_bytes(BAD_FILES[key])
+        out.append(str(arg))
+    return out
+
+
 class TestBadInput:
     @pytest.mark.parametrize(
         "flags",
@@ -318,16 +352,17 @@ class TestBadInput:
 
     @pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
     def test_is_a_one_line_config_error(self, capsys, tmp_path, argv):
-        bad_utf8 = tmp_path / "bad.txt"
-        bad_utf8.write_bytes(b"target 1 0 0 1/2\n\xff\n")
-        long_angle = tmp_path / "long.txt"  # beyond Python's int-string limit
-        long_angle.write_bytes(b"target 1 0 0 1/2\npulse 1 0 0 " + b"1" * 4401 + b"/2 target target\n")
-        argv = [a.replace("{bad_utf8}", str(bad_utf8)).replace("{long_angle}", str(long_angle)) for a in argv]
-        code, out, err = run(capsys, "--digits", "50", *argv)
+        code, out, err = run(capsys, "--digits", "50", *_with_bad_files(tmp_path, argv))
         assert code == 2
         assert out == ""
         assert err.startswith("compulse: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key", LINE_FEED_FILES)
+    def test_a_file_ends_its_lines_at_line_feeds_only(self, capsys, tmp_path, key):
+        argv = _with_bad_files(tmp_path, BAD_INPUTS["file-" + key.replace("_", "-")])
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (2, "compulse: line 3, column 17: unknown role 'targe'\n")
 
     @pytest.mark.parametrize("key", ["grid-too-many-points", "concat-too-deep"])
     def test_oversized_input_fails_at_once(self, capsys, key):

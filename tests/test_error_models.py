@@ -78,7 +78,7 @@ class TestLinearOverRotation:
         ratios = []
         for s in (mpf("1e-3"), mpf("1e-5")):
             err = su2.error_unitary(p.ideal_unitary(), model.realize(p, s))
-            ratios.append(su2.log_pauli(err).norm() / s)
+            ratios.append(su2.vec_norm(su2.log_pauli(err)) / s)
         assert fabs(ratios[0] / ratios[1] - 1) < mpf("0.01")
 
 

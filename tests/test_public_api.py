@@ -6,7 +6,11 @@ A public name is a function, class or constant defined at module level in
 (outside the name's own definition and the re-exports) or a module under
 ``scripts/`` or ``benchmarks/`` loads it, reads it as an attribute, imports
 it, or names it in a string (the benchmark tracer patches functions by
-name).  Test-only helpers live in ``tests/oracles.py`` or in their tests.
+name).  A public method (a function without a leading underscore in the
+body of a module-level class) follows the same rule by its name: a script,
+a benchmark module, or a library statement or class-body item other than
+its own definition must name it.  Test-only helpers live in
+``tests/oracles.py`` or in their tests.
 """
 
 import ast
@@ -20,6 +24,8 @@ PACKAGE = ROOT / "src" / "compulse"
 ALLOWED = {
     "total_angle": "a quantity the paper reports (acceptance criteria 5 and 7)",
     "state_fidelity_error": "a quantity the paper reports (acceptance criteria 5 and 7)",
+    "PulseSequence.pulse_counts": "a quantity the paper reports (acceptance criterion 7); "
+    "ROADMAP item 1 gives it in closed form",
 }
 
 
@@ -54,10 +60,18 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"))
 
 
-def unused_public_names() -> set:
+def _outside_uses() -> set:
     outside = sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "benchmarks").glob("*.py"))
-    used = set().union(*(used_names(_parse(p)) for p in outside))
-    statements = [node for p in PACKAGE.glob("*.py") if p.name != "__init__.py" for node in _parse(p).body]
+    return set().union(*(used_names(_parse(p)) for p in outside))
+
+
+def _library_statements() -> list:
+    return [node for p in PACKAGE.glob("*.py") if p.name != "__init__.py" for node in _parse(p).body]
+
+
+def unused_public_names() -> set:
+    used = _outside_uses()
+    statements = _library_statements()
     uses = [used_names(node) for node in statements]
     statements_using = Counter(name for names in uses for name in names)
     unused = set()
@@ -66,10 +80,36 @@ def unused_public_names() -> set:
     return unused
 
 
+def unused_public_methods() -> set:
+    """``Class.method`` for each public method whose name no other library
+    statement or class-body item, and no script or benchmark module, uses."""
+    used = _outside_uses()
+    units = []  # (class name or None, statement): class bodies item by item
+    for node in _library_statements():
+        if isinstance(node, ast.ClassDef):
+            units += [(node.name, item) for item in node.body]
+        else:
+            units.append((None, node))
+    uses = [used_names(node) for _, node in units]
+    units_using = Counter(name for names in uses for name in names)
+    unused = set()
+    for (cls, node), own in zip(units, uses):
+        if cls and isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            name = node.name
+            if name not in used and units_using[name] == (name in own):
+                unused.add(f"{cls}.{name}")
+    return unused
+
+
 def test_every_public_name_has_a_caller_outside_the_tests():
     unused = unused_public_names() - set(ALLOWED)
     assert not unused, f"public but used only by tests: {sorted(unused)}"
 
 
+def test_every_public_method_has_a_caller_outside_the_tests():
+    unused = unused_public_methods() - set(ALLOWED)
+    assert not unused, f"public methods used only by tests: {sorted(unused)}"
+
+
 def test_allow_list_holds_only_unused_exports():
-    assert set(ALLOWED) <= unused_public_names()
+    assert set(ALLOWED) <= unused_public_names() | unused_public_methods()

@@ -127,6 +127,15 @@ class TestEvaluateDigest:
         monkeypatch.setattr(su2, "multiply", _flipping(su2.multiply))
         assert wrapped_digest(self.NAMES, self.MODELS) != want
 
+    def test_each_precision_pair_of_the_mixed_digest_hashes_as_its_own_part(self):
+        module = _load_evaluate_digest()
+        parts = {}
+        for key, result in module._evaluations(self.NAMES, self.MODELS, (16, 30)):
+            parts.setdefault(key, hashlib.sha256()).update(result)
+        assert list(parts) == [(16, 16), (16, 30), (30, 30)]
+        assert parts[16, 16].hexdigest() == module.digest(self.NAMES, self.MODELS, (16,))
+        assert parts[30, 30].hexdigest() == module.digest(self.NAMES, self.MODELS, (30,))
+
     # All five model kinds, dagger pairs and the text round trip.  A change
     # that alters result bits on purpose updates these hashes and says so.
     PINNED = ("pi3:Y", "pi5", "b2sym", "pi3Y∘b2sym", "concat:ZZY:b2sym")
@@ -144,10 +153,11 @@ class TestEvaluateDigest:
     def test_results_across_precisions_keep_their_pinned_bits(self):
         # A 16-digit build evaluated at 60, and pi3_correct at 60 digits
         # around 16-digit builds.  Conjugated pulses refer to their target,
-        # so their frames are derived at 60 digits.
+        # so their frames are derived at 60 digits, and a stored axis keeps
+        # its 16-digit numbers until it is made unit at 60 digits.
         module = _load_evaluate_digest()
         assert module.digest(self.PINNED, module.MODELS, (16, 60)) == (
-            "44d1b4a0b5eb82fb2521034ec9e3f7aa00553e513a5bd0bc6bb0bce0974755a0"
+            "6cfa2eed4348d5ceccd2ad9e420c2e13646796c56c387f6a3c727efaf645e2c9"
         )
         assert module.wrapped_digest(("pi3:Y", "pi5", "b2sym"), module.MODELS) == (
             "0f3c740af2f1b88e669c51a2c609e68a69700885443db179c50e6346af7e9076"

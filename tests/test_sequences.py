@@ -84,8 +84,6 @@ class TestPulseDagger:
             p = _tilted_correction()
         with working_digits(made_at):
             q = p.daggered()
-        with working_digits(60):
-            assert p.axis_in_frame != replace(p).axis_in_frame  # 60 digits would re-tighten it
         for digits in (16, 60, 16):
             with working_digits(digits):
                 assert p.daggered() is q and q.daggered() is p
@@ -803,6 +801,18 @@ class TestAxisAcceptance:
             assert len({m is None for m in made.values()}) == 1, made
             _assert_evaluates(made)
 
+    def test_a_file_read_at_a_higher_precision_stores_the_numbers_its_lines_spell(self):
+        # b2's phase axes, written at 16 digits, are off unit by more than
+        # 10**(3 - 60); read at 60 digits, each pulse keeps them as written.
+        with working_digits(16):
+            text = serialize(b2(X_PI))
+        lines = [line.split() for line in text.splitlines() if line.startswith("pulse ")]
+        with working_digits(60):
+            pulses = parse(text).pulses
+            assert len(pulses) == len(lines) == 4
+            for p, toks in zip(pulses, lines):
+                assert [c._mpf_ for c in p.axis_in_frame] == [mpf(t)._mpf_ for t in toks[1:4]]
+
     def test_lab_axis_is_the_derived_axis_of_a_tilted_frame(self):
         # A unit axis in a frame within the geometry tolerance of
         # orthonormal: its lab image is off unit by more than a stored axis
@@ -1001,6 +1011,8 @@ class TestDsl:
 
     _T = "target 1 0 0 1/2\n"
     _PI3 = _T + "pulse 0 1 0 1/6 correction pi3 "
+    _P = "pulse 1 0 0 1/2 target target\n"
+    _TYPO = "pulse 1 0 0 1/2 targe target\n"
 
     @pytest.mark.parametrize(
         "text,line,col,message",
@@ -1026,6 +1038,11 @@ class TestDsl:
             (_T + "pulse 1 0 0x0 1/2 target target", 2, 11, "bad number '0x0'"),
             ("target \u0661 0 0 1/2", 1, 8, "bad number '\u0661'"),
             (_T + "pulse 1 0 0 \u0661/\u0662 target target", 2, 13, "bad rational angle"),
+            # lines end at line feeds only, and one leading byte-order mark is dropped
+            ("target 1 0 0 1/2  # note\u2028see below\n" + _P + _TYPO, 3, 17, "unknown role 'targe'"),
+            (_T + "pulse 1 0 0 1/2 target target  # note\fsee below\n" + _TYPO, 3, 17, "unknown role 'targe'"),
+            ("\ufeff" + _T + _P + _TYPO, 3, 17, "unknown role 'targe'"),
+            ((_T + _P + _TYPO).replace("\n", "\r\n"), 3, 17, "unknown role 'targe'"),
         ],
     )
     def test_each_error_path_reports_its_position_and_reason(self, text, line, col, message):

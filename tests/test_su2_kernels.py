@@ -9,7 +9,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import log10, mp, mpf, sqrt
+from mpmath import fabs, log10, mp, mpf, sqrt
 from mpmath.libmp import from_man_exp, mpf_add, mpf_mul, mpf_neg, mpf_pos, round_nearest
 
 from compulse import su2
@@ -440,7 +440,7 @@ class TestVectorKernelsBitIdentical:
                         axis = tuple(c * (1 + d) for c in u)
                         beyond.add(abs(su2.vec_norm(axis) - 1) > su2.unit_tolerance())
                         assert _bits(su2.unit_axis(axis)) == _bits(oracles.unit_axis_expr(axis))
-            assert beyond == {False, True}  # axes inside and beyond the working tolerance
+            assert beyond == {False, True}  # axes on both sides of the former switch, 10**(3 - digits)
 
     def test_branch_bound(self, digits):
         # generators whose rounded norm is one ulp below, at and one ulp
@@ -462,6 +462,27 @@ class TestVectorKernelsBitIdentical:
                     else:
                         assert _bits(su2.exp_pauli(vec)) == _bits(_exp_pauli_ref(vec))
             assert set(edges) <= set(norms)
+
+
+_READ_DIGITS = [(made, read) for made in (16, 60, 200) for read in (16, 60, 200) if made <= read]
+
+
+@given(
+    direction=st.tuples(*[st.floats(-1, 1)] * 3).filter(lambda v: sum(c * c for c in v) > 0.01),
+    dev=st.floats(-0.99e-9, 0.99e-9),
+    digits=st.sampled_from(_READ_DIGITS),
+)
+def test_an_accepted_axis_is_kept_and_made_unit_by_one_division(direction, dev, digits):
+    # An axis within GEOMETRY_TOL of unit length, made at one precision and
+    # read at that or a higher one, as a 16-digit file is read at 60 or 200.
+    made, read = digits
+    with working_digits(made):
+        axis = tuple(c * (1 + mpf(dev)) for c in oracles.unit_vector(direction))
+    with working_digits(read):
+        assert _bits(su2.tighten_axis(axis)) == _bits(axis)
+        unit = su2.unit_axis(axis)
+        assert _bits(unit) == _bits(oracles.unit_axis_expr(axis))
+        assert fabs(su2.vec_norm(unit) - 1) <= 4 * mpf(2) ** -mp.prec
 
 
 @pytest.mark.parametrize("model", _CHAIN_MODELS, ids=["linear", "vector_axisdep"])

@@ -17,10 +17,14 @@ once per flat pulse: each component is one exact integer dot product,
 rounded once to nearest with ties to even at the working precision, so
 products are correctly rounded per component.  The rounding gives the
 same bits as libmp's ``from_man_exp`` with ``round_nearest``; a non-finite
-(inf or nan) component in a factor raises ValueError.  Every other kernel
-is a plain mpf expression, each operation rounded to nearest at the
-working precision; only :func:`rotation`'s phase guard reads a raw
-exponent.
+(inf or nan) component in a factor raises ValueError.  A left factor about
+a lab axis, with two vector components exactly zero, skips its zero terms:
+8 integer products instead of 16, and no bit changes.  That is 61-67% of
+the products on the ``deep_chain`` benchmark, 68-69% on ``text_io`` and
+27% on ``reference``; the b2/b4 axes in the xy plane and conjugated axes
+with a rounding residue take the dense sum.  Every other kernel is a
+plain mpf expression, each operation rounded to nearest at the working
+precision; only :func:`rotation`'s phase guard reads a raw exponent.
 
 Each kernel guards its own domain, and no caller checks it again:
 :func:`rotation` (every unitary made from an angle) the phase,
@@ -236,7 +240,8 @@ def _rounded(man: int, exp: int, prec: int) -> tuple:
 
 
 _new = tuple.__new__
-_make = mp.make_mpf
+_new_mpf = object.__new__
+_mpf = mp.mpf
 
 # multiply's memos of exact fixed-point forms.  A form is the exact value of
 # its factor, so a memo gives the same bits at every precision.  Each entry
@@ -245,7 +250,7 @@ _make = mp.make_mpf
 # components far apart in exponent make wide forms, which are not kept.
 _LEFT_BOUND = 64
 _LEFT_BITS = 1 << 12
-_left_forms: dict = {}  # id(a) -> (w, x, y, z, e, a) for recent left factors
+_left_forms: dict = {}  # id(a) -> (w, x, y, z, e, a, lab) for recent left factors
 _last_form: tuple = (None, None)  # (the product last returned, its form)
 
 
@@ -258,6 +263,16 @@ def multiply(a: Unitary, b: Unitary) -> Unitary:
     the same bits as libmp's ``from_man_exp`` with ``round_nearest``.
     Raises ValueError when a component of either factor is inf or nan.
 
+    A left factor about a lab axis, with two vector components exactly
+    zero, skips the zero terms: each component sums its two nonzero
+    products, 8 integer products instead of 16, and no bit changes.  In
+    the paper's concatenated chains that is the target about x, y or z,
+    every C0 and every Ct conjugated into such a target's frame: 61-67% of
+    the products on the ``deep_chain`` benchmark, 68-69% on ``text_io`` and
+    27% on ``reference``.  Every other factor takes the dense sum: the
+    b2/b4 axes in the xy plane, and conjugated axes that keep a rounding
+    residue from the target's frame, such as (0.866, 0, 5.7e-62, -0.5).
+
     A fold ``out = multiply(u, out)`` over a few distinct ``u`` unpacks each
     factor once: the integer form of the product last returned, and of up to
     ``_LEFT_BOUND`` recent left factors by identity, are kept and reused.
@@ -265,20 +280,42 @@ def multiply(a: Unitary, b: Unitary) -> Unitary:
     global _last_form
     left = _left_forms.get(id(a))
     if left is None:
-        left = (*_fixed_point(a), a)
+        w1, x1, y1, z1, ea = _fixed_point(a)
+        # 1, 2 or 3 for a vector part on the lab x, y or z axis, else 0
+        lab = 1 if not (y1 or z1) else 2 if not (x1 or z1) else 3 if not (x1 or y1) else 0
+        left = (w1, x1, y1, z1, ea, a, lab)
         if max(map(int.bit_length, left[:4])) <= _LEFT_BITS:
             if len(_left_forms) >= _LEFT_BOUND:
                 _left_forms.clear()
             _left_forms[id(a)] = left
-    w1, x1, y1, z1, ea, _ = left
+    w1, x1, y1, z1, ea, _, lab = left
     last, form = _last_form
     w2, x2, y2, z2, eb = form if b is last else _fixed_point(b)
     e, prec = ea + eb, mp.prec
-    rw = _rounded(w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2, e, prec)
-    rx = _rounded(w1 * x2 + w2 * x1 - y1 * z2 + z1 * y2, e, prec)
-    ry = _rounded(w1 * y2 + w2 * y1 - z1 * x2 + x1 * z2, e, prec)
-    rz = _rounded(w1 * z2 + w2 * z1 - x1 * y2 + y1 * x2, e, prec)
-    out = _new(Unitary, (_make(rw), _make(rx), _make(ry), _make(rz)))
+    if lab == 1:
+        rw = _rounded(w1 * w2 - x1 * x2, e, prec)
+        rx = _rounded(w1 * x2 + w2 * x1, e, prec)
+        ry = _rounded(w1 * y2 + x1 * z2, e, prec)
+        rz = _rounded(w1 * z2 - x1 * y2, e, prec)
+    elif lab == 2:
+        rw = _rounded(w1 * w2 - y1 * y2, e, prec)
+        rx = _rounded(w1 * x2 - y1 * z2, e, prec)
+        ry = _rounded(w1 * y2 + w2 * y1, e, prec)
+        rz = _rounded(w1 * z2 + y1 * x2, e, prec)
+    elif lab == 3:
+        rw = _rounded(w1 * w2 - z1 * z2, e, prec)
+        rx = _rounded(w1 * x2 + z1 * y2, e, prec)
+        ry = _rounded(w1 * y2 - z1 * x2, e, prec)
+        rz = _rounded(w1 * z2 + w2 * z1, e, prec)
+    else:
+        rw = _rounded(w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2, e, prec)
+        rx = _rounded(w1 * x2 + w2 * x1 - y1 * z2 + z1 * y2, e, prec)
+        ry = _rounded(w1 * y2 + w2 * y1 - z1 * x2 + x1 * z2, e, prec)
+        rz = _rounded(w1 * z2 + w2 * z1 - x1 * y2 + y1 * x2, e, prec)
+    # Each mpf built as mp.make_mpf builds it, without the call.
+    mw, mx, my, mz = _new_mpf(_mpf), _new_mpf(_mpf), _new_mpf(_mpf), _new_mpf(_mpf)
+    mw._mpf_, mx._mpf_, my._mpf_, mz._mpf_ = rw, rx, ry, rz
+    out = _new(Unitary, (mw, mx, my, mz))
     _last_form = (out, _scaled(rw, rx, ry, rz))
     return out
 

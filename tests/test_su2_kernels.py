@@ -119,7 +119,13 @@ class TestMultiplyMemos:
         # it, or an unrelated quaternion; the precision changes halfway
         rng = random.Random(seed)
         with working_digits(200):
-            pool = [_random_quaternion(rng) for _ in range(su2._LEFT_BOUND + 19)]
+            # every third factor a rotation about a signed lab axis
+            pool = [
+                su2.rotation(rng.choice(tuple(su2.NAMED_AXES.values())), mpf(rng.uniform(-3, 3)))
+                if k % 3 == 0
+                else _random_quaternion(rng)
+                for k in range(su2._LEFT_BOUND + 19)
+            ]
             pool += [Unitary(mpf(1), _exact(3, -2 * su2._LEFT_BITS), mpf(0), mpf(0)),
                      Unitary(_exact(-5, 3 * su2._LEFT_BITS), mpf(0), mpf("0.5"), mpf(0))]
         out = su2.identity()
@@ -143,6 +149,34 @@ class TestMultiplyMemos:
                 assert su2._left_forms[id(a)][5] is a
                 sizes.add(len(su2._left_forms))
         assert max(sizes) == su2._LEFT_BOUND
+
+    @pytest.mark.parametrize("digits", [16, 60, 200])
+    @settings(max_examples=60, deadline=None)
+    @given(nonzero=st.sampled_from(((0,), (1,), (2,), (), (0, 1), (0, 2), (1, 2), (0, 1, 2))), data=st.data())
+    def test_a_left_factor_of_every_zero_pattern_has_the_oracle_bits(self, digits, nonzero, data):
+        # ``nonzero`` lists the nonzero vector components: (w, x, 0, 0),
+        # (w, 0, y, 0), (w, 0, 0, z) and (w, 0, 0, 0) take the sparse sums,
+        # one zero or none the dense one; each on first use,
+        # then again as a kept table entry, times the last product and times
+        # an unrelated right factor
+        with working_digits(digits):
+            prec = mp.prec
+            mantissa = st.integers(1 - 2**prec, 2**prec - 1)
+            # exponents close enough for the left table to keep the form
+            value = st.builds(_exact, mantissa, st.integers(-2 * prec, prec))
+            nonzero_value = st.builds(_exact, mantissa.filter(bool), st.integers(-2 * prec, prec))
+            a = Unitary(data.draw(nonzero_value), *(data.draw(nonzero_value) if k in nonzero else mpf(0) for k in range(3)))
+            b = Unitary(*(data.draw(value) for _ in range(4)))
+            assert id(a) not in su2._left_forms
+            first = su2.multiply(a, b)
+            assert _bits(first) == _bits(oracles.multiply_from_man_exp(a, b))
+            entry = su2._left_forms[id(a)]
+            assert entry[5] is a
+            assert (entry[6] != 0) == (len(nonzero) <= 1)
+            again = su2.multiply(a, first)
+            assert _bits(again) == _bits(oracles.multiply_from_man_exp(a, first))
+            assert _bits(su2.multiply(a, b)) == _bits(first)
+            assert su2._left_forms[id(a)] is entry
 
     def test_a_chain_evaluation_unpacks_each_distinct_factor_once(self, monkeypatch):
         # 727 products over 22 distinct realized unitaries: at first 22 left
@@ -217,6 +251,16 @@ class TestMultiplyEdgeCases:
             a, b = _sums(2 * q, q, q)
             got = _assert_matches_oracles(a, b)
             assert got.w._mpf_ == got.z._mpf_ == (0, 0, 0, 0)
+
+    def test_exact_cancellation_beside_a_tiny_term(self, digits):
+        # w = 1*1 - 1*1 - 0*0 - 2**-k * 1: the two large terms cancel exactly,
+        # so the tiny one is the whole result, not a rounding of it
+        with working_digits(digits):
+            prec = mp.prec
+            for k in (3 * prec, 10 * prec):
+                a = Unitary(mpf(1), mpf(1), mpf(0), _exact(1, -k))
+                b = Unitary(mpf(1), mpf(1), mpf(0), mpf(1))
+                assert _assert_matches_oracles(a, b).w._mpf_ == (1, 1, -k, 1)
 
     def test_zero_components_beside_large_exponents(self, digits):
         with working_digits(digits):

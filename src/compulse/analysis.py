@@ -100,7 +100,7 @@ def default_scales(lo="1e-4", hi="1e-1", per_decade: int = 9) -> tuple:
     decades = log10(hi / lo)
     n = int(floor(decades * per_decade + mpf("0.5")))
     if n + 1 > MAX_SCALES:
-        raise ValueError(f"grid of {n + 1} points exceeds the limit of {MAX_SCALES}")
+        raise ValueError(f"grid of more than {MAX_SCALES} points exceeds the limit")
     grid = tuple(mpf(10) ** (top - mpf(k) / per_decade) for k in range(n + 1))
     if len(set(grid)) != len(grid):
         raise ValueError(f"grid points are not distinct at {mp.dps} digits")
@@ -374,7 +374,8 @@ def _stencil_weights(k: int) -> tuple:
     return _STENCILS[k]
 
 
-_COMPONENT_INDEX = {"x": 0, "y": 1, "z": 2}
+# The trace components by name, in (x, y, z) order.
+COMPONENTS = tuple(axis.lower() for axis in su2.LAB_AXES)
 
 
 def series_coefficient(
@@ -396,9 +397,9 @@ def series_coefficient(
     unknown = set(orders) - set(family.names)
     if unknown:
         raise error_models.ModelConfigError(f"unknown parameters {sorted(unknown)}; family has {family.names}")
-    idx = _COMPONENT_INDEX.get(component)
-    if idx is None:
+    if component not in COMPONENTS:
         raise ValueError(f"component must be x, y or z, got {component!r}")
+    idx = COMPONENTS.index(component)
     ks = [int(orders.get(name, 0)) for name in family.names]
     for name, k in zip(family.names, ks):
         if k < 0:

@@ -7,7 +7,7 @@ reports a log-log slope, ``expand`` extracts a series coefficient,
 reference infidelity table.
 
 Exit codes: 0 success, 2 configuration or parse errors (a ``concat:``
-chain over ``sequences.MAX_PULSES``, a ``--grid`` over
+chain over ``sequences.MAX_LEVELS`` or ``MAX_PULSES``, a ``--grid`` over
 ``analysis.MAX_SCALES`` and unreadable or unwritable files included),
 3 numeric-domain errors (principal-branch overflow, a rotation angle with
 no phase bit left, unreachable goals, too few fit points).
@@ -276,7 +276,7 @@ def make_parser() -> argparse.ArgumentParser:
     _add_sequence_args(p)
     p.add_argument("--family", required=True, help=", ".join(sorted(analysis.FAMILIES)))
     p.add_argument("--orders", required=True, help="e.g. ex=1 or dy=1,ex=1")
-    p.add_argument("--component", required=True, choices=("x", "y", "z"))
+    p.add_argument("--component", required=True, choices=analysis.COMPONENTS)
 
     p = add_sub("plan", cmd_plan, "greedy correction-axis schedule in the order calculus")
     p.add_argument("--regime", default="perfect", choices=orders.REGIMES)

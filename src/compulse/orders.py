@@ -9,12 +9,13 @@ coefficients cancel.
 
 Three regimes are covered: perfect correction pulses, correction pulses
 with frame-covariant vector errors of orders (d, e, f), and correction
-pulses with axis-dependent first-order over-rotation.  Correction about y
-or z is the x rule after cyclically relabeling components so the
-correction axis occupies the first slot.  In the covariant regime the
-(d, e, f) orders are read in the correction pulse's own frame, with d
-along the correction axis: pure over-rotation is (1, inf, inf) for every
-correction axis.
+pulses with axis-dependent first-order over-rotation.  Each imperfect
+rule is the perfect rule plus the terms that the correction pulses' own
+errors add.  The rules are written for correction about x; one cyclic
+relabelling, which puts the correction axis in the first slot, carries
+them to y and z.  Covariant orders (d, e, f) are read in the correction
+pulse's own frame, with d along the correction axis: pure over-rotation
+is (1, inf, inf) for every correction axis.
 """
 
 from __future__ import annotations
@@ -63,9 +64,6 @@ class OrderTriple(NamedTuple):
     def __str__(self):
         return "(" + ";".join(format_order(v) for v in self) + ")"
 
-    def min_order(self):
-        return min(self)
-
 
 class DeltaOrders(NamedTuple):
     """Orders (d, e, f) of a correction pulse's own-frame error vector."""
@@ -85,17 +83,6 @@ def _axis_index(axis: str) -> int:
         raise ValueError(f"correction axis must be one of {AXES}, got {axis!r}") from None
 
 
-def _to_slots(t: OrderTriple, k: int):
-    return (t[k], t[(k + 1) % 3], t[(k + 2) % 3])
-
-
-def _from_slots(s, k: int) -> OrderTriple:
-    out = [None, None, None]
-    for i in range(3):
-        out[(k + i) % 3] = s[i]
-    return OrderTriple(*out)
-
-
 def _rule_perfect(a, b, c):
     return (
         min(a, 2 * b, 2 * c),
@@ -105,49 +92,51 @@ def _rule_perfect(a, b, c):
 
 
 def _rule_covariant(a, b, c, d, e, f):
+    x, y, z = _rule_perfect(a, b, c)
     return (
-        min(a, e + b, f + b, 2 * b, e + c, f + c, 2 * c),
+        min(x, e + b, f + b, e + c, f + c),
         min(
-            e + a, f + a,
-            d + b, e + f + b, 2 * f + b, e + 2 * b, f + 2 * b, 3 * b,
-            2 * e + c, e + f + c, 2 * f + c, e + 2 * c, f + 2 * c, b + 2 * c,
+            y, e + a, f + a,
+            d + b, e + f + b, 2 * f + b, e + 2 * b, f + 2 * b,
+            2 * e + c, e + f + c, 2 * f + c, e + 2 * c, f + 2 * c,
         ),
         min(
-            e + a, f + a,
+            z, e + a, f + a,
             2 * e + b, e + f + b, 2 * f + b, e + 2 * b, f + 2 * b,
-            d + c, 2 * e + c, e + f + c, 2 * b + c, e + 2 * c, f + 2 * c, 3 * c,
+            d + c, 2 * e + c, e + f + c, e + 2 * c, f + 2 * c,
         ),
     )
 
 
 def _rule_axis_dependent(a, b, c):
-    return (
-        min(a, 2 * b, 2 * c),
-        min(3 * b, b + 2 * c, 1 + b, 1 + c),
-        min(3 * c, c + 2 * b, 1 + b, 1 + c),
-    )
+    x, y, z = _rule_perfect(a, b, c)
+    return x, min(y, 1 + b, 1 + c), min(z, 1 + b, 1 + c)
+
+
+def _correct_about(axis: str, rule, t: OrderTriple, *deltas) -> OrderTriple:
+    """The x ``rule`` about ``axis``: rotate the axis into the first slot, apply, rotate back."""
+    k = _axis_index(axis)
+    t = OrderTriple(*t)
+    out = rule(*t[k:], *t[:k], *deltas)
+    return OrderTriple(*out[3 - k:], *out[:3 - k])
 
 
 def correct_perfect(t: OrderTriple, axis: str) -> OrderTriple:
     """Order update for correction with perfect auxiliary rotations."""
-    k = _axis_index(axis)
-    return _from_slots(_rule_perfect(*_to_slots(OrderTriple(*t), k)), k)
+    return _correct_about(axis, _rule_perfect, t)
 
 
 def correct_covariant(t: OrderTriple, dl: DeltaOrders, axis: str) -> OrderTriple:
     """Order update when correction pulses carry covariant vector errors of
     orders ``dl`` (own-frame: d along the correction axis).  With all-inf
     deltas this reduces exactly to :func:`correct_perfect`."""
-    k = _axis_index(axis)
-    slots = _to_slots(OrderTriple(*t), k)
-    return _from_slots(_rule_covariant(*slots, *DeltaOrders(*dl)), k)
+    return _correct_about(axis, _rule_covariant, t, *DeltaOrders(*dl))
 
 
 def correct_axis_dependent(t: OrderTriple, axis: str) -> OrderTriple:
     """Order update when correction pulses have first-order over-rotations
     that may differ between the two conjugation classes."""
-    k = _axis_index(axis)
-    return _from_slots(_rule_axis_dependent(*_to_slots(OrderTriple(*t), k)), k)
+    return _correct_about(axis, _rule_axis_dependent, t)
 
 
 REGIMES = ("perfect", "covariant", "axisdep")
@@ -206,25 +195,13 @@ def plan(
     t = OrderTriple(*start)
     schedule = []
     triples = [t]
-
-    def done():
-        if depth is not None:
-            return len(schedule) >= depth
-        return t.min_order() >= goal_min_order
-
-    while not done():
+    while (len(schedule) < depth) if depth is not None else (min(t) < goal_min_order):
         if len(schedule) >= MAX_DEPTH:
             raise PlanningError(
-                f"min order {format_order(t.min_order())} after {MAX_DEPTH} corrections, "
-                f"goal {goal_min_order} unreachable"
+                f"min order {format_order(min(t))} after {MAX_DEPTH} corrections, goal {goal_min_order} unreachable"
             )
-        best = None
-        for axis in AXES:
-            cand = apply_regime(t, axis, regime, deltas)
-            score = (cand.min_order(), sum(cand))
-            if best is None or score > best[0]:
-                best = (score, axis, cand)
-        _, axis, t = best
+        steps = ((axis, apply_regime(t, axis, regime, deltas)) for axis in AXES)
+        axis, t = max(steps, key=lambda step: (min(step[1]), sum(step[1])))
         schedule.append(axis)
         triples.append(t)
 

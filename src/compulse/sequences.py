@@ -474,10 +474,11 @@ def pulse_count(levels: int, base: int = 1) -> int:
     return 3**levels * (base + 2) - 2
 
 
-# Most pulses a built chain may hold: 12 pi/3 levels on one pulse.  Checked
-# in closed form before building, so a deep concat: spec fails at once
-# instead of exhausting memory.
-MAX_PULSES = pulse_count(12)
+# Most pulses a built chain may hold: MAX_LEVELS pi/3 levels on one pulse.
+# Every base has a pulse, so no deeper chain fits.  Both are checked before
+# building, so a deep concat: spec fails at once instead of exhausting memory.
+MAX_LEVELS = 12
+MAX_PULSES = pulse_count(MAX_LEVELS)
 
 # Every builtin in listing order: name -> (base builder taking the target
 # pulse, pi/3 correction axes applied after it, leftmost innermost).
@@ -527,6 +528,10 @@ def build_builtin(name: str, target: Optional[Pulse] = None) -> PulseSequence:
     if target is None:
         target = target_pulse(X_AXIS, Fraction(1, 2))
     base, axes = _resolve(name)
+    if len(axes) > MAX_LEVELS:
+        raise SequenceError(
+            f"a chain of {len(axes)} levels is deeper than {MAX_LEVELS}; the limit is {MAX_PULSES} pulses"
+        )
     seq = base(target)
     flat = pulse_count(len(axes), len(seq.pulses))
     if flat > MAX_PULSES:
@@ -560,7 +565,11 @@ def _axis_angle(axis: Vec3, alpha_pi: Fraction) -> str:
 def serialize(seq: PulseSequence) -> str:
     """The sequence in the text format, each distinct pulse object formatted
     once.  ``FrameOf(seq.target)`` is written ``frame target``, and any
-    other frame but the identity as nine numbers at the working precision."""
+    other frame but the identity as nine numbers at the working precision.
+    A name that would not read back (a line feed, or whitespace at either
+    end) raises SequenceError."""
+    if "\n" in seq.name or seq.name != seq.name.strip():
+        raise SequenceError(f"name {seq.name!r} does not round-trip: it has a line feed or whitespace at an end")
     lines = [f"# sequence: {seq.name}"] if seq.name else []
     lines.append("target " + _axis_angle(seq.target.axis_in_frame, seq.target.alpha_pi))
     formatted = {}  # id(pulse) -> its line; seq.pulses keeps every id alive

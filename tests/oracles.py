@@ -15,7 +15,9 @@ bit.  :func:`vec_norm_expr`, :func:`frame_map_expr` and
 expressions.
 :func:`format_sci_decimal` rounds an mpf's exact binary value to
 decimal through the standard library's ``decimal``, sharing no code with
-``analysis.format_sci``.  The quaternion helpers at the end
+``analysis.format_sci``.  :func:`relabelled` carries an order rule about
+x to another correction axis through explicit slot tables, sharing no
+arithmetic with ``orders``.  The quaternion helpers at the end
 (:func:`norm`, :func:`unit_vector`, :func:`conjugate_frame`,
 :func:`phase_opt_trace_distance`, :func:`axis_distance`,
 :func:`xy_error_axis`) are built on the library's kernels; no library code
@@ -245,3 +247,16 @@ def xy_error_axis(seq, model, probe_scale) -> tuple:
             f"xy error projection {n} is below the trustworthy floor"
         )
     return (-py / n, px / n, mpf(0))
+
+
+# Correction about an axis is the x rule on the order triple read in these
+# (x, y, z) indices, correction axis first; BACK_SLOTS places the rule's
+# outputs back in (x, y, z) order.
+SLOTS = {"X": (0, 1, 2), "Y": (1, 2, 0), "Z": (2, 0, 1)}
+BACK_SLOTS = {"X": (0, 1, 2), "Y": (2, 0, 1), "Z": (1, 2, 0)}
+
+
+def relabelled(rule_about_x, triple, axis: str) -> tuple:
+    """``rule_about_x`` (a function of one triple) applied about ``axis``."""
+    out = rule_about_x(tuple(triple[i] for i in SLOTS[axis]))
+    return tuple(out[i] for i in BACK_SLOTS[axis])

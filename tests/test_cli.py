@@ -287,6 +287,11 @@ BAD_INPUTS = {
         "fit", "--seq", "naive", "--model", "model=linear eps=0.1", "--grid", COLLAPSING_GRID, "--digits", "16",
     ),
     "concat-too-deep": ("build", "--seq", "concat:XYZXYZXYZXYZX"),
+    # a pulse count beyond Python's int-string limit is never formatted
+    "concat-thousands-of-levels": ("simulate", "--seq", "concat:" + "X" * 9100, "--model", "model=linear eps=0.1"),
+    "grid-per-decade-beyond-int-string-limit": (
+        "scan", "--seq", "naive", "--model", "model=linear eps=0.1", "--grid", "1e-4:1e-1:" + "9" * 4300,
+    ),
     "build-without-seq": ("build",),
     "concat-without-axes": ("build", "--seq", "concat:"),
     "model-key-without-value": ("simulate", "--seq", "naive", "--model", "model=linear eps"),
@@ -364,7 +369,13 @@ class TestBadInput:
         code, _, err = run(capsys, *argv)
         assert (code, err) == (2, "compulse: line 3, column 17: unknown role 'targe'\n")
 
-    @pytest.mark.parametrize("key", ["grid-too-many-points", "concat-too-deep"])
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "grid-too-many-points", "concat-too-deep",
+            "concat-thousands-of-levels", "grid-per-decade-beyond-int-string-limit",
+        ],
+    )
     def test_oversized_input_fails_at_once(self, capsys, key):
         start = time.perf_counter()
         code, _, err = run(capsys, *BAD_INPUTS[key])

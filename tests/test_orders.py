@@ -11,6 +11,7 @@ from compulse.orders import (
     DeltaOrders,
     OVERROTATION_DELTAS,
     OrderTriple,
+    REGIMES,
     PlanningError,
     apply_regime,
     correct_axis_dependent,
@@ -22,12 +23,15 @@ from compulse.orders import (
 )
 from compulse.sequences import SequenceError
 
+import oracles
+
 INF = INFINITY
 NO_DELTAS = DeltaOrders(INFINITY, INFINITY, INFINITY)
 
 order_values = st.one_of(st.integers(min_value=1, max_value=40), st.just(INF))
 triples = st.tuples(order_values, order_values, order_values).map(lambda t: OrderTriple(*t))
 delta_values = st.tuples(order_values, order_values, order_values).map(lambda t: DeltaOrders(*t))
+regimes = st.sampled_from(REGIMES)
 
 
 class TestPerfectRule:
@@ -156,6 +160,25 @@ class TestAxisDependentRule:
         assert min(out) >= min(t)
 
 
+class TestRelabelling:
+    @given(triples, delta_values, st.sampled_from(["Y", "Z", "y", "z"]), regimes)
+    def test_y_and_z_are_the_x_rule_on_relabelled_components(self, t, dl, axis, regime):
+        dl = dl if regime == "covariant" else None
+        want = oracles.relabelled(lambda s: apply_regime(OrderTriple(*s), "X", regime, dl), t, axis.upper())
+        assert apply_regime(t, axis, regime, dl) == want
+
+    @given(triples, delta_values, st.sampled_from(AXES), regimes)
+    def test_mirroring_the_transverse_components_swaps_their_outputs(self, t, dl, axis, regime):
+        # the two components transverse to the axis, and e with f in its frame
+        i, j = {"X": (1, 2), "Y": (2, 0), "Z": (0, 1)}[axis]
+        mirrored = list(t)
+        mirrored[i], mirrored[j] = t[j], t[i]
+        dl, mirrored_dl = (dl, DeltaOrders(dl.d, dl.f, dl.e)) if regime == "covariant" else (None, None)
+        out = list(apply_regime(t, axis, regime, dl))
+        out[i], out[j] = out[j], out[i]
+        assert apply_regime(OrderTriple(*mirrored), axis, regime, mirrored_dl) == OrderTriple(*out)
+
+
 class TestPulseCount:
     def test_recurrence(self):
         assert [pulse_count(k) for k in range(7)] == [1, 7, 25, 79, 241, 727, 2185]
@@ -181,6 +204,13 @@ class TestPlan:
     def test_axis_dependent_regime(self):
         p = plan(OrderTriple(INF, INF, 1), "axisdep", depth=4)
         assert p.final == OrderTriple(3, 4, 4)
+
+    @pytest.mark.parametrize("start,tied,chosen", [((1, 2, 2), "YZ", "Y"), ((2, 1, 2), "XZ", "X")])
+    def test_a_tie_in_min_and_sum_goes_to_the_earlier_axis(self, start, tied, chosen):
+        outs = {a: correct_perfect(OrderTriple(*start), a) for a in AXES}
+        scores = {a: (min(out), sum(out)) for a, out in outs.items()}
+        assert scores[tied[0]] == scores[tied[1]] == (2, 9) == max(scores.values())
+        assert plan(OrderTriple(*start), "perfect", depth=1).schedule == (chosen,)
 
     def test_goal_already_met_gives_empty_schedule(self):
         p = plan(OrderTriple(1, 1, 1), "perfect", goal_min_order=1)

@@ -1,4 +1,5 @@
 import hashlib
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -213,6 +214,13 @@ class TestPi3Correct:
     def test_chain_beyond_pulse_limit_is_refused_before_building(self, spec):
         with pytest.raises(SequenceError, match=f"the limit is {MAX_PULSES}"):
             build_builtin(spec)
+
+    def test_a_million_levels_are_refused_by_depth_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(SequenceError) as info:
+            build_builtin("concat:" + "X" * 10**6)
+        assert time.perf_counter() - start < 1
+        assert str(info.value) == f"a chain of 1000000 levels is deeper than 12; the limit is {MAX_PULSES} pulses"
 
     @pytest.mark.parametrize("base", ["naive", "pi5", "b2sym", "b4"])
     def test_pulse_count_closed_form(self, base):
@@ -908,6 +916,15 @@ class TestDsl:
         assert back.name == seq.name != ""
         assert back.target == seq.target
         assert back.pulses == seq.pulses
+
+    @given(st.text().filter(lambda name: "\n" not in name and name == name.strip()))
+    def test_every_name_serialize_accepts_reads_back(self, name):
+        assert parse(serialize(replace(build_builtin("naive"), name=name))).name == name
+
+    @pytest.mark.parametrize("name", ["a\nb", "  spaced  ", "trailing\n", "\ttab", "cr\r"])
+    def test_a_name_that_would_not_read_back_is_refused(self, name):
+        with pytest.raises(SequenceError, match="does not round-trip"):
+            serialize(replace(build_builtin("naive"), name=name))
 
     def test_name_is_read_only_from_the_header(self):
         text = "# sequence: first\ntarget 1 0 0 1/2\n# sequence: second\n"

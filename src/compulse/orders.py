@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .precision import parse_integer
+from .precision import parse_integer, quoted
 from .sequences import SequenceError, pulse_count
 from .su2 import LAB_AXES
 
@@ -44,7 +44,7 @@ def parse_order(text: str):
     try:
         value = parse_integer(text)
     except ValueError:
-        raise ValueError(f"orders are positive integers or inf, got {text!r}") from None
+        raise ValueError(f"orders are positive integers or inf, got {quoted(text)}") from None
     if value < 1:
         raise ValueError(f"orders are positive integers or inf, got {value}")
     return value

@@ -8,7 +8,8 @@ below the double-precision cancellation floor.
 Numbers read from text are decimal numerals over ASCII digits, read at
 the working precision by :func:`parse_decimal`, or integer numerals read
 by :func:`parse_integer`; Python spellings such as ``3/5`` or ``1_0`` are
-refused.
+refused.  A message that repeats a command-line value quotes it through
+:func:`quoted`, so the message stays short however long the value.
 """
 
 from __future__ import annotations
@@ -69,15 +70,24 @@ def parse_decimal(text: str) -> mpf:
     """
     if _DECIMAL.fullmatch(text) or text.lower() in _NON_FINITE:
         return mpf(text)
-    raise ValueError(f"not a decimal number: {text!r}")
+    raise ValueError(f"not a decimal number: {quoted(text)}")
 
 
 def parse_integer(text: str) -> int:
     """The value of an optionally signed integer numeral over ASCII digits;
     any other text, such as ``1_0`` or ``1.0``, raises ValueError."""
     if not _INTEGER.fullmatch(text):
-        raise ValueError(f"not an integer: {text!r}")
+        raise ValueError(f"not an integer: {quoted(text)}")
     return int(text)
+
+
+def quoted(text: str) -> str:
+    """``repr(text)`` for a message, bounded: a text of more than 80
+    characters is quoted as its first 40, an ellipsis and its length, so an
+    error line stays short whatever it was given."""
+    if len(text) <= 80:
+        return repr(text)
+    return f"{text[:40]!r}… ({len(text)} characters)"
 
 
 def unit_tolerance() -> mpf:

@@ -450,6 +450,44 @@ class TestBadInput:
             main(["simulate", "--seq", "b2", "--model", "model=linear eps=0.1"])
 
 
+LONG = "q" * 10**5
+
+
+class TestLongValues:
+    """A bad value of any length is refused on one short stderr line, its
+    text quoted as its first 40 characters and its length.  Argparse's own
+    invalid-choice errors and tokens inside a --file are not covered."""
+
+    SIMULATE = ("simulate", "--seq", "naive", "--model", "model=linear eps=0.1")
+    EXPAND = ("--digits", "60", "expand", "--seq", "naive", "--family", "target-vector", "--component", "x")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("scan", "--seq", "naive", "--model", "model=linear eps=0.1", "--grid", "1e-4:1e-1:" + LONG),
+            (*SIMULATE, "--target", "x-" + LONG),
+            ("simulate", "--seq", LONG, "--model", "model=linear eps=0.1"),
+            (*EXPAND, "--orders", "ex=" + LONG),
+            ("plan", "--start", "1,1," + LONG, "--depth", "1"),
+            ("plan", "--start", "1,1,1", "--goal", LONG),
+            ("--digits", LONG, *SIMULATE),
+            ("env", *SIMULATE),
+            ("simulate", "--seq", "naive", "--model", "model=" + LONG),
+            (*SIMULATE, "--eps", LONG),
+        ],
+        ids=["grid", "target", "seq", "orders", "start", "goal", "digits", "env-digits", "model", "eps"],
+    )
+    def test_a_bad_value_of_any_length_exits_2_on_one_short_line(self, capsys, monkeypatch, argv):
+        if argv[0] == "env":
+            monkeypatch.setenv("COMPULSE_DIGITS", LONG)
+            argv = argv[1:]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert len(err) - 1 <= 200
+        assert re.search(r"q'… \(1000\d\d characters\)", err)
+
+
 class TestFlagPlacement:
     def test_global_flags_accepted_after_subcommand(self, capsys, tmp_path):
         path = tmp_path / "t.txt"

@@ -1,7 +1,7 @@
 import pytest
 from mpmath import mp, mpf
 
-from compulse.precision import parse_decimal, parse_integer, working_digits
+from compulse.precision import parse_decimal, parse_integer, quoted, working_digits
 
 
 class TestWorkingDigits:
@@ -45,3 +45,20 @@ class TestParseInteger:
     def test_refuses_anything_else(self, text):
         with pytest.raises(ValueError):
             parse_integer(text)
+
+
+class TestQuoted:
+    @pytest.mark.parametrize("text", ["", "abc", "it's", "\n", "x" * 80])
+    def test_a_text_of_at_most_80_characters_is_its_repr(self, text):
+        assert quoted(text) == repr(text)
+
+    @pytest.mark.parametrize("length", [81, 10**5])
+    def test_a_longer_text_is_its_first_40_characters_and_its_length(self, length):
+        text = "".join(str(k % 10) for k in range(length))
+        assert quoted(text) == f"'{text[:40]}'… ({length} characters)"
+
+    def test_parse_errors_quote_within_bounds(self):
+        for parse in (parse_decimal, parse_integer):
+            with pytest.raises(ValueError) as info:
+                parse("q" * 10**5)
+            assert len(str(info.value)) < 100

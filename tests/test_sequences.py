@@ -222,6 +222,33 @@ class TestPi3Correct:
         assert time.perf_counter() - start < 1
         assert str(info.value) == f"a chain of 1000000 levels is deeper than 12; the limit is {MAX_PULSES} pulses"
 
+    def test_a_bad_axis_after_a_million_letters_is_named_by_its_position(self):
+        start = time.perf_counter()
+        with pytest.raises(SequenceError) as info:
+            build_builtin("concat:" + "X" * 10**6 + "W")
+        assert time.perf_counter() - start < 1
+        message = str(info.value)
+        assert len(message) < 200
+        assert message == "unknown correction axis 'W' at position 1000001 of the concat axes"
+
+    @pytest.mark.parametrize(
+        "spec,quoted",
+        [
+            ("concat:", "'concat:'"),
+            ("concat::" + "b" * 10**5, "'concat::" + "b" * 32 + "'… (100008 characters)"),
+        ],
+    )
+    def test_a_bad_concat_spec_is_quoted_within_bounds(self, spec, quoted):
+        with pytest.raises(SequenceError) as info:
+            build_builtin(spec)
+        assert str(info.value) == f"bad concat spec {quoted}: expected concat:<AXES>[:<base>]"
+
+    def test_an_unknown_base_is_quoted_within_bounds(self):
+        with pytest.raises(SequenceError) as info:
+            build_builtin("concat:X:" + "q" * 10**5)
+        assert str(info.value).startswith("unknown sequence '" + "q" * 40 + "'… (100000 characters) (builtins: naive, ")
+        assert len(str(info.value)) < 200
+
     @pytest.mark.parametrize("base", ["naive", "pi5", "b2sym", "b4"])
     def test_pulse_count_closed_form(self, base):
         n = len(build_builtin(base).pulses)

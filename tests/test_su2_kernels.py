@@ -179,8 +179,9 @@ class TestMultiplyMemos:
             assert su2._left_forms[id(a)] is entry
 
     def test_a_chain_evaluation_unpacks_each_distinct_factor_once(self, monkeypatch):
-        # 727 products over 22 distinct realized unitaries: at first 22 left
-        # factors and the identity are unpacked, then only the identity
+        # 727 products over 22 distinct realized unitaries: each right factor
+        # (the running product) is unpacked, and each distinct left factor
+        # only on first use, so the second evaluation unpacks no left factor
         seq = build_builtin("concat:XYYXY")
         calls = []
         unpack = su2._fixed_point
@@ -193,7 +194,7 @@ class TestMultiplyMemos:
                 evaluate(seq, LinearOverRotation(1), mpf("0.01"))
                 counts.append(len(calls))
         assert len(seq.pulses) == 727
-        assert counts == [23, 1]
+        assert counts == [22 + 727, 727]
 
 
 def _sums(p, q, r):
@@ -447,6 +448,16 @@ class TestVectorKernelsBitIdentical:
             for frame in _frames(rng):
                 for v in _vectors(rng):
                     assert _bits(frame.map(v)) == _bits(oracles.frame_map_expr(frame, v))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-(2**800), 2**800), st.integers(-900, 900)), min_size=3, max_size=3))
+    def test_the_identity_frame_maps_a_vector_to_itself(self, digits, parts):
+        # exact components wider than the working precision, so the map rounds
+        v = tuple(_exact(man, exp) for man, exp in parts)
+        with working_digits(digits):
+            want = _bits(su2.as_vec3(v))
+            for frame in (FrameTriad.identity(), FrameTriad((1, 0, 0), (0, 1, 0), (0, 0, 1))):
+                assert _bits(frame.map(v)) == want
 
     def test_frame_map_of_higher_precision_values(self, digits):
         rng = random.Random(7)

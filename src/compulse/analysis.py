@@ -394,9 +394,10 @@ def series_coefficient(
     ModelConfigError: the step leaves no correct digit there.
     """
     require_digits(50, "series extraction")
-    unknown = set(orders) - set(family.names)
+    unknown = sorted(set(orders) - set(family.names))
     if unknown:
-        raise error_models.ModelConfigError(f"unknown parameters {sorted(unknown)}; family has {family.names}")
+        names = quoted(", ".join(unknown))  # one text, however many names
+        raise error_models.ModelConfigError(f"unknown parameters {names}; family has {family.names}")
     if component not in COMPONENTS:
         raise ValueError(f"component must be x, y or z, got {component!r}")
     idx = COMPONENTS.index(component)

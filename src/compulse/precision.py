@@ -8,8 +8,9 @@ below the double-precision cancellation floor.
 Numbers read from text are decimal numerals over ASCII digits, read at
 the working precision by :func:`parse_decimal`, or integer numerals read
 by :func:`parse_integer`; Python spellings such as ``3/5`` or ``1_0`` are
-refused.  A message that repeats a command-line value quotes it through
-:func:`quoted`, so the message stays short however long the value.
+refused.  A message that repeats a command-line value or a file token
+quotes it through :func:`quoted`, so the message stays short however long
+the value.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ def set_digits(digits: int) -> None:
     """Fix the working precision for the rest of the run."""
     if not MIN_DIGITS <= digits <= MAX_DIGITS:
         raise PrecisionError(
-            f"precision must lie in [{MIN_DIGITS}, {MAX_DIGITS}] decimal digits, got {digits}"
+            f"precision must lie in [{MIN_DIGITS}, {MAX_DIGITS}] decimal digits, got {quoted(str(digits))}"
         )
     mp.dps = int(digits)
 

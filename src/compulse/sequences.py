@@ -207,7 +207,7 @@ class Pulse:
         object.__setattr__(self, "axis_in_frame", su2.tighten_axis(self.axis_in_frame))
         object.__setattr__(self, "alpha_pi", Fraction(self.alpha_pi))
         if self.channel not in CHANNELS:
-            raise SequenceError(f"unknown channel {self.channel!r}")
+            raise SequenceError(f"unknown channel {quoted(self.channel)}")
 
     def lab_axis(self) -> Vec3:
         """Unit lab axis at the working precision (see :meth:`derived`)."""
@@ -608,9 +608,9 @@ def _parse_scalar(tok: str, col: int, lineno: int):
     try:
         val = parse_decimal(tok)
     except ValueError:
-        raise DslError(f"bad number {tok!r}", lineno, col) from None
+        raise DslError(f"bad number {quoted(tok)}", lineno, col) from None
     if not mp.isfinite(val):
-        raise DslError(f"non-finite number {tok!r}", lineno, col)
+        raise DslError(f"non-finite number {quoted(tok)}", lineno, col)
     return val
 
 
@@ -619,11 +619,11 @@ _FRACTION_RE = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
 
 def _parse_fraction(tok: str, col: int, lineno: int) -> Fraction:
     if not _FRACTION_RE.fullmatch(tok):
-        raise DslError(f"bad rational angle {tok!r} (expected p/q)", lineno, col)
+        raise DslError(f"bad rational angle {quoted(tok)} (expected p/q)", lineno, col)
     try:
         return Fraction(tok)
     except ZeroDivisionError:
-        raise DslError(f"bad rational angle {tok!r} (zero denominator)", lineno, col) from None
+        raise DslError(f"bad rational angle {quoted(tok)} (zero denominator)", lineno, col) from None
     except ValueError:  # beyond Python's limit on int-string conversion
         raise DslError(f"rational angle of {len(tok)} characters is too long", lineno, col) from None
 
@@ -675,7 +675,7 @@ def parse(text: str) -> PulseSequence:
             if len(toks) < 7:
                 raise DslError("pulse needs axis, angle, role, channel and optionally a frame", lineno, head_col)
         else:
-            raise DslError(f"unknown directive {head!r}", lineno, head_col)
+            raise DslError(f"unknown directive {quoted(head)}", lineno, head_col)
         axis = tuple(_parse_scalar(t, c, lineno) for t, c in toks[1:4])
         alpha = _parse_fraction(*toks[4], lineno)
         if head == "target":
@@ -688,7 +688,7 @@ def parse(text: str) -> PulseSequence:
         try:
             role = Role(role_tok)
         except ValueError:
-            raise DslError(f"unknown role {role_tok!r}", lineno, role_col) from None
+            raise DslError(f"unknown role {quoted(role_tok)}", lineno, role_col) from None
         channel_tok, channel_col = toks[6]
         frame = _parse_frame(toks[7:], target, lineno) if len(toks) > 7 else FrameTriad.identity()
         try:
@@ -710,10 +710,10 @@ def _parse_frame(toks: list, target: Pulse, lineno: int):
     """The frame of a pulse line from its (token, column) pairs after the channel."""
     (kw, kw_col), rest = toks[0], toks[1:]
     if kw != "frame":
-        raise DslError(f"expected 'frame', got {kw!r}", lineno, kw_col)
+        raise DslError(f"expected 'frame', got {quoted(kw)}", lineno, kw_col)
     if rest and rest[0][0] == "target":
         if len(rest) > 1:
-            raise DslError(f"unexpected {rest[1][0]!r} after 'frame target'", lineno, rest[1][1])
+            raise DslError(f"unexpected {quoted(rest[1][0])} after 'frame target'", lineno, rest[1][1])
         return FrameOf(target)
     if len(rest) != 9:
         raise DslError("'frame' needs 'target' or 9 numbers", lineno, kw_col)

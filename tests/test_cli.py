@@ -11,7 +11,7 @@ from compulse import su2
 from compulse.analysis import FAMILIES, component_scan, default_scales, format_sci, to_csv
 from compulse.cli import main, make_parser
 from compulse.error_models import PerChannel, describe, parse_model
-from compulse.precision import working_digits
+from compulse.precision import quoted, working_digits
 from compulse.sequences import build_builtin, evaluate, parse_target
 
 
@@ -329,6 +329,17 @@ BAD_INPUTS = {
     "depth-underscore": ("plan", "--start", "1,inf,inf", "--depth", "1_0"),
     "goal-full-width": ("plan", "--start", "1,inf,inf", "--goal", "\uff13"),
     "goal-decimal": ("plan", "--start", "1,inf,inf", "--goal", "3.0"),
+    # refused by argparse, on the same one line as every other refusal
+    "subcommand-unknown": ("simulat", "--seq", "naive"),
+    "regime-unknown": ("plan", "--regime", "perfekt", "--start", "1,1,1", "--depth", "1"),
+    "component-unknown": ("expand", "--seq", "pi3:X", "--family", "covariant", "--orders", "ex=1", "--component", "w"),
+    "column-unknown": ("fit", "--seq", "naive", "--model", "model=linear eps=0.1", "--column", "cw"),
+    "start-missing": ("plan", "--depth", "1"),
+    "goal-and-depth-missing": ("plan", "--start", "1,1,1"),
+    "seq-and-file": ("simulate", "--seq", "naive", "--file", "seq.txt"),
+    "build-seq-and-list": ("build", "--seq", "naive", "--list"),
+    "argument-unrecognized": ("build", "--list", "--lsit"),
+    "eps-without-value": ("simulate", "--seq", "naive", "--eps"),
 }
 
 
@@ -454,9 +465,9 @@ LONG = "q" * 10**5
 
 
 class TestLongValues:
-    """A bad value of any length is refused on one short stderr line, its
-    text quoted as its first 40 characters and its length.  Argparse's own
-    invalid-choice errors and tokens inside a --file are not covered."""
+    """A bad value of any length, on the command line or as a token of a
+    --file, is refused on one short stderr line, its text quoted as its
+    first 40 characters and its length."""
 
     SIMULATE = ("simulate", "--seq", "naive", "--model", "model=linear eps=0.1")
     EXPAND = ("--digits", "60", "expand", "--seq", "naive", "--family", "target-vector", "--component", "x")
@@ -474,8 +485,17 @@ class TestLongValues:
             ("env", *SIMULATE),
             ("simulate", "--seq", "naive", "--model", "model=" + LONG),
             (*SIMULATE, "--eps", LONG),
+            ("plan", "--regime", LONG, "--start", "1,1,1", "--depth", "1"),
+            (LONG, "--seq", "naive"),
+            ("build", "--list", LONG),
+            ("plan", "--d=" + LONG, "--start", "1,1,1"),
+            ("build", "--list=" + LONG),
+            (*EXPAND, "--orders", LONG + "=1"),
         ],
-        ids=["grid", "target", "seq", "orders", "start", "goal", "digits", "env-digits", "model", "eps"],
+        ids=[
+            "grid", "target", "seq", "orders", "start", "goal", "digits", "env-digits", "model", "eps",
+            "regime", "subcommand", "unrecognized", "ambiguous-option", "explicit-argument", "orders-key",
+        ],
     )
     def test_a_bad_value_of_any_length_exits_2_on_one_short_line(self, capsys, monkeypatch, argv):
         if argv[0] == "env":
@@ -486,6 +506,57 @@ class TestLongValues:
         assert err.count("\n") == 1 and err.endswith("\n")
         assert len(err) - 1 <= 200
         assert re.search(r"q'… \(1000\d\d characters\)", err)
+
+    # Each token the text format names when it refuses it, in a file that
+    # is sound but for that token.  No token over 80 characters reads as
+    # non-finite, and a zero denominator has at most Python's 4,300 digits.
+    FILE_TOKENS = {
+        "number": ("target 1 0 0 1/2\npulse {} 0 0 1/2 target target\n", LONG),
+        "angle": ("target 1 0 0 {}\n", LONG),
+        "zero-denominator": ("target 1 0 0 {}\n", "9" * 4300 + "/" + "0" * 4300),
+        "directive": ("target 1 0 0 1/2\n{} 1 0 0 1/2\n", LONG),
+        "role": ("target 1 0 0 1/2\npulse 1 0 0 1/2 {} target\n", LONG),
+        "channel": ("target 1 0 0 1/2\npulse 1 0 0 1/2 target {}\n", LONG),
+        "frame-keyword": ("target 1 0 0 1/2\npulse 1 0 0 1/2 target target {}\n", LONG),
+        "after-frame-target": ("target 1 0 0 1/2\npulse 1 0 0 1/2 target target frame target {}\n", LONG),
+    }
+
+    @pytest.mark.parametrize("key", FILE_TOKENS)
+    def test_a_bad_file_token_of_any_length_is_quoted(self, capsys, tmp_path, key):
+        text, token = self.FILE_TOKENS[key]
+        path = tmp_path / "bad.txt"
+        path.write_text(text.format(token), encoding="utf-8")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "simulate", "--file", str(path))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and len(err) - 1 <= 200
+        assert quoted(token) in err
+        assert time.perf_counter() - start < 1
+
+    def test_a_digit_count_of_any_length_is_quoted(self, capsys):
+        digits = "9" * 4000
+        code, out, err = run(capsys, "--digits", digits, "build", "--list")
+        assert (code, out) == (2, "")
+        assert err == f"compulse: precision must lie in [16, 200] decimal digits, got {quoted(digits)}\n"
+        assert len(err) - 1 <= 200
+
+
+class TestArgparseRefusals:
+    @pytest.mark.parametrize("argv", [("--help",), ("plan", "--help")], ids=["top-level", "subcommand"])
+    def test_help_still_prints_the_usage_and_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert exit_.value.code == 0 and captured.err == ""
+        assert captured.out.startswith("usage: compulse " + " ".join(argv[:-1]))
+
+    def test_a_short_value_reads_as_argparse_wrote_it(self, capsys):
+        code, _, err = run(capsys, *BAD_INPUTS["regime-unknown"])
+        assert code == 2 and err.startswith("compulse: argument --regime: invalid choice: 'perfekt' (choose from ")
+        code, _, err = run(capsys, *BAD_INPUTS["seq-and-file"])
+        assert (code, err) == (2, "compulse: argument --file: not allowed with argument --seq\n")
+        code, _, err = run(capsys, "build", "--list", "a\nb", "--lsit")
+        assert (code, err) == (2, "compulse: unrecognized arguments: 'a\\nb --lsit'\n")
 
 
 class TestFlagPlacement:

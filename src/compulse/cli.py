@@ -193,12 +193,7 @@ def cmd_fit(args) -> str:
 
 def cmd_expand(args) -> str:
     seq = _load_sequence(args)
-    factory = analysis.FAMILIES.get(args.family)
-    if factory is None:
-        raise SequenceError(
-            f"unknown family {quoted(args.family)} (choose from {', '.join(sorted(analysis.FAMILIES))})"
-        )
-    family = factory()
+    family = analysis.FAMILIES[args.family]()
     spec = _parse_orders_spec(args.orders)
     coef = series_coefficient(seq, family, spec, args.component)
     return f"coefficient {format_sci(coef, min(args.digits, 20))}\n"
@@ -275,7 +270,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = add_sub("expand", cmd_expand, "series coefficient by finite differences (needs >= 50 digits)")
     _add_sequence_args(p)
-    p.add_argument("--family", required=True, help=", ".join(sorted(analysis.FAMILIES)))
+    p.add_argument("--family", required=True, choices=sorted(analysis.FAMILIES))
     p.add_argument("--orders", required=True, help="e.g. ex=1 or dy=1,ex=1")
     p.add_argument("--component", required=True, choices=analysis.COMPONENTS)
 

@@ -5,9 +5,10 @@ run, in decimal digits.  Double precision corresponds to 16 digits; the
 infidelity table needs 50 or more because the smallest entries sit far
 below the double-precision cancellation floor.
 
-Numbers read from text are decimal numerals over ASCII digits, read at
-the working precision by :func:`parse_decimal`, or integer numerals read
-by :func:`parse_integer`; Python spellings such as ``3/5`` or ``1_0`` are
+Numbers read from text are decimal numerals over ASCII digits, with an
+exponent of at most MAX_EXPONENT_DIGITS digits, read at the working
+precision by :func:`parse_decimal`, or integer numerals read by
+:func:`parse_integer`; Python spellings such as ``3/5`` or ``1_0`` are
 refused.  A message that repeats a command-line value or a file token
 quotes it through :func:`quoted`, so the message stays short however long
 the value.
@@ -56,9 +57,15 @@ def working_digits(digits: int):
         mp.prec = saved
 
 
-_DECIMAL = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?", re.ASCII)
+_DECIMAL = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?(\d+))?", re.ASCII)
 _INTEGER = re.compile(r"[+-]?\d+", re.ASCII)
 _NON_FINITE = ("inf", "+inf", "-inf", "nan")
+
+# Most digits the exponent of a decimal numeral may have.  mpmath reads an
+# exponent in time that grows faster than quadratically in its digits: at
+# 200 digits of precision, 0.13 ms for 20 exponent digits and 1.7 ms for
+# 100; at 16, 17 s for 4,000.
+MAX_EXPONENT_DIGITS = 20
 
 
 def parse_decimal(text: str) -> mpf:
@@ -67,9 +74,13 @@ def parse_decimal(text: str) -> mpf:
 
     ``inf``, ``+inf``, ``-inf`` and ``nan`` (in any case) read as themselves,
     so a caller can refuse them by name.  Any other text, such as ``3/5``,
-    ``1_0`` or non-ASCII digits, raises ValueError.
+    ``1_0``, non-ASCII digits or an exponent of more than
+    MAX_EXPONENT_DIGITS digits, raises ValueError.
     """
-    if _DECIMAL.fullmatch(text) or text.lower() in _NON_FINITE:
+    match = _DECIMAL.fullmatch(text)
+    if match and len(match[1] or "") > MAX_EXPONENT_DIGITS:
+        raise ValueError(f"exponent of more than {MAX_EXPONENT_DIGITS} digits: {quoted(text)}")
+    if match or text.lower() in _NON_FINITE:
         return mpf(text)
     raise ValueError(f"not a decimal number: {quoted(text)}")
 

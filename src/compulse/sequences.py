@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from mpmath import acos, cos, fabs, mp, mpf, nstr, sin
+from mpmath import acos, fabs, mp, mpf, nstr
 
 from . import su2
 from .precision import parse_decimal, quoted
@@ -258,8 +258,8 @@ class Pulse:
         first use with this pulse's frame and exact axis bits."""
         partner = self._dagger
         if partner is None:
-            # no __post_init__: its conversion would round an axis made at
-            # another precision to the working one
+            # made directly: through replace() the partner would run the
+            # acceptance check again on data this pulse has passed
             partner = object.__new__(Pulse)
             partner.__dict__.update(
                 vars(self), alpha_pi=-self.alpha_pi, role=self.role.partner, _record=None, _dagger=self
@@ -380,19 +380,35 @@ def _phase_blocks(name: str, t: Pulse, span: int, layout: tuple) -> PulseSequenc
 
     ``layout`` lists each correction pulse as (phase multiple k, generator
     angle in units of pi); its axis sits at phase k*phi.  Repeated entries
-    share one :class:`Pulse`.
+    share one :class:`Pulse`.  Its axis components are closed forms of the
+    exact theta, ``span`` and k, read at the working precision as ``mp.pi``
+    is: a build evaluates at any precision like a build at that one, and
+    a pulse compares and hashes by its axis at the working precision (no
+    library path hashes a built pulse; :func:`parse` interns parsed ones).
     """
     if su2.axis_name(t.axis_in_frame) != "x":
         raise SequenceError(f"{name} corrects rotations about x; got axis {_axis_label(t.axis_in_frame)}")
     theta_pi = 2 * t.alpha_pi
     if abs(theta_pi) > span:
         raise SequenceError(f"{name} needs |theta| <= {span}*pi for a real correction phase")
-    phi = acos(-mpf(theta_pi.numerator) / theta_pi.denominator / span)
     made = {}
     for k, alpha_pi in set(layout):
-        axis = (cos(k * phi), sin(k * phi), mpf(0))
+        axis = (_phase_component("cos", k, theta_pi, span), _phase_component("sin", k, theta_pi, span), 0)
         made[k, alpha_pi] = Pulse(FrameTriad.identity(), axis, alpha_pi, Role.CORRECTION, "target")
     return PulseSequence(t, (t, *(made[entry] for entry in layout)), name=name)
+
+
+def _phase_component(f: str, k: int, theta_pi: Fraction, span: int):
+    """``f(k*phi)`` for ``f`` "cos" or "sin", cos(phi) = -theta/(span*pi),
+    as an ``mp.constant``: each read computes it afresh at the precision
+    that reads it, by the same operations in the same order at any one."""
+
+    def value(prec, rounding):
+        with mp.workprec(prec):
+            phi = acos(-mpf(theta_pi.numerator) / theta_pi.denominator / span)
+            return getattr(mp, f)(k * phi)._mpf_
+
+    return mp.constant(value, f"{f}({k}*phi)")
 
 
 # b2's correction block, (phi, pi) (3*phi, 2*pi) (phi, pi) as rotations;

@@ -120,10 +120,11 @@ def tighten_axis(axis: Iterable) -> Vec3:
     The one acceptance check: a norm off 1 by more than GEOMETRY_TOL, at
     any precision, raises, so a sequence written at 16 digits still
     evaluates at 60.  An accepted axis is never rescaled, so a stored
-    pulse holds exactly the numbers it was given.
+    pulse holds exactly the numbers it was given, whatever the precision
+    that made them.
     """
-    v = as_vec3(axis)
-    n = vec_norm(v)
+    v = tuple(axis)
+    n = vec_norm(as_vec3(v))
     if fabs(n - 1) > GEOMETRY_TOL:
         raise InvalidAxisError(f"axis norm {n} deviates from 1 beyond tolerance")
     return v

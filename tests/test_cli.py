@@ -491,10 +491,12 @@ class TestLongValues:
             ("plan", "--d=" + LONG, "--start", "1,1,1"),
             ("build", "--list=" + LONG),
             (*EXPAND, "--orders", LONG + "=1"),
+            ("--digits", "60", "expand", "--seq", "naive", "--family", LONG, "--orders", "ex=1", "--component", "x"),
         ],
         ids=[
             "grid", "target", "seq", "orders", "start", "goal", "digits", "env-digits", "model", "eps",
             "regime", "subcommand", "unrecognized", "ambiguous-option", "explicit-argument", "orders-key",
+            "family",
         ],
     )
     def test_a_bad_value_of_any_length_exits_2_on_one_short_line(self, capsys, monkeypatch, argv):
@@ -507,11 +509,32 @@ class TestLongValues:
         assert len(err) - 1 <= 200
         assert re.search(r"q'… \(1000\d\d characters\)", err)
 
+    # A decimal numeral that mpmath alone takes about 17 s to read.
+    EXPONENT = "1e" + "9" * 4000
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            (*SIMULATE, "--eps", EXPONENT),
+            ("simulate", "--seq", "naive", "--model", "model=linear eps=" + EXPONENT),
+            ("scan", "--seq", "naive", "--model", "model=linear eps=0.1", "--grid", EXPONENT + ":1e-1:3"),
+        ],
+        ids=["eps", "model", "grid"],
+    )
+    def test_a_number_with_a_long_exponent_exits_2_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("compulse: bad ") and err.count("\n") == 1 and len(err) - 1 <= 200
+        assert time.perf_counter() - start < 1
+
     # Each token the text format names when it refuses it, in a file that
     # is sound but for that token.  No token over 80 characters reads as
     # non-finite, and a zero denominator has at most Python's 4,300 digits.
     FILE_TOKENS = {
         "number": ("target 1 0 0 1/2\npulse {} 0 0 1/2 target target\n", LONG),
+        "exponent": ("target 1 0 0 1/2\npulse {} 0 0 1/2 target target\n", EXPONENT),
+        "numeral": ("target 1 0 0 1/2\npulse {} 0 0 1/2 target target\n", "9" * 10**5 + "x"),
         "angle": ("target 1 0 0 {}\n", LONG),
         "zero-denominator": ("target 1 0 0 {}\n", "9" * 4300 + "/" + "0" * 4300),
         "directive": ("target 1 0 0 1/2\n{} 1 0 0 1/2\n", LONG),

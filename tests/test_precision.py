@@ -18,7 +18,9 @@ class TestWorkingDigits:
 
 
 class TestParseDecimal:
-    @pytest.mark.parametrize("text", ["1", "-0.5", ".5", "5.", "1e-3", "1E+3", "+1", "007", "-0", "1e999999999999"])
+    @pytest.mark.parametrize(
+        "text", ["1", "-0.5", ".5", "5.", "1e-3", "1E+3", "+1", "007", "-0", "1e999999999999", "1e-" + "9" * 20]
+    )
     def test_reads_decimal_numerals(self, text):
         with working_digits(30):
             assert parse_decimal(text) == mpf(text)
@@ -29,7 +31,10 @@ class TestParseDecimal:
 
     @pytest.mark.parametrize(
         "text",
-        ["3/5", "1/0", "1_0", "1e1_0", "\u0661", "0x10", " 1", "1 ", "", ".", "e5", "1e", "1.e", "--1", "+nan"],
+        [
+            "3/5", "1/0", "1_0", "1e1_0", "\u0661", "0x10", " 1", "1 ", "", ".", "e5", "1e", "1.e", "--1", "+nan",
+            "1e" + "0" * 21,
+        ],
     )
     def test_refuses_anything_else(self, text):
         with pytest.raises(ValueError):

@@ -153,14 +153,15 @@ class TestEvaluateDigest:
     def test_results_across_precisions_keep_their_pinned_bits(self):
         # A 16-digit build evaluated at 60, and pi3_correct at 60 digits
         # around 16-digit builds.  Conjugated pulses refer to their target,
-        # so their frames are derived at 60 digits, and a stored axis keeps
-        # its 16-digit numbers until it is made unit at 60 digits.
+        # so their frames are derived at 60 digits; the b2/b4 phase axes are
+        # read at 60 digits, and the axes of a text written at 16 keep their
+        # 16-digit numbers until they are made unit at 60 digits.
         module = _load_evaluate_digest()
         assert module.digest(self.PINNED, module.MODELS, (16, 60)) == (
-            "6cfa2eed4348d5ceccd2ad9e420c2e13646796c56c387f6a3c727efaf645e2c9"
+            "0678b0c49849676edc48c51d7bc2a521f2b34bdcf84b45cd7f1ff984d95afeea"
         )
         assert module.wrapped_digest(("pi3:Y", "pi5", "b2sym"), module.MODELS) == (
-            "0f3c740af2f1b88e669c51a2c609e68a69700885443db179c50e6346af7e9076"
+            "d3277c059b6d170ba7c1ff61854b6bb9d14f5274f8fb3361f393545d0741b94f"
         )
 
     def test_written_text_keeps_its_pinned_bytes_and_reads_back(self):
@@ -193,9 +194,6 @@ class TestEvaluateDigest:
                 assert list(module._results(other, models)) == list(module._results(canonical, models))
 
 
-# The b2/b4 family: its xy-plane correction axes are still rounded at the
-# build precision (ROADMAP item 6, second step).
-B_FAMILY = ("b2", "b4", "b2sym", "b4sym", "pi3Y∘b2sym", "pi3Y∘b4sym", "concat:ZZY:b2sym")
 LEAK_NAMES = BUILTIN_NAMES + ("concat:XY", "concat:XYZXY", "concat:ZZY:b2sym")
 LEAK_TARGETS = ("x-pi", "x-pi/2", "z-pi", "y-3pi/4")
 LEAK_MODELS = (
@@ -205,12 +203,12 @@ LEAK_MODELS = (
 )
 
 
-def _leaks(names) -> list:
-    """(name, target, model) where ``names`` built at 16 digits and evaluated
-    at 60 differ from the 60-digit build, under LEAK_MODELS; builtins that
-    reject a target are skipped."""
+def _leaks(name) -> list:
+    """(target, model) where ``name`` built at 16 digits and evaluated at 60
+    differs from the 60-digit build, under LEAK_MODELS; targets that the
+    builtin rejects are skipped."""
     leaks = []
-    for name, target in product(names, LEAK_TARGETS):
+    for target in LEAK_TARGETS:
         with working_digits(16):
             try:
                 low = build_builtin(name, parse_target(target))
@@ -221,18 +219,14 @@ def _leaks(names) -> list:
             for config in LEAK_MODELS:
                 model = parse_model(config)
                 if evaluate(low, model, mpf(1)) != evaluate(high, model, mpf(1)):
-                    leaks.append((name, target, config))
+                    leaks.append((target, config))
     return leaks
 
 
 class TestBuildPrecision:
-    @pytest.mark.parametrize("name", [n for n in LEAK_NAMES if n not in B_FAMILY])
+    @pytest.mark.parametrize("name", LEAK_NAMES)
     def test_a_16_digit_build_evaluates_at_60_like_a_60_digit_build(self, name):
-        assert _leaks([name]) == []
-
-    @pytest.mark.xfail(strict=True, reason="b2/b4 axes are rounded at build precision (ROADMAP item 6)")
-    def test_the_b_family_evaluates_at_60_like_a_60_digit_build(self):
-        assert _leaks(B_FAMILY) == []
+        assert _leaks(name) == []
 
 
 def _respell_dagger_lines(text: str) -> str:

@@ -350,6 +350,19 @@ class TestB2B4:
         assert correction_layout(b2(t), 4) == block
         assert correction_layout(b4(t), 24) == block * 4 + middle + block * 4
 
+    @pytest.mark.parametrize("name", ["b2", "b4", "b2sym", "b4sym"])
+    def test_builds_at_16_and_60_digits_hold_equal_pulses(self, name):
+        # The phase axes are read at the precision that compares or writes
+        # them; test_scripts.py pins the bytes written at 16 and at 60.
+        builds = {}
+        for digits in (16, 60):
+            with working_digits(digits):
+                builds[digits] = build_builtin(name, parse_target("x-pi/2"))
+        for digits in (16, 60):
+            with working_digits(digits):
+                assert builds[16].pulses == builds[60].pulses
+                assert serialize(builds[16]) == serialize(builds[60])
+
     def test_repeated_layout_entries_share_a_pulse(self):
         assert len({id(p) for p in b2(X_PI).pulses}) == 3
         assert len({id(p) for p in b4(X_PI).pulses}) == 5
@@ -464,9 +477,8 @@ class TestEvaluate:
     def test_cached_geometry_follows_precision(self, exact):
         # One sequence object evaluated at 16, 60, then 16 digits must match,
         # bit for bit, a fresh object never evaluated before.  Exact text
-        # parses to the same values at any precision, so its fresh copy is
-        # parsed at the evaluation precision; builtin geometry depends on the
-        # build precision, so its fresh copy is built at 16 digits too.
+        # and a builtin hold data that reads the same at any precision, so
+        # the fresh copy is made at the evaluation precision.
         def make():
             return parse(_EXACT_TEXT) if exact else build_builtin("pi3Y∘b4sym")
 
@@ -484,9 +496,8 @@ class TestEvaluate:
         with working_digits(16):
             seq = make()
         for digits in (16, 60, 16):
-            with working_digits(digits if exact else 16):
-                fresh = make()
             with working_digits(digits):
+                fresh = make()
                 for model in models:
                     assert evaluate(seq, model, mpf("0.01")) == evaluate(fresh, model, mpf("0.01"))
 
@@ -847,6 +858,13 @@ class TestAxisAcceptance:
             assert len(pulses) == len(lines) == 4
             for p, toks in zip(pulses, lines):
                 assert [c._mpf_ for c in p.axis_in_frame] == [mpf(t)._mpf_ for t in toks[1:4]]
+
+    def test_a_pulse_keeps_axis_numbers_made_at_another_precision(self):
+        with working_digits(60):
+            axis = oracles.unit_vector((1, 2, 3))
+        with working_digits(16):
+            p = Pulse(FrameTriad.identity(), axis, Fraction(1, 6), Role.CORRECTION, "pi3")
+        assert [c._mpf_ for c in p.axis_in_frame] == [c._mpf_ for c in axis]
 
     def test_lab_axis_is_the_derived_axis_of_a_tilted_frame(self):
         # A unit axis in a frame within the geometry tolerance of

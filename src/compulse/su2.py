@@ -13,7 +13,9 @@ test suite only.
 
 Integer arithmetic on mpmath's raw ``(sign, mantissa, exponent,
 bitcount)`` tuples is kept to the product, :func:`multiply`, which runs
-once per flat pulse: each component is one exact integer dot product,
+once per flat pulse, and to the conversion between a :class:`Unitary`'s
+mpf components and its exact form.  Each product component is one exact
+integer dot product,
 rounded once to nearest with ties to even at the working precision, so
 products are correctly rounded per component.  The rounding gives the
 same bits as libmp's ``from_man_exp`` with ``round_nearest``; a non-finite
@@ -36,11 +38,10 @@ tolerance of geometry: an accepted axis is kept as given, and
 division by its norm.
 
 All values are immutable, and every operation returns the same result for
-the same arguments at the same working precision.  The one kept state is
-:func:`multiply`'s table of the integer forms of recent left factors, keyed
-by identity: without it ``deep_chain`` ``wall_s`` is 24-27% higher.  It is
-exact, so it never changes a result, and bounded: it keeps at most 64 forms
-and none wider than 4096 bits per component.
+the same arguments at the same working precision.  ``su2`` keeps no module
+state.  A value keeps its own exact form, and a left factor of
+:func:`multiply` its aligned integer form, unless a component of that form
+is wider than _LEFT_BITS; both are exact, so they never change a result.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Optional
 
 from mpmath import atan2, fabs, mp, mpf, nstr, sqrt
-from mpmath.libmp import fzero
+from mpmath.libmp import from_man_exp
 
 from .precision import unit_tolerance  # noqa: F401 -- benchmarks/test_tracer.py checks this alias
 
@@ -64,13 +65,85 @@ class BranchError(ValueError):
     too large to be a 'systematic small' error."""
 
 
-class Unitary(NamedTuple):
-    """SU(2) element as a unit quaternion."""
+class Unitary:
+    """SU(2) element as a unit quaternion ``(w, x, y, z)``.
 
-    w: mpf
-    x: mpf
-    y: mpf
-    z: mpf
+    It builds, reads, unpacks, indexes, compares (``==``, also with a plain
+    4-tuple), hashes and prints as a NamedTuple of four mpf would.  A
+    component that is not an mpf is converted once with ``mpf()`` when the
+    value is built; an mpf is kept as given.
+
+    A value holds its mpf components, its exact form, or both, and makes
+    either one from the other on first need.  The exact form is one pair
+    of integers (signed mantissa, exponent) per component, (0, 0) for zero.
+    :func:`multiply` returns the exact form alone, with each mantissa
+    rounded at the working precision; its trailing zeros are shed when the
+    mpf is made.  So a running product that nothing reads makes no mpf: a
+    ``deep_chain`` job never reads 10,178 of its 10,211 products, and its
+    ``wall_s`` is 23% lower than with four mpf made per product.  A left factor of :func:`multiply` also keeps its aligned
+    integer form.
+    """
+
+    __slots__ = ("_parts", "_pairs", "_left")
+
+    def __init__(self, w, x, y, z):
+        self._parts = (
+            w if isinstance(w, mpf) else mpf(w),
+            x if isinstance(x, mpf) else mpf(x),
+            y if isinstance(y, mpf) else mpf(y),
+            z if isinstance(z, mpf) else mpf(z),
+        )
+        self._pairs = self._left = None
+
+    def _components(self) -> tuple:
+        parts = self._parts
+        if parts is None:
+            parts = self._parts = tuple(map(_mpf_from, self._pairs))
+        return parts
+
+    def _exact(self) -> tuple:
+        pairs = self._pairs
+        if pairs is None:
+            pairs = self._pairs = _unpack(self)
+        return pairs
+
+    @property
+    def w(self) -> mpf:
+        return self._components()[0]
+
+    @property
+    def x(self) -> mpf:
+        return self._components()[1]
+
+    @property
+    def y(self) -> mpf:
+        return self._components()[2]
+
+    @property
+    def z(self) -> mpf:
+        return self._components()[3]
+
+    def __len__(self) -> int:
+        return 4
+
+    def __iter__(self):
+        return iter(self._components())
+
+    def __getitem__(self, index):
+        return self._components()[index]
+
+    def __eq__(self, other):
+        if isinstance(other, Unitary):
+            other = other._components()
+        elif not isinstance(other, tuple):
+            return NotImplemented
+        return self._components() == other
+
+    def __hash__(self) -> int:
+        return hash(self._components())
+
+    def __repr__(self) -> str:
+        return "Unitary(w=%r, x=%r, y=%r, z=%r)" % self._components()
 
 
 class ErrorVector(NamedTuple):
@@ -177,84 +250,80 @@ def exp_pauli(vec: Iterable) -> Unitary:
     return Unitary(c, s * v[0] / m, s * v[1] / m, s * v[2] / m)
 
 
-def _fixed_point(u: Unitary) -> tuple:
-    """(w, x, y, z, e): signed integer mantissas of u's components, all
-    scaled to the smallest exponent e of the four.  Raises ValueError when a
-    component is inf or nan.
-
-    mpmath stores zero as mantissa 0 and exponent 0.  A nonzero component
-    of magnitude at most 1 has exponent at most 0, so a zero sets the scale
-    only when every nonzero component exceeds 1; it then only appends zero
-    bits to exact integers, and the rounded product is the same.
-    """
-    rw, rx, ry, rz = u[0]._mpf_, u[1]._mpf_, u[2]._mpf_, u[3]._mpf_
-    # mpmath stores 0, inf and nan with a zero mantissa; only 0 has bitcount 0.
-    if not (rw[1] and rx[1] and ry[1] and rz[1]) and any(r[3] and not r[1] for r in (rw, rx, ry, rz)):
-        raise ValueError(f"non-finite quaternion component in {u}")
-    sw, w, ew, _ = rw
-    sx, x, ex, _ = rx
-    sy, y, ey, _ = ry
-    sz, z, ez, _ = rz
-    low = min(ew, ex, ey, ez)
-    return (
-        (-w if sw else w) << (ew - low),
-        (-x if sx else x) << (ex - low),
-        (-y if sy else y) << (ey - low),
-        (-z if sz else z) << (ez - low),
-        low,
-    )
+_new = object.__new__
 
 
-def _rounded(man: int, exp: int, prec: int) -> tuple:
-    """The raw mpf of man * 2**exp rounded to prec bits, to nearest with ties
-    to even: exactly ``libmp.from_man_exp(man, exp, prec, round_nearest)``."""
-    if man > 0:
-        sign = 0
-    elif man:
-        sign, man = 1, -man
+def _mpf_from(pair: tuple) -> mpf:
+    """The mpf of an exact-form pair: libmp's ``from_man_exp`` without a
+    precision sheds the trailing zeros that :func:`_round` leaves."""
+    return mp.make_mpf(from_man_exp(*pair))
+
+
+def _unpack(u: Unitary) -> tuple:
+    """The exact form of u's mpf components.  Raises ValueError when a
+    component is inf or nan."""
+    pairs = []
+    for c in u._parts:
+        sign, man, exp, bc = c._mpf_
+        # mpmath stores 0, inf and nan with a zero mantissa; only 0 has bitcount 0.
+        if bc and not man:
+            raise ValueError(f"non-finite quaternion component in {u}")
+        pairs.append((-man if sign else man, exp))
+    return tuple(pairs)
+
+
+def _round(man: int, exp: int, prec: int) -> tuple:
+    """The pair of man * 2**exp rounded to prec bits, to nearest with ties to
+    even: the value of ``libmp.from_man_exp(man, exp, prec, round_nearest)``.
+    The mantissa keeps its trailing zeros, which :func:`_mpf_from` sheds,
+    and zero is (0, 0)."""
+    n = man.bit_length() - prec
+    if n <= 0:
+        return (man, exp) if man else (0, 0)
+    neg = man < 0
+    if neg:
+        man = -man
+    t = man >> (n - 1)  # the kept bits and the first dropped one
+    if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)):
+        man = (t >> 1) + 1
     else:
-        return fzero
-    bc = man.bit_length()
-    n = bc - prec
-    if n > 0:
-        t = man >> (n - 1)  # the kept bits and the first dropped one
-        if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)):
-            man = (t >> 1) + 1
-        else:
-            man = t >> 1
-        exp += n
-        bc = prec
-    if not man & 1:
-        tz = (man & -man).bit_length() - 1
-        man >>= tz
-        exp += tz
-        bc -= tz
-        if man == 1:  # rounding carried into the next power of two
-            bc = 1
-    return sign, man, exp, bc
+        man = t >> 1
+    return (-man if neg else man), exp + n
 
 
-_new = tuple.__new__
-_new_mpf = object.__new__
-_mpf = mp.mpf
-
-# multiply's table of exact fixed-point forms of left factors.  A form is the
-# exact value of its factor, so it gives the same bits at every precision.
-# Each entry holds its Unitary, so no id is reused while the entry stands.  At
-# most _LEFT_BOUND forms of at most _LEFT_BITS bits per component are kept:
-# components far apart in exponent make wide forms, which are not kept.
-_LEFT_BOUND = 64
+# The widest aligned component a left factor keeps.  Components far apart in
+# exponent make wide forms, which are built again on each use instead.
 _LEFT_BITS = 1 << 12
-_left_forms: dict = {}  # id(a) -> (w, x, y, z, e, a, lab) for recent left factors
+
+
+def _left_form(a: Unitary) -> tuple:
+    """(w, x, y, z, e, lab): a's exact form as signed integers all scaled to
+    the smallest exponent e of the four, and ``lab`` 1, 2 or 3 for a vector
+    part on the lab x, y or z axis, else 0.  Kept on ``a`` unless a
+    component is wider than _LEFT_BITS.
+
+    A zero component is (0, 0).  A nonzero component of magnitude at most 1
+    has exponent at most 0, so a zero sets the scale only when every
+    nonzero component exceeds 1; it then only appends zero bits to exact
+    integers, and the rounded product is the same.
+    """
+    (w, ew), (x, ex), (y, ey), (z, ez) = a._exact()
+    e = min(ew, ex, ey, ez)
+    w, x, y, z = w << (ew - e), x << (ex - e), y << (ey - e), z << (ez - e)
+    lab = 1 if not (y or z) else 2 if not (x or z) else 3 if not (x or y) else 0
+    left = (w, x, y, z, e, lab)
+    if max(w.bit_length(), x.bit_length(), y.bit_length(), z.bit_length()) <= _LEFT_BITS:
+        a._left = left
+    return left
 
 
 def multiply(a: Unitary, b: Unitary) -> Unitary:
     """The quaternion product a*b, each component correctly rounded.
 
     From (w1 + i u1.s)(w2 + i u2.s) = (w1 w2 - u1.u2) + i(w1 u2 + w2 u1 - u1 x u2).s,
-    each component is one exact integer dot product of the raw mantissas,
-    rounded once at the working precision to nearest with ties to even:
-    the same bits as libmp's ``from_man_exp`` with ``round_nearest``.
+    each component is one exact integer dot product of the factors' exact
+    forms, rounded once at the working precision to nearest with ties to
+    even: the same bits as libmp's ``from_man_exp`` with ``round_nearest``.
     Raises ValueError when a component of either factor is inf or nan.
 
     A left factor about a lab axis, with two vector components exactly
@@ -267,50 +336,52 @@ def multiply(a: Unitary, b: Unitary) -> Unitary:
     b2/b4 axes in the xy plane, and conjugated axes that keep a rounding
     residue from the target's frame, such as (0.866, 0, 5.7e-62, -0.5).
 
-    A fold ``out = multiply(u, out)`` over a few distinct ``u`` unpacks
-    each left factor once: the integer forms of up to ``_LEFT_BOUND`` recent
-    left factors are kept by identity (without them ``deep_chain`` ``wall_s``
-    is 24-27% higher).  The right factor, a new running product each time,
-    is unpacked on every call; keeping the form of the last product saved
-    no more than that unpacking costs.
+    The product holds its exact form only; its mpf components are made when
+    something reads them.  A fold ``out = multiply(u, out)`` over a few
+    distinct ``u`` aligns each left factor once and keeps that form on the
+    factor (without it ``deep_chain`` ``wall_s`` is 24-27% higher), and
+    aligns the right factor, the last product, from its pairs.  Against
+    making four mpf per product and unpacking them in the next call, that
+    takes 28-33% off ``su2.multiply.self_s`` and 23% off ``wall_s`` on
+    ``deep_chain``, and 22% off ``wall_s`` on ``text_io``.
     """
-    left = _left_forms.get(id(a))
-    if left is None:
-        w1, x1, y1, z1, ea = _fixed_point(a)
-        # 1, 2 or 3 for a vector part on the lab x, y or z axis, else 0
-        lab = 1 if not (y1 or z1) else 2 if not (x1 or z1) else 3 if not (x1 or y1) else 0
-        left = (w1, x1, y1, z1, ea, a, lab)
-        if max(map(int.bit_length, left[:4])) <= _LEFT_BITS:
-            if len(_left_forms) >= _LEFT_BOUND:
-                _left_forms.clear()
-            _left_forms[id(a)] = left
-    w1, x1, y1, z1, ea, _, lab = left
-    w2, x2, y2, z2, eb = _fixed_point(b)
+    w1, x1, y1, z1, ea, lab = a._left or _left_form(a)
+    (w2, ew), (x2, ex), (y2, ey), (z2, ez) = b._pairs or b._exact()
+    eb = min(ew, ex, ey, ez)
+    w2, x2, y2, z2 = w2 << (ew - eb), x2 << (ex - eb), y2 << (ey - eb), z2 << (ez - eb)
     e, prec = ea + eb, mp.prec
     if lab == 1:
-        rw = _rounded(w1 * w2 - x1 * x2, e, prec)
-        rx = _rounded(w1 * x2 + w2 * x1, e, prec)
-        ry = _rounded(w1 * y2 + x1 * z2, e, prec)
-        rz = _rounded(w1 * z2 - x1 * y2, e, prec)
+        pairs = (
+            _round(w1 * w2 - x1 * x2, e, prec),
+            _round(w1 * x2 + w2 * x1, e, prec),
+            _round(w1 * y2 + x1 * z2, e, prec),
+            _round(w1 * z2 - x1 * y2, e, prec),
+        )
     elif lab == 2:
-        rw = _rounded(w1 * w2 - y1 * y2, e, prec)
-        rx = _rounded(w1 * x2 - y1 * z2, e, prec)
-        ry = _rounded(w1 * y2 + w2 * y1, e, prec)
-        rz = _rounded(w1 * z2 + y1 * x2, e, prec)
+        pairs = (
+            _round(w1 * w2 - y1 * y2, e, prec),
+            _round(w1 * x2 - y1 * z2, e, prec),
+            _round(w1 * y2 + w2 * y1, e, prec),
+            _round(w1 * z2 + y1 * x2, e, prec),
+        )
     elif lab == 3:
-        rw = _rounded(w1 * w2 - z1 * z2, e, prec)
-        rx = _rounded(w1 * x2 + z1 * y2, e, prec)
-        ry = _rounded(w1 * y2 - z1 * x2, e, prec)
-        rz = _rounded(w1 * z2 + w2 * z1, e, prec)
+        pairs = (
+            _round(w1 * w2 - z1 * z2, e, prec),
+            _round(w1 * x2 + z1 * y2, e, prec),
+            _round(w1 * y2 - z1 * x2, e, prec),
+            _round(w1 * z2 + w2 * z1, e, prec),
+        )
     else:
-        rw = _rounded(w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2, e, prec)
-        rx = _rounded(w1 * x2 + w2 * x1 - y1 * z2 + z1 * y2, e, prec)
-        ry = _rounded(w1 * y2 + w2 * y1 - z1 * x2 + x1 * z2, e, prec)
-        rz = _rounded(w1 * z2 + w2 * z1 - x1 * y2 + y1 * x2, e, prec)
-    # Each mpf built as mp.make_mpf builds it, without the call.
-    mw, mx, my, mz = _new_mpf(_mpf), _new_mpf(_mpf), _new_mpf(_mpf), _new_mpf(_mpf)
-    mw._mpf_, mx._mpf_, my._mpf_, mz._mpf_ = rw, rx, ry, rz
-    return _new(Unitary, (mw, mx, my, mz))
+        pairs = (
+            _round(w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2, e, prec),
+            _round(w1 * x2 + w2 * x1 - y1 * z2 + z1 * y2, e, prec),
+            _round(w1 * y2 + w2 * y1 - z1 * x2 + x1 * z2, e, prec),
+            _round(w1 * z2 + w2 * z1 - x1 * y2 + y1 * x2, e, prec),
+        )
+    u = _new(Unitary)
+    u._parts = u._left = None
+    u._pairs = pairs
+    return u
 
 
 def dagger(u: Unitary) -> Unitary:

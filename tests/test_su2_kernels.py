@@ -5,6 +5,7 @@ exp_pauli, the vector norm, the unit axis, the frame map and the covariant
 error generator with their mpf formulas."""
 
 import random
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -89,34 +90,35 @@ class TestMultiplyRounding:
         assert su2.multiply(u, zero) == zero
         assert su2.multiply(su2.identity(), u) == u
 
-    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("bad", [mpf("inf"), mpf("-inf"), mpf("nan"), float("inf"), float("nan")])
     def test_non_finite_component_raises(self, bad):
-        u = Unitary(mpf(1), mpf(0), mpf(bad), mpf(0))
+        # on every call, and the factor keeps no form; a float is converted
+        # when the value is built, and the finite partner keeps its form
+        u = Unitary(1, 0, bad, 0)
+        good = su2.rotation((1, 0, 0), mpf("0.3"))
         for _ in range(3):
-            with pytest.raises(ValueError, match="non-finite"):
-                su2.multiply(u, su2.identity())
-            with pytest.raises(ValueError, match="non-finite"):
-                su2.multiply(su2.identity(), u)
-            with pytest.raises(ValueError, match="non-finite"):
-                su2.multiply(u, su2.multiply(su2.identity(), su2.identity()))
-        assert id(u) not in su2._left_forms
+            for a, b in ((u, su2.identity()), (su2.identity(), u), (u, su2.multiply(good, good)), (good, u)):
+                with pytest.raises(ValueError, match="non-finite"):
+                    su2.multiply(a, b)
+        assert u._pairs is None and u._left is None
+        assert good._left is not None
+        assert _bits(su2.multiply(good, good)) == _bits(oracles.multiply_from_man_exp(good, good))
 
 
-class TestMultiplyMemos:
-    """multiply's kept fixed-point forms never show in a product."""
+class TestExactForms:
+    """The exact forms a Unitary keeps never show in a product."""
 
     @settings(max_examples=60, deadline=None)
     @given(
         st.sampled_from((16, 60, 200)),
         st.sampled_from((16, 60, 200)),
         st.integers(0, 2**32),
-        st.lists(st.tuples(st.integers(0, su2._LEFT_BOUND + 20), st.sampled_from(("last", "copy", "other"))),
-                 min_size=2, max_size=120),
+        st.lists(st.tuples(st.integers(0, 41), st.sampled_from(("last", "copy", "other"))), min_size=2, max_size=120),
     )
     def test_a_fold_has_the_oracle_bits(self, first, second, seed, steps):
-        # left factors from a pool wider than the table, two of them too wide
-        # to be kept; right factors the last product, a value-equal copy of
-        # it, or an unrelated quaternion; the precision changes halfway
+        # left factors from a pool, two of them too wide to keep their
+        # aligned form; right factors the last product, a value-equal copy
+        # of it, or an unrelated quaternion; the precision changes halfway
         rng = random.Random(seed)
         with working_digits(200):
             # every third factor a rotation about a signed lab axis
@@ -124,7 +126,7 @@ class TestMultiplyMemos:
                 su2.rotation(rng.choice(tuple(su2.NAMED_AXES.values())), mpf(rng.uniform(-3, 3)))
                 if k % 3 == 0
                 else _random_quaternion(rng)
-                for k in range(su2._LEFT_BOUND + 19)
+                for k in range(40)
             ]
             pool += [Unitary(mpf(1), _exact(3, -2 * su2._LEFT_BITS), mpf(0), mpf(0)),
                      Unitary(_exact(-5, 3 * su2._LEFT_BITS), mpf(0), mpf("0.5"), mpf(0))]
@@ -136,19 +138,7 @@ class TestMultiplyMemos:
                     b = {"last": out, "copy": Unitary(*out), "other": _random_quaternion(rng)}[right]
                     out = su2.multiply(pool[index], b)
                     assert _bits(out) == _bits(oracles.multiply_from_man_exp(pool[index], b))
-                    assert len(su2._left_forms) <= su2._LEFT_BOUND
-        assert id(pool[-1]) not in su2._left_forms and id(pool[-2]) not in su2._left_forms
-
-    def test_the_table_stays_within_its_bound(self):
-        rng = random.Random(11)
-        with working_digits(60):
-            factors = [_random_quaternion(rng) for _ in range(5 * su2._LEFT_BOUND)]
-            sizes = set()
-            for a in factors:
-                su2.multiply(a, a)
-                assert su2._left_forms[id(a)][5] is a
-                sizes.add(len(su2._left_forms))
-        assert max(sizes) == su2._LEFT_BOUND
+                    assert (pool[index]._left is None) == (index >= 40)
 
     @pytest.mark.parametrize("digits", [16, 60, 200])
     @settings(max_examples=60, deadline=None)
@@ -157,36 +147,34 @@ class TestMultiplyMemos:
         # ``nonzero`` lists the nonzero vector components: (w, x, 0, 0),
         # (w, 0, y, 0), (w, 0, 0, z) and (w, 0, 0, 0) take the sparse sums,
         # one zero or none the dense one; each on first use,
-        # then again as a kept table entry, times the last product and times
-        # an unrelated right factor
+        # then again with its kept aligned form, times the last product and
+        # times an unrelated right factor
         with working_digits(digits):
             prec = mp.prec
             mantissa = st.integers(1 - 2**prec, 2**prec - 1)
-            # exponents close enough for the left table to keep the form
+            # exponents close enough for the left factor to keep its form
             value = st.builds(_exact, mantissa, st.integers(-2 * prec, prec))
             nonzero_value = st.builds(_exact, mantissa.filter(bool), st.integers(-2 * prec, prec))
             a = Unitary(data.draw(nonzero_value), *(data.draw(nonzero_value) if k in nonzero else mpf(0) for k in range(3)))
             b = Unitary(*(data.draw(value) for _ in range(4)))
-            assert id(a) not in su2._left_forms
+            assert a._left is None
             first = su2.multiply(a, b)
             assert _bits(first) == _bits(oracles.multiply_from_man_exp(a, b))
-            entry = su2._left_forms[id(a)]
-            assert entry[5] is a
-            assert (entry[6] != 0) == (len(nonzero) <= 1)
+            entry = a._left
+            assert (entry[5] != 0) == (len(nonzero) <= 1)
             again = su2.multiply(a, first)
             assert _bits(again) == _bits(oracles.multiply_from_man_exp(a, first))
             assert _bits(su2.multiply(a, b)) == _bits(first)
-            assert su2._left_forms[id(a)] is entry
+            assert a._left is entry
 
     def test_a_chain_evaluation_unpacks_each_distinct_factor_once(self, monkeypatch):
-        # 727 products over 22 distinct realized unitaries: each right factor
-        # (the running product) is unpacked, and each distinct left factor
-        # only on first use, so the second evaluation unpacks no left factor
+        # 727 products over 22 distinct realized unitaries: a product hands
+        # its pairs to the next one, so only mpf-built values are unpacked:
+        # the identity and, on first use, each distinct left factor
         seq = build_builtin("concat:XYYXY")
         calls = []
-        unpack = su2._fixed_point
-        monkeypatch.setattr(su2, "_fixed_point", lambda u: calls.append(u) or unpack(u))
-        su2._left_forms.clear()
+        unpack = su2._unpack
+        monkeypatch.setattr(su2, "_unpack", lambda u: calls.append(u) or unpack(u))
         with working_digits(60):
             counts = []
             for _ in range(2):
@@ -194,7 +182,115 @@ class TestMultiplyMemos:
                 evaluate(seq, LinearOverRotation(1), mpf("0.01"))
                 counts.append(len(calls))
         assert len(seq.pulses) == 727
-        assert counts == [22 + 727, 727]
+        assert counts == [23, 1]
+
+    @pytest.mark.parametrize("digits", [16, 60])
+    def test_an_evaluation_makes_no_mpf_until_its_result_is_read(self, monkeypatch, digits):
+        seq = build_builtin("concat:XYYXY")
+        made = []
+        make = su2._mpf_from
+        monkeypatch.setattr(su2, "_mpf_from", lambda pair: made.append(pair) or make(pair))
+        with working_digits(digits):
+            got = evaluate(seq, LinearOverRotation(1), mpf("0.01"))
+            assert made == [] and got._parts is None
+            assert got.w == got[0]
+            assert len(made) == 4
+            assert (got.x, got.y, got.z) == tuple(got)[1:]
+            assert len(made) == 4
+
+    @pytest.mark.parametrize("digits", [16, 60, 200])
+    def test_a_left_factor_wider_than_the_bound_is_not_kept(self, digits):
+        rng = random.Random(digits)
+        with working_digits(digits):
+            wide = Unitary(mpf("0.5"), _exact(-3, -su2._LEFT_BITS - 2), mpf(0), mpf("-0.25"))
+            for _ in range(3):
+                b = _random_quaternion(rng)
+                _assert_matches_oracles(wide, b)
+                out = _assert_matches_oracles(wide, su2.multiply(b, b))
+                _assert_matches_oracles(wide, out)
+                assert wide._left is None and wide._pairs is not None
+
+    @pytest.mark.parametrize("digits", [16, 60])
+    def test_components_that_are_not_mpf_are_converted_when_built(self, digits):
+        with working_digits(digits):
+            m = mpf("0.1")
+            for parts in ((1, 0, 0, 0), (0.5, -0.5, 0, 0.25), (m, 0, 1, -0.75), (3, m, 2.5, 0)):
+                u = Unitary(*parts)
+                assert all(type(c) is mpf for c in u)
+                assert tuple(u) == tuple(mpf(c) for c in parts)
+                assert all(u[k] is c for k, c in enumerate(parts) if isinstance(c, mpf))
+                for a, b in ((u, su2.identity()), (su2.identity(), u), (u, u)):
+                    assert _bits(su2.multiply(a, b)) == _bits(oracles.multiply_from_man_exp(a, b))
+            assert _bits(su2.multiply(Unitary(1, 0, 0, 0), su2.identity())) == _bits(su2.identity())
+
+
+class TestValueSemantics:
+    """A product that holds only its exact form reads as ``Unitary(*its
+    components)`` and as the NamedTuple of the same four mpf."""
+
+    _Tuple = NamedTuple("Unitary", [("w", mpf), ("x", mpf), ("y", mpf), ("z", mpf)])
+
+    def _check(self, fresh, want):
+        # each operation on a new product, so each one is its first read
+        reads = (
+            repr, hash, len, tuple, list,
+            lambda u: u.w, lambda u: u.x, lambda u: u.y, lambda u: u.z,
+            lambda u: [u[k] for k in range(-4, 4)], lambda u: u[1:3],
+            lambda u: (lambda w, x, y, z: (w, x, y, z))(*u),
+        )
+        for read in reads:
+            assert read(fresh()) == read(want)
+        named = self._Tuple(*want)
+        assert repr(fresh()) == repr(named) and hash(fresh()) == hash(named)
+        for other in (want, tuple(want), named):
+            assert fresh() == other and other == fresh()
+            assert not (fresh() != other) and not (other != fresh())
+        assert fresh() != Unitary(want.w, want.x, want.y, want.z + 1)
+        assert fresh() != (want.w, want.x, want.y)
+
+    @given(st.sampled_from((16, 60, 200)), st.integers(0, 2**32))
+    def test_a_product_reads_as_its_components(self, digits, seed):
+        rng = random.Random(seed)
+        with working_digits(digits):
+            a, b = _random_quaternion(rng), _random_quaternion(rng)
+            want = Unitary(*su2.multiply(a, b))
+            self._check(lambda: su2.multiply(a, b), want)
+
+    @given(st.integers(0, 2**32))
+    def test_a_product_made_at_200_digits_reads_the_same_at_16(self, seed):
+        rng = random.Random(seed)
+        with working_digits(200):
+            a, b = _random_quaternion(rng), _random_quaternion(rng)
+            products = [su2.multiply(a, b) for _ in range(40)]
+            want = Unitary(*su2.multiply(a, b))
+        with working_digits(16):
+            assert _bits(Unitary(*want)) == _bits(want)
+            self._check(products.pop, want)
+
+
+@pytest.mark.parametrize("digits", [16, 60, 200])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_factors_whose_exponents_spread_far_apart_have_the_oracle_bits(digits, data):
+    # one component near 1, the others up to 10**5 bits below it: the
+    # aligned integers are as wide as the spread, and the wide factor is
+    # multiplied on either side and reused as a left factor
+    with working_digits(digits):
+        prec = mp.prec
+        mantissa = st.integers(1 - 2**prec, 2**prec - 1)
+        spread = data.draw(st.integers(0, 10**5))
+        near = st.builds(_exact, mantissa.filter(bool), st.integers(-prec - 2, -prec + 2))
+        far = st.builds(_exact, mantissa, st.integers(-prec - spread - 2, -prec - spread + 2))
+        big = data.draw(st.integers(0, 3))
+        wide = Unitary(*(data.draw(near if k == big else far) for k in range(4)))
+        narrow = Unitary(*(data.draw(st.builds(_exact, mantissa, st.integers(-2 * prec, 0))) for _ in range(4)))
+        out = _assert_matches_oracles(wide, narrow)
+        out = _assert_matches_oracles(narrow, out)
+        _assert_matches_oracles(out, wide)
+        _assert_matches_oracles(wide, out)
+        _assert_matches_oracles(wide, wide)
+        kept = wide._left is not None
+        assert kept == (max(m.bit_length() for m in su2._left_form(wide)[:4]) <= su2._LEFT_BITS)
 
 
 def _sums(p, q, r):
@@ -302,8 +398,10 @@ class TestMultiplyEdgeCases:
 
 
 @pytest.mark.parametrize("digits", [16, 60, 200])
-def test_rounded_is_libmp_from_man_exp(digits):
-    """su2._rounded is from_man_exp(man, exp, prec, round_nearest), raw tuple for raw tuple."""
+def test_round_then_normalize_is_libmp_from_man_exp(digits):
+    """su2._round, then the normalizing su2._mpf_from, is from_man_exp(man,
+    exp, prec, round_nearest), raw tuple for raw tuple; the rounded
+    mantissa has at most prec bits unless it carried into 2**prec."""
     rng = random.Random(digits)
     with working_digits(digits):
         prec = mp.prec
@@ -320,7 +418,10 @@ def test_rounded_is_libmp_from_man_exp(digits):
             for man in (tie - 1, tie, tie + 1):
                 cases += [(man, -m), (-man, m)]
     for man, exp in cases:
-        assert su2._rounded(man, exp, prec) == from_man_exp(man, exp, prec, round_nearest), (man, exp)
+        pair = su2._round(man, exp, prec)
+        assert su2._mpf_from(pair)._mpf_ == from_man_exp(man, exp, prec, round_nearest), (man, exp)
+        assert abs(pair[0]).bit_length() <= prec or abs(pair[0]) == 2**prec, (man, exp)
+        assert pair == (0, 0) or pair[0], (man, exp)
 
 
 _CHAIN_MODELS = [

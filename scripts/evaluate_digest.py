@@ -53,8 +53,7 @@ MODELS = (
 )
 SCALES = ("1", "0.1", "1e-3")
 
-# (family, orders, component): coefficients of pi3:X around z-pi.  The
-# second changes the target channel's model at every stencil point.
+# (family, orders, component): coefficients of pi3:X around z-pi.
 SERIES = (
     ("target-vector", {"ex": 1}, "x"),
     ("target-vector", {"ey": 1, "ez": 2}, "y"),

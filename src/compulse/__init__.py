@@ -3,7 +3,7 @@
 Build and simulate the pi/3-style correction sequences and the b2/b4
 compensators at configurable precision, track error orders symbolically
 with the min-plus calculus, and verify orders numerically with scans,
-slope fits, and finite-difference series coefficients.
+slope fits, and series coefficients from truncated power series.
 """
 
 from .precision import set_digits, working_digits

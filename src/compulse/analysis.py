@@ -1,12 +1,12 @@
 """Numerical verification: error scans, log-log order fits and series
-coefficients by finite differences.
+coefficients.
 
 Scans sweep a base error magnitude over a logarithmic grid and record the
 magnitudes of the three directional trace components plus the infidelity.
 Fits exclude points below the precision floor 10**(2 - digits).  Series
-coefficients of total order 1 to 3 come from tensor-product central-difference
-stencils (five points per parameter, exact rational weights) and need
-extended precision.
+coefficients of total order 1 to 3 come from one fold of truncated
+quaternion power series over the pulses, exact at any precision up to the
+rounding of each coefficient.
 The infidelity table builds each reference sequence once per name and
 working precision and keeps it for later calls; it never hands one out.
 Numbers print through :func:`format_sci`: the stored binary value correctly
@@ -21,8 +21,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import factorial
 from typing import Callable, Mapping, Optional, Sequence
 
 from mpmath import fabs, floor, log10, mp, mpf
@@ -295,12 +293,18 @@ def fit_order(scan: ScanResult, column: str = "infidelity") -> OrderFit:
 
 
 # ---------------------------------------------------------------------------
-# Series coefficients by finite differences
+# Series coefficients from truncated power series
 
 
 @dataclass(frozen=True)
 class ModelFamily:
-    """Parameterized error-model family for derivative extraction."""
+    """Parameterized error-model family for series coefficients.
+
+    ``build`` takes one value per name and must be linear in them: each
+    pulse's lab error generator (:meth:`ErrorModel.generator`) under
+    ``build(values)`` is the sum of ``values[j]`` times its generator under
+    ``build`` of the j-th unit vector.  :func:`series_coefficient` relies
+    on that."""
 
     names: tuple
     build: Callable
@@ -352,23 +356,23 @@ FAMILIES = {
     "axisdep": axis_dependent_family,
 }
 
-_STENCIL_OFFSETS = (-2, -1, 0, 1, 2)
-
-# Five-point central-difference weights, by derivative order k.
+# Five-point central-difference weights, by derivative order k.  The library
+# no longer differentiates numerically: the benchmark books its series ops
+# by these stencils, and the test suite's finite-difference oracle uses them.
 _STENCILS = {
     1: tuple(map(Fraction, ("1/12", "-2/3", "0", "2/3", "-1/12"))),
     2: tuple(map(Fraction, ("-1/12", "4/3", "-5/2", "4/3", "-1/12"))),
     3: tuple(map(Fraction, ("-1/2", "1", "0", "-1", "1/2"))),
 }
 
-# At step h = 10**(-digits/4) a derivative of total order n divides rounding
-# errors of 10**-digits by h**n, leaving at most digits*(1 - n/4) correct
-# digits: none from order 4 on.
+# The finite-difference oracle that checks the series resolves total orders
+# up to 3 only, so no higher order is offered unchecked.
 _MAX_SERIES_ORDER = 3
 
 
 def _stencil_weights(k: int) -> tuple:
-    """Exact weights w with sum_j w_j f(o_j h) = h**k f^(k)(0) + O(h**(5-k))."""
+    """Exact weights w with sum_j w_j f(o_j h) = h**k f^(k)(0) + O(h**(5-k))
+    at the offsets o = (-2, -1, 0, 1, 2)."""
     if k not in _STENCILS:
         raise error_models.ModelConfigError(f"derivative order {k} outside 1..{len(_STENCILS)}")
     return _STENCILS[k]
@@ -387,13 +391,17 @@ def series_coefficient(
 ) -> mpf:
     """Taylor coefficient of a trace component in the family's parameters.
 
-    ``orders`` maps parameter names to powers, e.g. ``{"dy": 1, "ex": 1}``
-    for the dy*ex cross term.  The mixed derivative at zero is computed by
-    nested five-point central differences with step 10**(-digits/4) and
-    divided by the multi-index factorial.  A total order above 3 raises
-    ModelConfigError: the step leaves no correct digit there.
+    ``orders`` maps parameter names to integer powers, e.g.
+    ``{"dy": 1, "ex": 1}`` for the dy*ex cross term; a name left out has
+    power 0 and its parameter is held at 0.  Each pulse's realized unitary
+    is ideal * exp(i g.sigma) with g linear in the parameters, so its
+    power series, truncated to the multi-indices at most ``orders``, is
+    ideal * sum_n (i g.sigma)**n / n! (see :func:`_forward_series`).  The
+    coefficient is read from the product of these series in time order,
+    one :func:`su2.series_product` per pulse, with no finite differences
+    and at any precision.  A total order above 3 raises ModelConfigError.
+    ``step`` is accepted and ignored.
     """
-    require_digits(50, "series extraction")
     unknown = sorted(set(orders) - set(family.names))
     if unknown:
         names = quoted(", ".join(unknown))  # one text, however many names
@@ -401,8 +409,12 @@ def series_coefficient(
     if component not in COMPONENTS:
         raise ValueError(f"component must be x, y or z, got {component!r}")
     idx = COMPONENTS.index(component)
-    ks = [int(orders.get(name, 0)) for name in family.names]
+    ks = [orders.get(name, 0) for name in family.names]
     for name, k in zip(family.names, ks):
+        if isinstance(k, bool) or not isinstance(k, int):
+            raise error_models.ModelConfigError(
+                f"power of {name} must be a non-negative integer, got {quoted(str(k))}"
+            )
         if k < 0:
             raise error_models.ModelConfigError(f"power of {name} must be a non-negative integer, got {k}")
     total = sum(ks)
@@ -410,35 +422,55 @@ def series_coefficient(
         raise error_models.ModelConfigError("at least one parameter must have positive order")
     if total > _MAX_SERIES_ORDER:
         raise error_models.ModelConfigError(
-            f"total derivative order {total} is above the limit {_MAX_SERIES_ORDER} that the stencils resolve"
+            f"total derivative order {total} is above the limit {_MAX_SERIES_ORDER} "
+            "up to which finite differences check the series"
         )
-    h = mpf(step) if step is not None else mpf(10) ** (-mpf(mp.dps) / 4)
 
-    ideal = seq.ideal_unitary()
-    grids = []
-    for k in ks:
-        if k == 0:
-            grids.append(((0, Fraction(1)),))
-        else:
-            grids.append(tuple(zip(_STENCIL_OFFSETS, _stencil_weights(k))))
-    acc = mpf(0)
-    for combo in product(*grids):
-        weight = Fraction(1)
-        values = []
-        for offset, w in combo:
-            weight *= w
-            values.append(offset * h)
-        if weight == 0:
-            continue
-        model = family.build(values)
-        actual = evaluate(seq, model, 1)
-        comp = su2.trace_components(ideal, actual)[idx]
-        acc += mpf(weight.numerator) / weight.denominator * comp
-    deriv = acc / h**total
-    denom = 1
-    for k in ks:
-        denom *= factorial(k)
-    return deriv / denom
+    # One model per parameter with a positive power, at its unit value; the
+    # others stay at 0.
+    active = [j for j, k in enumerate(ks) if k]
+    box = tuple(ks[j] for j in active)
+    models = [family.build([int(i == j) for i in range(len(ks))]) for j in active]
+    made = {}  # id(pulse) -> its series; the pulses and their partners stay alive
+
+    def series_of(pulse) -> dict:
+        # A dagger pulse takes the coefficientwise dagger of its partner's
+        # series, as ErrorModel.realize takes the dagger of its partner's
+        # realization.
+        series = made.get(id(pulse))
+        if series is None:
+            if pulse.role.is_dagger:
+                series = {k: su2.dagger(u) for k, u in series_of(pulse.daggered()).items()}
+            else:
+                series = _forward_series(pulse, models, box)
+            made[id(pulse)] = series
+        return series
+
+    out = {(0,) * len(box): su2.identity()}
+    for p in seq.pulses:
+        out = su2.series_product(series_of(p), out, box)
+    coefficient = out.get(box)
+    if coefficient is None:
+        return mpf(0)
+    return su2.trace_components(seq.ideal_unitary(), coefficient)[idx]
+
+
+def _forward_series(pulse, models: list, box: tuple) -> dict:
+    """The power series of a forward ``pulse``'s realization, truncated to
+    ``box``: ideal * sum_n G**n / n! for G = sum_j p_j (0, g_j), where g_j
+    is the pulse's lab error generator under ``models[j]``."""
+    zero = (0,) * len(box)
+    g = {}
+    for j, model in enumerate(models):
+        gen = model.generator(pulse)
+        if any(gen):
+            g[zero[:j] + (1,) + zero[j + 1:]] = su2.Unitary(0, *gen)
+    exp, term, n = {zero: su2.identity()}, g, 1
+    while term:
+        exp.update(term)
+        n += 1
+        term = {k: su2.Unitary(*(c / n for c in u)) for k, u in su2.series_product(g, term, box).items()}
+    return su2.series_product({zero: pulse.ideal_unitary()}, exp, box)
 
 
 # ---------------------------------------------------------------------------

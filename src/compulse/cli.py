@@ -268,7 +268,7 @@ def make_parser() -> argparse.ArgumentParser:
         if name == "fit":
             p.add_argument("--column", default="infidelity", choices=analysis.ScanResult.COLUMNS)
 
-    p = add_sub("expand", cmd_expand, "series coefficient by finite differences (needs >= 50 digits)")
+    p = add_sub("expand", cmd_expand, "series coefficient from truncated power series (total order 1..3)")
     _add_sequence_args(p)
     p.add_argument("--family", required=True, choices=sorted(analysis.FAMILIES))
     p.add_argument("--orders", required=True, help="e.g. ex=1 or dy=1,ex=1")

@@ -19,6 +19,9 @@ reproducibility); the generator offset is ``eps(theta)/2`` with the sign
 of the generator.  Vector-type errors right-multiply the ideal pulse by
 ``exp(i*(F.delta).sigma)`` where F is the pulse's frame at the working
 precision, which makes a conjugated pulse carry the conjugated error.
+Either way a forward pulse is realized as ideal * exp(i*(g.sigma)), and
+:meth:`ErrorModel.generator` gives its lab error generator g, from the
+same statement of the kind's error that ``realize`` reads.
 
 Config strings (see :func:`parse_model`)::
 
@@ -139,15 +142,46 @@ class ErrorModel:
         ``alpha`` its generator angle in radians."""
         raise NotImplementedError
 
+    def generator(self, pulse: "Pulse") -> Vec3:
+        """The lab error generator g of the forward ``pulse`` at scale 1:
+        ``realize(pulse)`` is ideal * exp(i*(g.sigma)) in exact arithmetic.
+        A pulse on a channel outside ``CHANNELS`` has g = 0.  Each kind
+        states its error once, and both this and ``realize`` read it."""
+        if pulse.channel not in self.CHANNELS:
+            return _ZERO
+        record = pulse.derived()
+        return self._lab_generator(pulse, record.axis, record.alpha)
 
-def _over_rotated(axis: Vec3, alpha: mpf, offset: mpf) -> Unitary:
-    """exp(i*(|alpha| + offset)*sign(alpha)*(axis.sigma))."""
-    mag = fabs(alpha) + offset
-    return su2.rotation(axis, mag if alpha >= 0 else -mag)
+    def _lab_generator(self, pulse: "Pulse", axis: Vec3, alpha: mpf) -> Vec3:
+        """:meth:`generator` of a forward ``pulse`` on a corrupted channel."""
+        raise NotImplementedError
+
+
+_ZERO = (mpf(0), mpf(0), mpf(0))
+
+
+class _OverRotation(ErrorModel):
+    """A kind that rotates a pulse about its own axis by ``_offset`` more
+    generator angle, with the sign of the generator."""
+
+    def _offset(self, pulse: "Pulse", axis: Vec3, alpha: mpf, scale: mpf) -> mpf:
+        raise NotImplementedError
+
+    def _forward(self, pulse, axis, alpha, scale):
+        # exp(i*(|alpha| + offset)*sign(alpha)*(axis.sigma))
+        mag = fabs(alpha) + self._offset(pulse, axis, alpha, scale)
+        return su2.rotation(axis, mag if alpha >= 0 else -mag)
+
+    def _lab_generator(self, pulse, axis, alpha):
+        # Rotations about one axis commute, so the over-rotated pulse is
+        # ideal * exp(i*(sign(alpha)*offset)*(axis.sigma)).
+        d = self._offset(pulse, axis, alpha, mpf(1))
+        d = d if alpha >= 0 else -d
+        return tuple(d * c for c in axis)
 
 
 @dataclass(frozen=True)
-class LinearOverRotation(ErrorModel):
+class LinearOverRotation(_OverRotation):
     """eps(theta) = eps * theta: rotation angles scale by (1 + eps)."""
 
     eps: mpf
@@ -155,12 +189,12 @@ class LinearOverRotation(ErrorModel):
     def __post_init__(self):
         object.__setattr__(self, "eps", mpf(self.eps))
 
-    def _forward(self, pulse, axis, alpha, scale):
-        return _over_rotated(axis, alpha, self.eps * scale * fabs(alpha))
+    def _offset(self, pulse, axis, alpha, scale):
+        return self.eps * scale * fabs(alpha)
 
 
 @dataclass(frozen=True)
-class AxisOverRotation(ErrorModel):
+class AxisOverRotation(_OverRotation):
     """eps(theta) = sum_k coeffs[k] * theta**k, optionally per named axis.
 
     ``per_axis`` maps axis names ("x", "-y", ...) to coefficient tuples;
@@ -180,10 +214,10 @@ class AxisOverRotation(ErrorModel):
             fixed[key] = _as_coeffs(coeffs, key)
         object.__setattr__(self, "per_axis", MappingProxyType(fixed))
 
-    def _forward(self, pulse, axis, alpha, scale):
+    def _offset(self, pulse, axis, alpha, scale):
         signed = axis if alpha >= 0 else tuple(-c for c in axis)
         poly = _poly_eval(self.per_axis.get(su2.axis_name(signed), self.coeffs), 2 * fabs(alpha))
-        return _over_rotated(axis, alpha, scale * poly / 2)
+        return scale * poly / 2
 
 
 @dataclass(frozen=True)
@@ -220,9 +254,12 @@ class CovariantVector(ErrorModel):
         lab = self._generator(pulse.frame, alpha, scale)
         return su2.multiply(pulse.ideal_unitary(), su2.exp_pauli(lab))
 
+    def _lab_generator(self, pulse, axis, alpha):
+        return self._generator(pulse.frame, alpha, mpf(1))
+
 
 @dataclass(frozen=True)
-class AxisDependentPi3(ErrorModel):
+class AxisDependentPi3(_OverRotation):
     """Additive over-rotation of the "pi3" channel's correction pulses
     only, different for the two conjugation classes: ``delta`` on
     unconjugated (identity frame) pulses and ``delta_hat`` on conjugated
@@ -238,9 +275,8 @@ class AxisDependentPi3(ErrorModel):
         object.__setattr__(self, "delta", mpf(self.delta))
         object.__setattr__(self, "delta_hat", mpf(self.delta_hat))
 
-    def _forward(self, pulse, axis, alpha, scale):
-        d = self.delta if pulse.frame.is_identity() else self.delta_hat
-        return _over_rotated(axis, alpha, scale * d)
+    def _offset(self, pulse, axis, alpha, scale):
+        return scale * (self.delta if pulse.frame.is_identity() else self.delta_hat)
 
 
 @dataclass(frozen=True)
@@ -264,6 +300,10 @@ class PerChannel(ErrorModel):
         if model is None:
             return pulse.ideal_unitary()
         return model.realize(pulse, scale)
+
+    def generator(self, pulse):
+        model = self.models.get(pulse.channel)
+        return _ZERO if model is None else model.generator(pulse)
 
 
 # ---------------------------------------------------------------------------

@@ -12,18 +12,20 @@ multiplication is cheap.  A dense 2x2 complex-matrix oracle lives in the
 test suite only.
 
 Integer arithmetic on mpmath's raw ``(sign, mantissa, exponent,
-bitcount)`` tuples is kept to the product, :func:`multiply`, which runs
-once per flat pulse, and to the conversion between a :class:`Unitary`'s
-mpf components and its exact form.  Each product component is one exact
-integer dot product,
-rounded once to nearest with ties to even at the working precision, so
-products are correctly rounded per component.  The rounding gives the
-same bits as libmp's ``from_man_exp`` with ``round_nearest``; a non-finite
-(inf or nan) component in a factor raises ValueError.  A left factor about
-a lab axis, with two vector components exactly zero, skips its zero terms:
-8 integer products instead of 16, and no bit changes.  That is 61-67% of
-the products on the ``deep_chain`` benchmark, 68-69% on ``text_io`` and
-27% on ``reference``; the b2/b4 axes in the xy plane and conjugated axes
+bitcount)`` tuples is kept to the products, :func:`multiply`, which runs
+once per flat pulse, and :func:`series_product`, the truncated product of
+two quaternion power series, and to the conversion between a
+:class:`Unitary`'s mpf components and its exact form.  Each product
+component, and each component of a series coefficient, is one exact
+integer sum, rounded once to nearest with ties to even at the working
+precision, so products are correctly rounded per component.  The
+rounding gives the same bits as libmp's ``from_man_exp`` with
+``round_nearest``; a non-finite (inf or nan) component in a factor
+raises ValueError.  A left factor of :func:`multiply` about a lab axis,
+with two vector components exactly zero, skips its zero terms: 8 integer
+products instead of 16, and no bit changes.  That is 61-67% of the
+products on the ``deep_chain`` benchmark, 68-69% on ``text_io`` and 27%
+on ``reference``; the b2/b4 axes in the xy plane and conjugated axes
 with a rounding residue take the dense sum.  Every other kernel is a
 plain mpf expression, each operation rounded to nearest at the working
 precision; only :func:`rotation`'s phase guard reads a raw exponent.
@@ -40,8 +42,9 @@ division by its norm.
 All values are immutable, and every operation returns the same result for
 the same arguments at the same working precision.  ``su2`` keeps no module
 state.  A value keeps its own exact form, and a left factor of
-:func:`multiply` its aligned integer form, unless a component of that form
-is wider than _LEFT_BITS; both are exact, so they never change a result.
+:func:`multiply` or a term of either :func:`series_product` factor its
+aligned integer form, unless a component of that form is wider than
+_LEFT_BITS; both are exact, so they never change a result.
 """
 
 from __future__ import annotations
@@ -382,6 +385,47 @@ def multiply(a: Unitary, b: Unitary) -> Unitary:
     u._parts = u._left = None
     u._pairs = pairs
     return u
+
+
+def series_product(a: dict, b: dict, box: tuple) -> dict:
+    """The product a*b of two quaternion power series, truncated to ``box``.
+
+    A series maps multi-indices (tuples of non-negative ints, one per
+    parameter) to quaternion coefficients held as :class:`Unitary` values,
+    which need not be unit; a missing index has coefficient 0.  The product
+    keeps the indices that are at most ``box`` in every place.  Each
+    component of each coefficient is one exact integer sum, over the pairs
+    of terms whose indices add up to it, of the terms' quaternion products
+    at a common scale, rounded once at the working precision to nearest
+    with ties to even as :func:`multiply` rounds: a product of two one-term
+    series is :func:`multiply`'s product bit for bit.  A coefficient that
+    rounds to zero is left out.  Raises ValueError when a component is inf
+    or nan.
+    """
+    sums = {}
+    for ka, ua in a.items():
+        w1, x1, y1, z1, ea, _ = ua._left or _left_form(ua)
+        for kb, ub in b.items():
+            k = tuple(i + j for i, j in zip(ka, kb))
+            if any(i > j for i, j in zip(k, box)):
+                continue
+            w2, x2, y2, z2, eb, _ = ub._left or _left_form(ub)
+            sums.setdefault(k, []).append((
+                ea + eb,
+                w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+                w1 * x2 + w2 * x1 - y1 * z2 + z1 * y2,
+                w1 * y2 + w2 * y1 - z1 * x2 + x1 * z2,
+                w1 * z2 + w2 * z1 - x1 * y2 + y1 * x2,
+            ))
+    out, prec = {}, mp.prec
+    for k, terms in sums.items():
+        e = min(t[0] for t in terms)
+        pairs = tuple(_round(sum(t[c] << (t[0] - e) for t in terms), e, prec) for c in range(1, 5))
+        if any(man for man, _ in pairs):
+            u = out[k] = _new(Unitary)
+            u._parts = u._left = None
+            u._pairs = pairs
+    return out
 
 
 def dagger(u: Unitary) -> Unitary:

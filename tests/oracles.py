@@ -12,7 +12,9 @@ bit.  :func:`vec_norm_expr`, :func:`frame_map_expr` and
 ``su2.vec_norm``, ``FrameTriad.map`` and the lab error generator of
 ``CovariantVector``; the raw-tuple kernels must match them bit for bit.
 :func:`unit_axis_expr` spells out the rule of ``su2.unit_axis`` in mpf
-expressions.
+expressions.  :func:`stencil_coefficient` is the former
+``analysis.series_coefficient``: nested five-point central differences of
+whole evaluations, which the truncated series must match.
 :func:`format_sci_decimal` rounds an mpf's exact binary value to
 decimal through the standard library's ``decimal``, sharing no code with
 ``analysis.format_sci``.  :func:`relabelled` carries an order rule about
@@ -25,13 +27,17 @@ needs them.
 """
 
 from decimal import ROUND_HALF_UP, Context, Decimal, Inexact, localcontext
+from fractions import Fraction
+from itertools import product
+from math import factorial
 
 import numpy as np
 from mpmath import fabs, mp, mpf, sqrt
 from mpmath.libmp import from_man_exp, round_nearest
 
-from compulse import su2
-from compulse.precision import fit_floor, unit_tolerance
+from compulse import error_models, su2
+from compulse.analysis import _MAX_SERIES_ORDER, COMPONENTS, _stencil_weights
+from compulse.precision import fit_floor, quoted, require_digits, unit_tolerance
 from compulse.sequences import evaluate
 
 I2 = np.eye(2, dtype=complex)
@@ -144,6 +150,67 @@ def multiply_from_man_exp(a, b):
             )
         )
     )
+
+
+STENCIL_OFFSETS = (-2, -1, 0, 1, 2)
+
+
+def stencil_coefficient(seq, family, orders, component, step=None) -> mpf:
+    """Taylor coefficient of a trace component in the family's parameters,
+    by finite differences of whole evaluations.
+
+    ``orders`` maps parameter names to powers, e.g. ``{"dy": 1, "ex": 1}``
+    for the dy*ex cross term.  The mixed derivative at zero is computed by
+    nested five-point central differences with step 10**(-digits/4) and
+    divided by the multi-index factorial.  A total order above 3 raises
+    ModelConfigError: the step leaves no correct digit there.
+    """
+    require_digits(50, "series extraction")
+    unknown = sorted(set(orders) - set(family.names))
+    if unknown:
+        names = quoted(", ".join(unknown))  # one text, however many names
+        raise error_models.ModelConfigError(f"unknown parameters {names}; family has {family.names}")
+    if component not in COMPONENTS:
+        raise ValueError(f"component must be x, y or z, got {component!r}")
+    idx = COMPONENTS.index(component)
+    ks = [int(orders.get(name, 0)) for name in family.names]
+    for name, k in zip(family.names, ks):
+        if k < 0:
+            raise error_models.ModelConfigError(f"power of {name} must be a non-negative integer, got {k}")
+    total = sum(ks)
+    if total == 0:
+        raise error_models.ModelConfigError("at least one parameter must have positive order")
+    if total > _MAX_SERIES_ORDER:
+        raise error_models.ModelConfigError(
+            f"total derivative order {total} is above the limit {_MAX_SERIES_ORDER} that the stencils resolve"
+        )
+    h = mpf(step) if step is not None else mpf(10) ** (-mpf(mp.dps) / 4)
+
+    ideal = seq.ideal_unitary()
+    grids = []
+    for k in ks:
+        if k == 0:
+            grids.append(((0, Fraction(1)),))
+        else:
+            grids.append(tuple(zip(STENCIL_OFFSETS, _stencil_weights(k))))
+    acc = mpf(0)
+    for combo in product(*grids):
+        weight = Fraction(1)
+        values = []
+        for offset, w in combo:
+            weight *= w
+            values.append(offset * h)
+        if weight == 0:
+            continue
+        model = family.build(values)
+        actual = evaluate(seq, model, 1)
+        comp = su2.trace_components(ideal, actual)[idx]
+        acc += mpf(weight.numerator) / weight.denominator * comp
+    deriv = acc / h**total
+    denom = 1
+    for k in ks:
+        denom *= factorial(k)
+    return deriv / denom
 
 
 def vec_norm_expr(v) -> mpf:

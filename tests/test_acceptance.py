@@ -2,7 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as they
 go by.  Everything numerical runs at 60 digits, except criterion 3's golden
-chains, which are fitted at 100 and 200.
+chains, which are fitted at 100 and 200, and criterion 4's coefficients,
+which are also read at 16.
 """
 
 from fractions import Fraction
@@ -186,29 +187,31 @@ def test_criterion_3_golden_chains_hold_numerically():
 # 4 ------------------------------------------------------------------------
 
 
-def test_criterion_4_series_coefficients():
-    seq = pi3_correct(naive(Z_PI), (1, 0, 0))
-    sqrt3 = sqrt(mpf(3))
-    cases = [
-        (target_vector_family(), {"ex": 1}, "x", mpf(2)),
-        (target_vector_family(), {"ey": 2}, "x", -sqrt3),
-        (target_vector_family(), {"ez": 2}, "x", -sqrt3),
-        (target_vector_family(), {"ey": 3}, "y", mpf(2)),
-        (target_vector_family(), {"ey": 1, "ez": 2}, "y", mpf(2)),
-        (covariant_family(), {"dy": 1, "ex": 1}, "y", 2 * sqrt3),
-        (covariant_family(), {"dz": 1, "ex": 1}, "y", mpf(2)),
-        (covariant_family(), {"dx": 1, "ey": 1}, "y", -4 * sqrt3),
-        (axis_dependent_family(), {"d": 1, "ey": 1}, "y", -2 * sqrt3),
-        (axis_dependent_family(), {"dh": 1, "ey": 1}, "y", -2 * sqrt3),
-        (axis_dependent_family(), {"d": 1, "ez": 1}, "y", mpf(-2)),
-        (axis_dependent_family(), {"dh": 1, "ez": 1}, "y", mpf(2)),
-    ]
-    worst = mpf(0)
-    for family, orders, component, want in cases:
-        got = series_coefficient(seq, family, orders, component)
-        worst = max(worst, fabs(got - want) / fabs(want))
-    ok = worst < mpf("1e-6")
-    report(4, "12 printed series coefficients by finite differences to 1e-6",
+@pytest.mark.parametrize("digits, tolerance", [(60, "1e-55"), (16, "1e-14")])
+def test_criterion_4_series_coefficients(digits, tolerance):
+    with working_digits(digits):
+        seq = pi3_correct(naive(Z_PI), (1, 0, 0))
+        sqrt3 = sqrt(mpf(3))
+        cases = [
+            (target_vector_family(), {"ex": 1}, "x", mpf(2)),
+            (target_vector_family(), {"ey": 2}, "x", -sqrt3),
+            (target_vector_family(), {"ez": 2}, "x", -sqrt3),
+            (target_vector_family(), {"ey": 3}, "y", mpf(2)),
+            (target_vector_family(), {"ey": 1, "ez": 2}, "y", mpf(2)),
+            (covariant_family(), {"dy": 1, "ex": 1}, "y", 2 * sqrt3),
+            (covariant_family(), {"dz": 1, "ex": 1}, "y", mpf(2)),
+            (covariant_family(), {"dx": 1, "ey": 1}, "y", -4 * sqrt3),
+            (axis_dependent_family(), {"d": 1, "ey": 1}, "y", -2 * sqrt3),
+            (axis_dependent_family(), {"dh": 1, "ey": 1}, "y", -2 * sqrt3),
+            (axis_dependent_family(), {"d": 1, "ez": 1}, "y", mpf(-2)),
+            (axis_dependent_family(), {"dh": 1, "ez": 1}, "y", mpf(2)),
+        ]
+        worst = mpf(0)
+        for family, orders, component, want in cases:
+            got = series_coefficient(seq, family, orders, component)
+            worst = max(worst, fabs(got - want) / fabs(want))
+    ok = worst < mpf(tolerance)
+    report(4, f"12 printed series coefficients at {digits} digits to {tolerance}",
            ok, f"worst rel dev {float(worst):.2e}")
 
 

@@ -1,5 +1,7 @@
 import hashlib
+import random
 import time
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -10,8 +12,8 @@ from mpmath import fabs, mp, mpf, sqrt
 
 from compulse import analysis, su2
 from compulse.analysis import (
-    _STENCIL_OFFSETS,
     DEFAULT_GRID,
+    FAMILIES,
     MAX_SCALES,
     TABLE_EPS,
     TABLE_SEQUENCES,
@@ -32,10 +34,26 @@ from compulse.analysis import (
     _stencil_weights,
 )
 from compulse.error_models import CovariantVector, LinearOverRotation, ModelConfigError, PerChannel
-from compulse.precision import PrecisionError, working_digits
-from compulse.sequences import build_builtin, evaluate, naive, pi3_correct, target_pulse
+from compulse.precision import PrecisionError, unit_tolerance, working_digits
+from compulse.sequences import (
+    build_builtin,
+    evaluate,
+    format_scalar,
+    naive,
+    parse,
+    parse_target,
+    pi3_correct,
+    serialize,
+    target_pulse,
+)
 
-from oracles import DegenerateDirectionError, format_sci_decimal, xy_error_axis
+from oracles import (
+    STENCIL_OFFSETS,
+    DegenerateDirectionError,
+    format_sci_decimal,
+    stencil_coefficient,
+    xy_error_axis,
+)
 
 X = (1, 0, 0)
 Z_PI = target_pulse((0, 0, 1), Fraction(1, 2))
@@ -301,52 +319,120 @@ class TestFitOrder:
         assert abs(fit.slope - 2) < 0.05
 
 
+def _nine_number_frame_file() -> str:
+    """pi3:X around y-3pi/4 as text written at 16 digits, with the frame of
+    its conjugated pulses written as nine numbers instead of ``frame target``."""
+    with working_digits(16):
+        seq = build_builtin("pi3:X", parse_target("y-3pi/4"))
+        f = seq.target.conjugation_frame()
+        nine = " ".join(map(format_scalar, f.ex + f.ey + f.ez))
+        return serialize(seq).replace("frame target", "frame " + nine)
+
+
+# name -> how to make the sequence, at the working precision
+SERIES_SEQUENCES = {
+    "pi3:X on z-pi": lambda: build_builtin("pi3:X", parse_target("z-pi")),
+    "concat:XY": lambda: build_builtin("concat:XY"),
+    "concat:Y:b2sym": lambda: build_builtin("concat:Y:b2sym"),
+    "16-digit file, nine-number frame": lambda: parse(_nine_number_frame_file()),
+}
+
+
 class TestSeriesCoefficient:
-    def test_requires_extended_precision(self):
-        with pytest.raises(PrecisionError):
-            series_coefficient(build_builtin("naive"), target_vector_family(), {"ez": 1}, "z")
-
-    def test_closed_form_single_axis(self):
-        # naive gate with a z generator error: cz = 2*sin(ez), so the
-        # first and third derivatives are +2 and -2
+    @given(
+        name=st.sampled_from(sorted(SERIES_SEQUENCES)),
+        family=st.sampled_from(sorted(FAMILIES)),
+        picks=st.lists(st.integers(0, 5), min_size=1, max_size=3),
+        component=st.sampled_from(["x", "y", "z"]),
+    )
+    def test_matches_finite_differences_at_twice_the_digits(self, name, family, picks, component):
+        fam = FAMILIES[family]()
+        orders = dict(Counter(fam.names[i % len(fam.names)] for i in picks))
         with working_digits(60):
-            seq = build_builtin("naive")
-            fam = target_vector_family()
-            d1 = series_coefficient(seq, fam, {"ez": 1}, "z")
-            d3 = series_coefficient(seq, fam, {"ez": 3}, "z")
-            assert fabs(d1 - 2) < mpf("1e-8")
-            # coefficient of ez^3 in 2*sin is -2/3! = -1/3
-            assert fabs(d3 + Fraction(1, 3)) < mpf("1e-8")
+            seq = SERIES_SEQUENCES[name]()
+            got = series_coefficient(seq, fam, orders, component)
+        with working_digits(120):
+            want = stencil_coefficient(seq, fam, orders, component)
+            assert fabs(got - want) <= mpf("1e-25") * max(1, fabs(want))
 
-    def test_mixed_derivative_of_known_product(self):
+    @pytest.mark.parametrize("digits", [16, 60])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_closed_form_of_naive_under_a_z_error(self, digits, n):
+        # cz = 2*sin(ez): the ez**n coefficient is 2*(-1)**((n - 1)/2)/n!
+        # for odd n and 0 for even n
+        with working_digits(digits):
+            got = series_coefficient(build_builtin("naive"), target_vector_family(), {"ez": n}, "z")
+            if n % 2 == 0:
+                assert got == 0
+            else:
+                want = mpf(2 * (-1) ** ((n - 1) // 2)) / factorial(n)
+                ulp = mpf(2) ** (mp.mag(want) - mp.prec)
+                assert fabs(got - want) <= 4 * ulp
+
+    @pytest.mark.parametrize("digits", [16, 60])
+    def test_mixed_derivative_of_known_product(self, digits):
         # the corrected sequence's y component carries 2*sqrt(3)*dy*ex
-        with working_digits(60):
+        with working_digits(digits):
             seq = pi3_correct(naive(Z_PI), X)
             got = series_coefficient(seq, covariant_family(), {"dy": 1, "ex": 1}, "y")
-            assert fabs(got - 2 * sqrt(mpf(3))) < mpf("1e-8")
+            assert fabs(got - 2 * sqrt(mpf(3))) <= unit_tolerance()
+
+    @pytest.mark.parametrize(
+        "orders, name",
+        [
+            ({"ez": 1.5}, "ez"),
+            ({"ez": 1, "ex": 0.4}, "ex"),
+            ({"ez": "1"}, "ez"),
+            ({"ez": True}, "ez"),
+            ({"ez": 1, "ey": False}, "ey"),
+            ({"ez": mpf(1)}, "ez"),
+            ({"ez": Fraction(1)}, "ez"),
+        ],
+    )
+    def test_a_power_that_is_not_an_int_is_refused_by_name(self, orders, name):
+        with pytest.raises(ModelConfigError, match=f"^power of {name} must be a non-negative integer, got "):
+            series_coefficient(build_builtin("naive"), target_vector_family(), orders, "z")
 
     def test_rejects_unknown_parameter(self):
-        with working_digits(50):
-            with pytest.raises(ValueError):
-                series_coefficient(build_builtin("naive"), target_vector_family(), {"qq": 1}, "z")
+        with pytest.raises(ValueError):
+            series_coefficient(build_builtin("naive"), target_vector_family(), {"qq": 1}, "z")
 
     def test_rejects_empty_orders(self):
-        with working_digits(50):
-            with pytest.raises(ValueError):
-                series_coefficient(build_builtin("naive"), target_vector_family(), {}, "z")
+        with pytest.raises(ValueError):
+            series_coefficient(build_builtin("naive"), target_vector_family(), {}, "z")
 
     @pytest.mark.parametrize("orders", [{"ex": 3, "ey": 2}, {"ex": 1, "ey": 4}, {"ey": 2, "ez": 2}, {"ex": 4}])
-    def test_rejects_a_total_order_above_three_before_any_evaluation(self, monkeypatch, orders):
-        # the step 10**(-digits/4) leaves no correct digit at total order 4
-        monkeypatch.setattr(analysis, "evaluate", None)
-        with working_digits(60):
-            with pytest.raises(ModelConfigError, match="above the limit 3"):
-                series_coefficient(build_builtin("naive"), target_vector_family(), orders, "x")
+    def test_rejects_a_total_order_above_three_before_any_work(self, monkeypatch, orders):
+        # finite differences check the series up to total order 3 only
+        monkeypatch.setattr(su2, "series_product", None)
+        with pytest.raises(ModelConfigError, match="above the limit 3"):
+            series_coefficient(build_builtin("naive"), target_vector_family(), orders, "x")
 
     def test_rejects_unknown_component(self):
-        with working_digits(50):
-            with pytest.raises(ValueError, match="component must be x, y or z, got 'w'"):
-                series_coefficient(build_builtin("naive"), target_vector_family(), {"ez": 1}, "w")
+        with pytest.raises(ValueError, match="component must be x, y or z, got 'w'"):
+            series_coefficient(build_builtin("naive"), target_vector_family(), {"ez": 1}, "w")
+
+
+class TestModelFamilies:
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_build_is_linear_in_its_values(self, family):
+        # each pulse's generator under build(values) is the sum of values[j]
+        # times its generator under build of the j-th unit vector
+        fam = FAMILIES[family]()
+        rng = random.Random(5)
+        n = len(fam.names)
+        with working_digits(60):
+            values = [mpf(rng.uniform(-1, 1)) for _ in range(n)]
+            model = fam.build(values)
+            units = [fam.build([int(i == j) for i in range(n)]) for j in range(n)]
+            nonzero = 0
+            for make in SERIES_SEQUENCES.values():
+                for p in {id(p): p.forward() for p in make().pulses}.values():
+                    got = model.generator(p)
+                    want = [sum(v * u.generator(p)[c] for v, u in zip(values, units)) for c in range(3)]
+                    assert all(fabs(a - b) <= unit_tolerance() for a, b in zip(got, want))
+                    nonzero += any(got)
+            assert nonzero
 
 
 class TestXyErrorAxis:
@@ -392,7 +478,7 @@ class TestStencilWeights:
         # of degree 4, so the stencil returns h**k f^(k)(0) + O(h**(5-k))
         weights = _stencil_weights(k)
         for m in range(5):
-            moment = sum(w * Fraction(o) ** m for w, o in zip(weights, _STENCIL_OFFSETS))
+            moment = sum(w * Fraction(o) ** m for w, o in zip(weights, STENCIL_OFFSETS))
             assert moment == (factorial(k) if m == k else 0)
 
     @pytest.mark.parametrize("k", [-1, 0, 4, 5])

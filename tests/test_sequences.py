@@ -606,7 +606,7 @@ class TestRealizeMemo:
             ("axisdep", {"d": 1, "ey": 1}, "y", (4, 32)),
         ],
     )
-    def test_series_coefficient_corrupts_each_channel_model_value_once(
+    def test_stencil_coefficient_corrupts_each_channel_model_value_once(
         self, monkeypatch, family, orders, component, calls
     ):
         # consecutive stencil points that leave a channel's model unchanged
@@ -615,8 +615,19 @@ class TestRealizeMemo:
         vector = _count_calls(monkeypatch, CovariantVector, "_forward")
         axisdep = _count_calls(monkeypatch, AxisDependentPi3, "_forward")
         with working_digits(60):
-            series_coefficient(seq, FAMILIES[family](), orders, component)
+            oracles.stencil_coefficient(seq, FAMILIES[family](), orders, component)
         assert (len(vector), len(axisdep)) == calls
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_a_series_coefficient_realizes_no_pulse(self, monkeypatch, family):
+        seq = build_builtin("concat:XY", Z_PI)
+        fam = FAMILIES[family]()
+        methods = ((CovariantVector, "_forward"), (AxisDependentPi3, "_forward"), (ErrorModel, "realize"),
+                   (PerChannel, "realize"))
+        calls = [_count_calls(monkeypatch, cls, name) for cls, name in methods]
+        for name in fam.names:
+            series_coefficient(seq, fam, {name: 2} if name == "ey" else {name: 1, "ey": 1}, "y")
+        assert calls == [[]] * len(methods)
 
     def test_parsed_file_corrupts_each_dagger_pair_once(self, monkeypatch):
         with working_digits(16):
@@ -641,6 +652,25 @@ class TestRealizeMemo:
 
 def _distinct(seq: PulseSequence) -> list:
     return list({id(p): p for p in seq.pulses}.values())
+
+
+class TestGenerator:
+    @pytest.mark.parametrize("digits", [16, 60])
+    @pytest.mark.parametrize("kind", sorted(_MODEL_KINDS))
+    def test_a_forward_pulse_is_realized_as_ideal_times_the_exp_of_its_generator(self, kind, digits):
+        with working_digits(digits):
+            model = _MODEL_KINDS[kind](mpf("-0.013"))
+            corrupted = 0
+            for name, target in (("concat:XY", "z--pi"), ("b4", "x-pi"), ("pi5", "y-3pi/4")):
+                for p in _distinct(build_builtin(name, parse_target(target))):
+                    p = p.forward()
+                    g = model.generator(p)
+                    want = su2.multiply(p.ideal_unitary(), su2.exp_pauli(g))
+                    assert all(fabs(a - b) <= unit_tolerance() for a, b in zip(model.realize(p), want))
+                    if model.realize(p) == p.ideal_unitary():
+                        assert g == (0, 0, 0)
+                    corrupted += any(g)
+            assert corrupted
 
 
 def _dagger_pairs(seq: PulseSequence) -> int:

@@ -1,10 +1,12 @@
-"""The raw-mantissa SU(2) kernels: correct rounding of products, bit-identity
-of products with the former ``from_man_exp`` kernel (edge cases, the
-rounding helper and whole evaluations), and bit-identity of rotation, dagger,
+"""The raw-mantissa SU(2) kernels: correct rounding of products and of
+truncated series products, bit-identity of products with the former
+``from_man_exp`` kernel (edge cases, the rounding helper and whole
+evaluations), and bit-identity of rotation, dagger,
 exp_pauli, the vector norm, the unit axis, the frame map and the covariant
 error generator with their mpf formulas."""
 
 import random
+from itertools import product
 from typing import NamedTuple
 
 import pytest
@@ -103,6 +105,60 @@ class TestMultiplyRounding:
         assert u._pairs is None and u._left is None
         assert good._left is not None
         assert _bits(su2.multiply(good, good)) == _bits(oracles.multiply_from_man_exp(good, good))
+
+
+def _random_series(rng, box):
+    """Up to four terms at indices at most ``box``, coefficients of magnitude
+    up to 2**8."""
+    series = {}
+    for _ in range(rng.randint(1, 4)):
+        k = tuple(rng.randint(0, b) for b in box)
+        scale = 2 ** rng.randint(0, 8)
+        series[k] = Unitary(*(c * scale for c in _random_quaternion(rng)))
+    return series
+
+
+class TestSeriesProduct:
+    @pytest.mark.parametrize("digits", [16, 60, 200])
+    def test_a_product_of_one_term_series_is_multiply_bit_for_bit(self, digits):
+        rng = random.Random(digits + 1)
+        with working_digits(digits):
+            for _ in range(300):
+                a, b = _random_quaternion(rng), _random_quaternion(rng)
+                ka, kb = (rng.randint(0, 2), rng.randint(0, 1)), (rng.randint(0, 1), rng.randint(0, 2))
+                got = su2.series_product({ka: a}, {kb: b}, (3, 3))
+                want = su2.multiply(a, b)
+                if any(want):
+                    assert list(got) == [(ka[0] + kb[0], ka[1] + kb[1])]
+                    assert _bits(next(iter(got.values()))) == _bits(want)
+                else:
+                    assert got == {}
+
+    @pytest.mark.parametrize("digits", [16, 60, 200])
+    def test_each_coefficient_is_the_exact_sum_rounded_once(self, digits):
+        rng = random.Random(digits + 2)
+        with working_digits(digits):
+            for _ in range(60):
+                box = (rng.randint(0, 3), rng.randint(0, 2))
+                a, b = _random_series(rng, box), _random_series(rng, box)
+                got = su2.series_product(a, b, box)
+                for k in product(range(box[0] + 1), range(box[1] + 1)):
+                    pairs = [(ua, ub) for ka, ua in a.items() for kb, ub in b.items()
+                             if (ka[0] + kb[0], ka[1] + kb[1]) == k]
+                    want = [
+                        _correctly_rounded([t for ua, ub in pairs for t in _exact_product_terms(ua, ub)[c]])
+                        for c in range(4)
+                    ]
+                    if any(man for _, man, _, _ in want):
+                        assert [c._mpf_ for c in got[k]] == want
+                    else:
+                        assert k not in got
+                assert set(got) <= set(product(range(box[0] + 1), range(box[1] + 1)))
+
+    def test_non_finite_component_raises(self):
+        bad = Unitary(1, 0, mpf("nan"), 0)
+        with pytest.raises(ValueError, match="non-finite"):
+            su2.series_product({(0,): su2.identity()}, {(1,): bad}, (1,))
 
 
 class TestExactForms:

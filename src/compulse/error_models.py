@@ -16,7 +16,10 @@ on a channel share that channel's corruptions.
 Over-rotation amounts are functions of the unsigned rotation angle
 ``theta = 2*|alpha|`` (polynomials here, degree-bounded for
 reproducibility); the generator offset is ``eps(theta)/2`` with the sign
-of the generator.  Vector-type errors right-multiply the ideal pulse by
+of the generator.  An over-rotated pulse is ``su2.rotation`` of its
+radians plus the offset, except that a zero offset gives the ideal unitary
+itself, so every kind at zero error evaluates to the ideal bit for bit.
+Vector-type errors right-multiply the ideal pulse by
 ``exp(i*(F.delta).sigma)`` where F is the pulse's frame at the working
 precision, which makes a conjugated pulse carry the conjugated error.
 Either way a forward pulse is realized as ideal * exp(i*(g.sigma)), and
@@ -168,8 +171,12 @@ class _OverRotation(ErrorModel):
         raise NotImplementedError
 
     def _forward(self, pulse, axis, alpha, scale):
-        # exp(i*(|alpha| + offset)*sign(alpha)*(axis.sigma))
-        mag = fabs(alpha) + self._offset(pulse, axis, alpha, scale)
+        # exp(i*(|alpha| + offset)*sign(alpha)*(axis.sigma)); a zero offset
+        # is ideal * exp(i*0), the ideal bit for bit
+        offset = self._offset(pulse, axis, alpha, scale)
+        if not offset:
+            return pulse.ideal_unitary()
+        mag = fabs(alpha) + offset
         return su2.rotation(axis, mag if alpha >= 0 else -mag)
 
     def _lab_generator(self, pulse, axis, alpha):

@@ -5,7 +5,8 @@ Conventions that prevent the classic factor-of-2 and ordering bugs:
 * Generator angles are stored as exact rational multiples of pi
   (``Fraction``), so a "pi pulse" (rotation angle pi) carries
   ``alpha_pi = 1/2``.  Builders normalize rotation-angle notation at their
-  boundary.
+  boundary.  A pulse's ideal unitary is the correctly rounded cos and sin
+  of that exact angle, so a pi pulse about x is exactly (0, 1, 0, 0).
 * Pulse lists are in application (time) order: first entry is applied
   first.  Written operator products read right to left, so builders that
   start from an operator expression reverse it.
@@ -232,11 +233,13 @@ class Pulse:
         return abs(2 * self.alpha_pi)
 
     def ideal_unitary(self) -> Unitary:
-        """The ideal unitary, kept in the record: made afresh on each call,
+        """The ideal unitary: cos and sin of the exact angle, each correctly
+        rounded (:func:`su2.rotation_pi`), so a quarter turn about a lab axis
+        is exact.  Kept in the record: made afresh on each call,
         ``reference`` ``wall_s`` is 18-25% higher."""
         record = self.derived()
         if record.ideal is None:
-            record.ideal = su2.rotation(record.axis, record.alpha)
+            record.ideal = su2.rotation_pi(record.axis, self.alpha_pi, record.alpha)
         return record.ideal
 
     def conjugation_frame(self) -> FrameTriad:

@@ -23,18 +23,21 @@ rounding gives the same bits as libmp's ``from_man_exp`` with
 ``round_nearest``; a non-finite (inf or nan) component in a factor
 raises ValueError.  A left factor of :func:`multiply` about a lab axis,
 with two vector components exactly zero, skips its zero terms: 8 integer
-products instead of 16, and no bit changes.  That is 61-67% of the
-products on the ``deep_chain`` benchmark, 68-69% on ``text_io`` and 27%
-on ``reference``; the b2/b4 axes in the xy plane and conjugated axes
-with a rounding residue take the dense sum.  Every other kernel is a
-plain mpf expression, each operation rounded to nearest at the working
-precision; only :func:`rotation`'s phase guard reads a raw exponent.
+products instead of 16, and no bit changes.  That is 88% of the
+products in a ``deep_chain`` benchmark job, all of ``text_io``'s and 26%
+of ``reference``'s; the b2/b4 axes in the xy plane and pulses under a
+vector error take the dense sum.  Every other kernel is a plain mpf
+expression, each operation rounded to nearest at the working precision;
+only the phase guard of :func:`rotation` and :func:`rotation_pi` reads a
+raw exponent.  :func:`rotation_pi` gives a pulse's ideal unitary from its
+exact angle, so a quarter turn about a lab axis is exact, and so are the
+zeros of its conjugation frame.
 
 Each kernel guards its own domain, and no caller checks it again:
-:func:`rotation` (every unitary made from an angle) the phase,
-:func:`exp_pauli` and :func:`log_pauli` the principal branch,
-:func:`multiply` finiteness, and :func:`tighten_axis` an axis where it
-enters, to GEOMETRY_TOL at any precision.  GEOMETRY_TOL is the one
+:func:`rotation` and :func:`rotation_pi` (every unitary made from an
+angle) the phase, :func:`exp_pauli` and :func:`log_pauli` the principal
+branch, :func:`multiply` finiteness, and :func:`tighten_axis` an axis
+where it enters, to GEOMETRY_TOL at any precision.  GEOMETRY_TOL is the one
 tolerance of geometry: an accepted axis is kept as given, and
 :func:`unit_axis` makes it unit at the working precision with one
 division by its norm.
@@ -49,6 +52,7 @@ _LEFT_BITS; both are exact, so they never change a result.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
 from mpmath import atan2, fabs, mp, mpf, nstr, sqrt
@@ -218,17 +222,56 @@ def identity() -> Unitary:
     return Unitary(mpf(1), mpf(0), mpf(0), mpf(0))
 
 
+def _phase_guard(alpha: mpf) -> None:
+    """Raise :class:`BranchError` unless the angle ``alpha`` (radians) is
+    finite and below 2**mp.prec: beyond that no bit of its phase mod 2*pi
+    is left."""
+    prec, raw = mp.prec, alpha._mpf_
+    # |alpha| < 2**(exp + bc); mpmath marks inf and nan with a negative bc.
+    if raw[2] + raw[3] > prec or raw[3] < 0:
+        raise BranchError(f"rotation angle {nstr(alpha, 5)} is not below 2**{prec} radians: no phase bit left")
+
+
 def rotation(axis: Vec3, alpha: mpf) -> Unitary:
     """exp(i*alpha*(axis . sigma)) for an axis already normalized at
     the working precision (as returned by :func:`unit_axis`).  An angle
     that is not finite and below 2**mp.prec radians has no bit of its phase
     mod 2*pi left, so it raises :class:`BranchError`."""
+    _phase_guard(alpha)
     nx, ny, nz = axis
-    prec, raw = mp.prec, alpha._mpf_
-    # |alpha| < 2**(exp + bc); mpmath marks inf and nan with a negative bc.
-    if raw[2] + raw[3] > prec or raw[3] < 0:
-        raise BranchError(f"rotation angle {nstr(alpha, 5)} is not below 2**{prec} radians: no phase bit left")
     c, s = mp.cos_sin(alpha)
+    return Unitary(c, s * nx, s * ny, s * nz)
+
+
+# Bits beyond the working precision at which rotation_pi evaluates cos and
+# sin before rounding them.  With none, mpmath's own rounding is off by an
+# ulp in some cases: the ideals of a dagger pair are then not always exact
+# negations, and the 16-digit expand example in README prints 2*sqrt(3)
+# as ...754 instead of ...755.
+_TURN_GUARD_BITS = 32
+
+
+def rotation_pi(axis: Vec3, alpha_pi: Fraction, alpha: mpf) -> Unitary:
+    """exp(i*pi*alpha_pi*(axis . sigma)) for an exact rational ``alpha_pi``
+    and an axis as :func:`rotation` takes it.
+
+    cos(pi*alpha_pi) and sin(pi*alpha_pi) are each correctly rounded at the
+    working precision: ``alpha_pi`` is reduced mod 2 exactly, mpmath's
+    ``cospi`` and ``sinpi`` read it with _TURN_GUARD_BITS more bits, and
+    each result is rounded once.  So a quarter turn is exact (a pi pulse
+    about x is (0, 1, 0, 0)) and an eighth turn has bit-equal cos and sin,
+    where :func:`rotation` of pi rounded leaves a residue near 1e-62 at 60
+    digits.  ``alpha`` is the same angle in radians at the working
+    precision; :func:`rotation`'s phase guard reads it, so the two raise
+    :class:`BranchError` for the same pulse.
+    """
+    _phase_guard(alpha)
+    nx, ny, nz = axis
+    a = Fraction(alpha_pi) % 2
+    with mp.workprec(mp.prec + _TURN_GUARD_BITS):
+        x = mpf(a.numerator) / a.denominator
+        c, s = mp.cospi(x), mp.sinpi(x)
+    c, s = +c, +s
     return Unitary(c, s * nx, s * ny, s * nz)
 
 
@@ -333,11 +376,11 @@ def multiply(a: Unitary, b: Unitary) -> Unitary:
     zero, skips the zero terms: each component sums its two nonzero
     products, 8 integer products instead of 16, and no bit changes.  In
     the paper's concatenated chains that is the target about x, y or z,
-    every C0 and every Ct conjugated into such a target's frame: 61-67% of
-    the products on the ``deep_chain`` benchmark, 68-69% on ``text_io`` and
-    27% on ``reference``.  Every other factor takes the dense sum: the
-    b2/b4 axes in the xy plane, and conjugated axes that keep a rounding
-    residue from the target's frame, such as (0.866, 0, 5.7e-62, -0.5).
+    every C0 and every Ct conjugated into such a target's frame (exactly,
+    as the target's ideal is exact; see :func:`rotation_pi`): 88% of the
+    products in a ``deep_chain`` benchmark job, all of ``text_io``'s and
+    26% of ``reference``'s.  Every other factor takes the dense sum: the
+    b2/b4 axes in the xy plane, and pulses under a vector error.
 
     The product holds its exact form only; its mpf components are made when
     something reads them.  A fold ``out = multiply(u, out)`` over a few

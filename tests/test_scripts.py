@@ -144,10 +144,10 @@ class TestEvaluateDigest:
         # Built, written, read and evaluated at one precision.
         module = _load_evaluate_digest()
         assert module.digest(self.PINNED, module.MODELS, (16,)) == (
-            "28d6883e05999a3f6fef06ec1a127a7901d1980bc4bda0ad9936dfe5e1d5152a"
+            "b316519a9fc936385b5a2fb62bda6aa5a6b99f714070e21e7403605ffddaee97"
         )
         assert module.digest(self.PINNED, module.MODELS, (60,)) == (
-            "49d87cf700723fdeaca235c9811d3c40980ce995c13428f4e2cc12ef8af916b9"
+            "d605f7d7d6fd81a9033a74d5373abb1ee3e916877d2f53829ef2d17d982c3409"
         )
 
     def test_results_across_precisions_keep_their_pinned_bits(self):
@@ -158,10 +158,10 @@ class TestEvaluateDigest:
         # 16-digit numbers until they are made unit at 60 digits.
         module = _load_evaluate_digest()
         assert module.digest(self.PINNED, module.MODELS, (16, 60)) == (
-            "0678b0c49849676edc48c51d7bc2a521f2b34bdcf84b45cd7f1ff984d95afeea"
+            "dd965ebd18b0a5f69503027386adff7925ea1037d48a4b9fc0f60413efa45f04"
         )
         assert module.wrapped_digest(("pi3:Y", "pi5", "b2sym"), module.MODELS) == (
-            "d3277c059b6d170ba7c1ff61854b6bb9d14f5274f8fb3361f393545d0741b94f"
+            "5864d610150cc8f4bbed04cd5d075cf7f9a8efeae3f00e2e1de33ddde336542b"
         )
 
     def test_written_text_keeps_its_pinned_bytes_and_reads_back(self):

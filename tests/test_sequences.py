@@ -1196,12 +1196,12 @@ DEEP_TEXTS = [
     (
         "concat:XZYYXZ", "x-pi", 98365,
         "fe7990feaba6deab310c3a55960f2d54864cdd154c12fc6bcfa65b83de79b567",
-        "6ce7be71d08c7a34a9b440c2479fbf71179093a94890686fd2ac979a693001b8",
+        "99f8e5018a393ef194d87072a66f8f1cff29486e53ae8d3778c068619e6622a5",
     ),
     (
         "concat:XZXYXY", "y-pi/2", 98365,
         "137344ae2397220be7cd4513db69e572eaa087b9c54f525e5ec69454579bc347",
-        "180ce60c5a670878f013b6e3beab625806483b9ce3c11c51201f334efada2bc5",
+        "f210e8c0ab632e140df83cec4a421d205672bb16be8e96a2ad0d0e109396b279",
     ),
 ]
 

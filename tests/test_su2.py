@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -44,6 +47,10 @@ small_vecs = st.tuples(
 )
 
 angles = st.floats(-3.1, 3.1)
+
+
+def _bits(u):
+    return tuple(c._mpf_ for c in u)
 
 
 def random_quaternion(rng):
@@ -113,6 +120,69 @@ class TestRotationPhaseGuard:
                 with mp.workprec(2 * mp.prec):
                     want = (cos(alpha), 0, sin(alpha), 0)
                 assert all(fabs(g - w) <= ulp for g, w in zip(got, want))
+
+
+_HALF_TURNS = {0: (1, 0), Fraction(1, 2): (0, 1), 1: (-1, 0), Fraction(3, 2): (0, -1)}
+
+
+def _cos_sin_pi_oracle(a):
+    """cos(pi*a) and sin(pi*a) for a rational ``a``, rounded at the working
+    precision from mpmath's cos and sin of pi*p/q at twice that precision
+    plus the bits of p and q, with no reduction of ``a``.  At a multiple of
+    1/2 the exact zero is returned: the oracle's residue there would round
+    to itself."""
+    if (2 * a).denominator == 1:
+        return _HALF_TURNS[a % 2]
+    with mp.workprec(2 * mp.prec + a.numerator.bit_length() + a.denominator.bit_length()):
+        angle = mp.pi * a.numerator / a.denominator
+        c, s = cos(angle), sin(angle)
+    return +c, +s
+
+
+def _random_angles(rng, top):
+    """Rationals p/q with q up to 10**35, so numerators pass 10**30, and
+    |p/q| up to ``top``; the multiples of 1/2 among them exactly."""
+    out = [Fraction(k, 2) for k in range(-8, 9)]
+    for _ in range(150):
+        q = rng.randrange(1, 10 ** rng.choice((1, 3, 9, 20, 35)))
+        out.append(Fraction(rng.randrange(-top * q, top * q + 1), q))
+    return out
+
+
+class TestRotationPi:
+    @pytest.mark.parametrize("digits", [16, 60, 200])
+    def test_cos_and_sin_are_correctly_rounded(self, digits):
+        rng = random.Random(digits)
+        with working_digits(digits):
+            for a in _random_angles(rng, 2 ** (mp.prec // 2)):
+                got = su2.rotation_pi(X, a, mp.pi * a.numerator / a.denominator)
+                assert (got.w, got.x, got.y, got.z) == (*_cos_sin_pi_oracle(a), 0, 0), a
+
+    @pytest.mark.parametrize("digits", [16, 60, 200])
+    def test_quarter_turns_are_exact_and_eighth_turns_even(self, digits):
+        with working_digits(digits):
+            assert _bits(su2.rotation_pi(X, Fraction(1, 2), mp.pi / 2)) == _bits(Unitary(0, 1, 0, 0))
+            assert _bits(su2.rotation_pi(Z, Fraction(-1), -mp.pi)) == _bits(Unitary(-1, 0, 0, 0))
+            for k in (1, 3, 5, 7):
+                w, x, y, z = su2.rotation_pi(Y, Fraction(k, 4), mp.pi * k / 4)
+                assert fabs(w) == fabs(y) and x == z == 0
+
+    @pytest.mark.parametrize("digits", [16, 60])
+    def test_refuses_where_rotation_refuses(self, digits):
+        def refused(f, *args):
+            try:
+                f(*args)
+            except BranchError as exc:
+                return "no phase bit left" in str(exc)
+            return False
+
+        with working_digits(digits):
+            seen = set()
+            for a in (Fraction(2**mp.prec), Fraction(1 - 2**mp.prec), Fraction(10**40, 3), Fraction(2 ** (mp.prec - 3))):
+                alpha = mp.pi * a.numerator / a.denominator
+                seen.add(refused(su2.rotation, X, alpha))
+                assert refused(su2.rotation_pi, X, a, alpha) is refused(su2.rotation, X, alpha), a
+            assert seen == {True, False}
 
 
 class TestProduct:

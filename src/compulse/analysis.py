@@ -7,8 +7,9 @@ Fits exclude points below the precision floor 10**(2 - digits).  Series
 coefficients of total order 1 to 3 come from one fold of truncated
 quaternion power series over the pulses, exact at any precision up to the
 rounding of each coefficient.
-The infidelity table builds each reference sequence once per name and
-working precision and keeps it for later calls; it never hands one out.
+The infidelity table builds each reference sequence once per name, at
+whatever precision it is first asked at, and keeps it for later calls at
+every precision; it never hands one out.
 Numbers print through :func:`format_sci`: the stored binary value correctly
 rounded to the requested significant digits, ties away from zero, with a
 mantissa in [1, 10) whatever the working precision; zero prints as ``0e+00``,
@@ -84,11 +85,11 @@ class ScanResult:
 # Most points a grid may hold; every scan evaluates the sequence once per point.
 MAX_SCALES = 10_000
 
-# The lo:hi:per_decade spec of the default_scales() grid.
+# The lo:hi:per_decade spec of the grid that scans and fits default to.
 DEFAULT_GRID = "1e-4:1e-1:9"
 
 
-def default_scales(lo="1e-4", hi="1e-1", per_decade: int = 9) -> tuple:
+def default_scales(lo, hi, per_decade: int) -> tuple:
     """Logarithmic grid from hi down to lo, ``per_decade`` points per decade,
     at most ``MAX_SCALES`` points, all distinct at the working precision."""
     lo, hi = mpf(lo), mpf(hi)
@@ -481,9 +482,11 @@ TABLE_SEQUENCES = ("naive", "b2", "b4", "pi3:Y", "pi3Y∘b2sym", "pi3Y∘b4sym")
 
 
 @functools.lru_cache(maxsize=len(TABLE_SEQUENCES))
-def _table_sequence(name: str, prec: int) -> PulseSequence:
-    """The builtin ``name`` built at ``prec`` bits, kept for the table only:
-    built on each call, ``reference`` ``wall_s`` is 18-21% higher."""
+def _table_sequence(name: str) -> PulseSequence:
+    """The builtin ``name``, kept for the table only: built on each call,
+    ``reference`` ``wall_s`` is 18-21% higher.  A build is the same at every
+    precision, and its pulses re-derive their numbers when the precision
+    changes, so one build serves them all."""
     return build_builtin(name)
 
 
@@ -492,7 +495,7 @@ def infidelity_table(eps_values: Sequence = TABLE_EPS, names: Sequence = TABLE_S
 
     Returns {(eps_string, name): infidelity}.  Needs >= 50 digits: the
     smallest entries are around 1e-35.  Each sequence is built once per
-    name and working precision and kept for later calls, so asking for one
+    name and kept for later calls at every precision, so asking for one
     entry per call costs one evaluation; the kept sequences are never
     handed out.
     """
@@ -500,7 +503,7 @@ def infidelity_table(eps_values: Sequence = TABLE_EPS, names: Sequence = TABLE_S
     model = LinearOverRotation(1)
     out = {}
     for name in names:
-        seq = _table_sequence(name, mp.prec)
+        seq = _table_sequence(name)
         ideal = seq.ideal_unitary()
         for eps in eps_values:
             actual = evaluate(seq, model, mpf(eps))

@@ -60,12 +60,6 @@ def matrix_exp_generator(axis, alpha) -> np.ndarray:
     return np.cos(float(alpha)) * I2 + 1j * np.sin(float(alpha)) * h
 
 
-def random_unitary(rng) -> np.ndarray:
-    q = rng.normal(size=4)
-    q /= np.linalg.norm(q)
-    return q[0] * I2 + 1j * (q[1] * SX + q[2] * SY + q[3] * SZ)
-
-
 def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b)))
 

@@ -3,14 +3,13 @@ import importlib.util
 import os
 import subprocess
 import sys
-from itertools import product
 from pathlib import Path
 
 import pytest
-from mpmath import mp, mpf
+from mpmath import mp, mpf, nstr
 from mpmath.libmp import from_man_exp
 
-from compulse import su2
+from compulse import sequences, su2
 from compulse.cli import main
 from compulse.error_models import parse_model
 from compulse.precision import working_digits
@@ -109,23 +108,66 @@ def _load_evaluate_digest():
     return module
 
 
+# The whole output of scripts/evaluate_digest.py: one hash per part of its
+# matrix, and the hash over all of them last.  This block is the one pin of
+# evaluation results and written text.  A change that alters bits on
+# purpose updates it and lists each moved line, old -> new, in CHANGES.md.
+DIGEST_BLOCK = """\
+6f6aadc6b2e0bf1c23dade8ec2cd44c2c198a6fa9515e63de326e76376937a4f  built, written and evaluated at 16 digits
+d52383a9e032d7114650c9270b89872aacdc6479da1b4c45e0f7118c26919d28  built, written and evaluated at 60 digits
+4d04b8fb93e8ea2b44db6423bdf14af3448a9f77c5a0c7fbdb14a444f3e91912  built and written at 16 digits, evaluated at 60
+ae0791fbe628f9f38e166eaf5fa05a74e4fbcc8fcb4c3702b8abc75db08a9a9e  pi3_correct at 60 digits around 16-digit builds
+7098d5c47fe1a87072df7e14fb4f192e7dfcb87358aba8ea3683d5f82da561f8  60-digit infidelity table and series coefficients
+954ab19849c7451cd24e7ebcb73450f4f3b6f35b97f5aa2c7e5e7f8e84a0532d  every text the matrix writes, at 16 then 60 digits
+63116b2761aba438ab8eeafa57ef4773d102704960e11e44121a428ba9deda2d  80-digit infidelity table
+dbe206541daa9cec52a6047f2f1692936308c77140d536315ca8b839115e082b  depth-6 chains written at 16 digits, evaluated at 60
+11e623b936be4cd597f8d886c08f6c5e9cd63ed58305da5a0f0f30ae3a13fc91
+"""
+
+
 class TestEvaluateDigest:
     NAMES = ("pi3:Y", "pi5", "b2")
     MODELS = ("model=linear eps=0.01", "model=channels target{vector dx=0.01} pi3{axisdep delta=0.01 deltahat=0.02}")
 
-    def test_repeat_calls_agree_and_one_flipped_bit_shows(self, monkeypatch):
-        digest = _load_evaluate_digest().digest
-        want = digest(self.NAMES, self.MODELS, (16, 30))
-        assert digest(self.NAMES, self.MODELS, (16, 30)) == want
-        monkeypatch.setattr(su2, "multiply", _flipping(su2.multiply))
-        assert digest(self.NAMES, self.MODELS, (16, 30)) != want
+    def test_the_whole_output_keeps_its_pinned_block(self, capsys):
+        assert _load_evaluate_digest().main() == 0
+        got, want = capsys.readouterr().out.splitlines(), DIGEST_BLOCK.splitlines()
+        assert len(got) == len(want)
+        moved = _moved_lines(got, want)
+        assert not moved, "\n".join(["lines that moved:"] + moved)
 
-    def test_wrapped_case_repeats_and_shows_a_flipped_bit(self, monkeypatch):
-        wrapped_digest = _load_evaluate_digest().wrapped_digest
-        want = wrapped_digest(self.NAMES, self.MODELS)
-        assert wrapped_digest(self.NAMES, self.MODELS) == want
+    def test_a_moved_line_is_named_with_its_pinned_and_printed_hash(self):
+        want = DIGEST_BLOCK.splitlines()
+        got = list(want)
+        got[6] = "0" * 64 + want[6][64:]
+        got[-1] = "f" * 64
+        assert _moved_lines(want, want) == []
+        assert _moved_lines(got, want) == [
+            f"80-digit infidelity table: {want[6][:64]} -> {'0' * 64}",
+            f"whole: {want[-1]} -> {'f' * 64}",
+        ]
+
+    @pytest.mark.parametrize("part", ["mixed", "wrapped", "table80", "deep"])
+    def test_repeat_calls_agree_and_one_flipped_bit_shows(self, monkeypatch, part):
+        module = _load_evaluate_digest()
+        hashed = {
+            "mixed": lambda: module.digest(self.NAMES, self.MODELS, (16, 30)),
+            "wrapped": lambda: module.wrapped_digest(self.NAMES, self.MODELS),
+            "table80": lambda: module._sha256(module._table(80)),
+            "deep": lambda: module._sha256(module._deep()),
+        }[part]
+        want = hashed()
+        assert hashed() == want
         monkeypatch.setattr(su2, "multiply", _flipping(su2.multiply))
-        assert wrapped_digest(self.NAMES, self.MODELS) != want
+        assert hashed() != want
+
+    def test_one_changed_written_digit_shows(self, monkeypatch):
+        module = _load_evaluate_digest()
+        want = module._sha256(module._written(self.NAMES))
+        assert module._sha256(module._written(self.NAMES)) == want
+        # every number written with one significant digit fewer
+        monkeypatch.setattr(sequences, "format_scalar", lambda x: nstr(mpf(x), mp.dps + 3, strip_zeros=True))
+        assert module._sha256(module._written(self.NAMES)) != want
 
     def test_each_precision_pair_of_the_mixed_digest_hashes_as_its_own_part(self):
         module = _load_evaluate_digest()
@@ -136,49 +178,12 @@ class TestEvaluateDigest:
         assert parts[16, 16].hexdigest() == module.digest(self.NAMES, self.MODELS, (16,))
         assert parts[30, 30].hexdigest() == module.digest(self.NAMES, self.MODELS, (30,))
 
-    # All five model kinds, dagger pairs and the text round trip.  A change
-    # that alters result bits on purpose updates these hashes and says so.
-    PINNED = ("pi3:Y", "pi5", "b2sym", "pi3Y∘b2sym", "concat:ZZY:b2sym")
-
-    def test_results_at_one_precision_keep_their_pinned_bits(self):
-        # Built, written, read and evaluated at one precision.
+    def test_written_text_reads_back(self):
+        # Every text the digest matrix writes, at 16 and 60 digits.
         module = _load_evaluate_digest()
-        assert module.digest(self.PINNED, module.MODELS, (16,)) == (
-            "b316519a9fc936385b5a2fb62bda6aa5a6b99f714070e21e7403605ffddaee97"
-        )
-        assert module.digest(self.PINNED, module.MODELS, (60,)) == (
-            "d605f7d7d6fd81a9033a74d5373abb1ee3e916877d2f53829ef2d17d982c3409"
-        )
-
-    def test_results_across_precisions_keep_their_pinned_bits(self):
-        # A 16-digit build evaluated at 60, and pi3_correct at 60 digits
-        # around 16-digit builds.  Conjugated pulses refer to their target,
-        # so their frames are derived at 60 digits; the b2/b4 phase axes are
-        # read at 60 digits, and the axes of a text written at 16 keep their
-        # 16-digit numbers until they are made unit at 60 digits.
-        module = _load_evaluate_digest()
-        assert module.digest(self.PINNED, module.MODELS, (16, 60)) == (
-            "dd965ebd18b0a5f69503027386adff7925ea1037d48a4b9fc0f60413efa45f04"
-        )
-        assert module.wrapped_digest(("pi3:Y", "pi5", "b2sym"), module.MODELS) == (
-            "5864d610150cc8f4bbed04cd5d075cf7f9a8efeae3f00e2e1de33ddde336542b"
-        )
-
-    def test_written_text_keeps_its_pinned_bytes_and_reads_back(self):
-        # Every text the digest matrix writes, at 16 and 60 digits.  A change
-        # that alters the written format on purpose updates this hash and
-        # says so.
-        module = _load_evaluate_digest()
-        h = hashlib.sha256()
-        for digits, name, target in product((16, 60), module.NAMES, module.TARGETS):
+        for digits, _, text in module._builds(module.NAMES, (16, 60)):
             with working_digits(digits):
-                try:
-                    text = serialize(build_builtin(name, parse_target(target)))
-                except SequenceError:  # the b family corrects rotations about x only
-                    continue
                 assert serialize(parse(text)) == text
-            h.update(text.encode())
-        assert h.hexdigest() == "954ab19849c7451cd24e7ebcb73450f4f3b6f35b97f5aa2c7e5e7f8e84a0532d"
 
     @pytest.mark.parametrize("digits", [16, 60])
     def test_a_respelled_file_loads_and_evaluates_like_its_canonical_text(self, digits):
@@ -256,6 +261,13 @@ def _sharing(seq) -> list:
     for k, p in enumerate(seq.pulses):
         first.setdefault(id(p), k)
     return [(first[id(p)], first.get(id(p.daggered()))) for p in seq.pulses]
+
+
+def _moved_lines(got, want):
+    """Each line of a digest output ``got`` that differs from the pinned
+    ``want``, as "label: pinned -> printed"; the unlabelled last line is the
+    whole matrix."""
+    return [f"{w[66:] or 'whole'}: {w[:64]} -> {g[:64]}" for g, w in zip(got, want) if g != w]
 
 
 def _flipping(multiply):

@@ -1,4 +1,3 @@
-import hashlib
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -6,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import fabs, mp, mpf, pi
+from mpmath import fabs, mp, mpf
 
 from compulse import su2
 from compulse.analysis import FAMILIES, axis_dependent_family, component_scan, series_coefficient
@@ -1186,28 +1185,10 @@ class TestDsl:
 # The file flow: build at 16 digits, write, read and evaluate at 60
 
 
-# Depth-6 chains, one level deeper than the digest matrix: (spec, target,
-# bytes of the text written at 16 digits, its SHA-256, SHA-256 of the repr
-# of its 60-digit evaluation under linear over-rotation).  A change that
-# alters these bits on purpose updates the hashes and says so.  The
-# evaluation hashes are those of the 60-digit builds, since the conjugated
-# pulses are written "frame target", not as 16-digit numbers.
-DEEP_TEXTS = [
-    (
-        "concat:XZYYXZ", "x-pi", 98365,
-        "fe7990feaba6deab310c3a55960f2d54864cdd154c12fc6bcfa65b83de79b567",
-        "99f8e5018a393ef194d87072a66f8f1cff29486e53ae8d3778c068619e6622a5",
-    ),
-    (
-        "concat:XZXYXY", "y-pi/2", 98365,
-        "137344ae2397220be7cd4513db69e572eaa087b9c54f525e5ec69454579bc347",
-        "f210e8c0ab632e140df83cec4a421d205672bb16be8e96a2ad0d0e109396b279",
-    ),
-]
-
-
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+# Depth-6 chains, one level deeper than the digest matrix.  The bits of
+# their 16-digit texts and 60-digit evaluations are pinned by the
+# evaluation-matrix digest (scripts/evaluate_digest.py, DEEP_TEXTS).
+DEEP_TEXTS = [("concat:XZYYXZ", "x-pi"), ("concat:XZXYXY", "y-pi/2")]
 
 
 def _deep_text(spec="concat:XZYYXZ", target="x-pi") -> str:
@@ -1216,18 +1197,14 @@ def _deep_text(spec="concat:XZYYXZ", target="x-pi") -> str:
 
 
 class TestFileFlow:
-    @pytest.mark.parametrize("spec,target,size,text_hash,result_hash", DEEP_TEXTS, ids=["x-pi", "y-pi/2"])
-    def test_deep_text_and_its_evaluation_keep_their_pinned_bits(
-        self, spec, target, size, text_hash, result_hash
-    ):
+    @pytest.mark.parametrize("spec,target", DEEP_TEXTS, ids=["x-pi", "y-pi/2"])
+    def test_a_16_digit_deep_text_evaluates_like_a_60_digit_build(self, spec, target):
+        # the conjugated pulses are written "frame target", not as 16-digit numbers
         text = _deep_text(spec, target)
-        assert (len(text.encode("utf-8")), _sha256(text)) == (size, text_hash)
         with working_digits(60):
             model = parse_model("model=linear eps=0.05")
-            result = evaluate(parse(text), model, mpf(1))
-            assert _sha256(repr(result)) == result_hash
-            # the 16-digit text holds no frame numbers: it evaluates like a 60-digit build
-            assert result == evaluate(build_builtin(spec, parse_target(target)), model, mpf(1))
+            built = build_builtin(spec, parse_target(target))
+            assert evaluate(parse(text), model, mpf(1)) == evaluate(built, model, mpf(1))
 
     def test_evaluation_derives_the_conjugation_frame_once_per_precision(self, monkeypatch):
         frames = _count_calls(monkeypatch, FrameTriad, "from_unitary")
